@@ -1,0 +1,282 @@
+"""Command-line interface.
+
+Exit codes: 0 on success, 1 when a verification fails or a simulated
+session is terminated by attack detection, 2 on usage or I/O errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from .bits import Bits
+from .hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_tag
+from .planner import (PlanInfeasibleError, CostInput, as_fraction, format_table,
+                      make_plan, plan as derive_plan, relative_cost, table_one)
+from .poolfile import PoolFormatError, load_pool, new_pool, save_pool
+from .simulator import (collision_census, forgery_experiment, parse_adversary,
+                        run_session, strong_uniformity_census, substitution_bound,
+                        toeplitz_xor_census)
+
+TABLE_MU_MBITS = (1, 4, 16, 64, 256)
+TABLE_W = (31, 63)
+
+DEFAULT_EPS = "1e-12"
+DEFAULT_W = 63
+DEFAULT_MU = 4096
+
+
+def _parse_mu(text: str) -> int:
+    t = text.strip()
+    if t.lower().endswith("mbit"):
+        return int(t[:-4]) * 10**6
+    return int(t)
+
+
+def _read_message(path: str, msg_bits: "int | None") -> Bits:
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return Bits.from_bytes(data, msg_bits)
+
+
+def cmd_plan(args: argparse.Namespace) -> int:
+    if args.table:
+        rows = table_one(args.eps_auth, [m * 10**6 for m in TABLE_MU_MBITS], TABLE_W)
+        print(format_table(rows, machine=args.machine))
+        return 0
+    if args.mu is None or args.w is None:
+        print("plan: --mu and --w are required unless --table is given", file=sys.stderr)
+        return 2
+    p = derive_plan(args.eps_auth, _parse_mu(args.mu), args.w)
+    if args.machine:
+        print(f"{p.mu},{p.w},{p.lam},{p.l_rec},{p.l_otp}")
+    else:
+        print(f"tau={p.tau} lambda={p.lam} l_rec={p.l_rec} l_otp={p.l_otp} "
+              f"eps_achieved={float(p.eps_achieved):.6e}")
+        rows = table_one(args.eps_auth, [p.mu], [p.w])
+        if rows[0].published_l_rec not in (None, p.l_rec):
+            print(f"note: published tables list l_rec={rows[0].published_l_rec} for this "
+                  f"(w, mu); the key-length formula gives {p.l_rec}.")
+    return 0
+
+
+def cmd_primes(args: argparse.Namespace) -> int:
+    if args.w_min > args.w_max:
+        print("primes: --w-min must not exceed --w-max", file=sys.stderr)
+        return 2
+    for w in range(args.w_min, args.w_max + 1):
+        fp = find_field_params(w)
+        print(f"{fp.w} {fp.delta}")
+    return 0
+
+
+def cmd_cost(args: argparse.Namespace) -> int:
+    ci = CostInput(eps_auth=as_fraction(args.eps_auth), l_sift=args.l_sift,
+                   eta_pa=args.eta_pa)
+    res = relative_cost(ci)
+    print(f"tau={res.tau} l_sec={res.l_sec!r} cost={res.cost!r}")
+    return 0
+
+
+def _build_plan_args(args: argparse.Namespace):
+    if args.tau is not None:
+        return make_plan(tau=args.tau, lam=args.lam, w=args.w, mu=_parse_mu(args.mu))
+    return derive_plan(args.eps_auth, _parse_mu(args.mu), args.w)
+
+
+def cmd_init_pool(args: argparse.Namespace) -> int:
+    p = _build_plan_args(args)
+    pool = new_pool(p, rounds=args.rounds, seed=args.seed)
+    save_pool(args.out, pool)
+    print(f"pool written: {args.out} (w={p.w} lam={p.lam} tau={p.tau} mu={p.mu} "
+          f"rounds={args.rounds})")
+    return 0
+
+
+def cmd_tag(args: argparse.Namespace) -> int:
+    pool = load_pool(args.key_pool)
+    otp = pool.otp.get(args.round)
+    if otp is None:
+        print(f"tag: pool holds no OTP key for round {args.round}", file=sys.stderr)
+        return 2
+    m = _read_message(args.message, args.msg_bits)
+    fp = find_field_params(pool.plan.w)
+    tag = compose_tag(m, pool.recycled_key(), otp, pool.plan, fp)
+    save_pool(args.key_pool, pool)
+    print(tag.to_hex())
+    return 0
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    pool = load_pool(args.key_pool)
+    otp = pool.otp.get(args.round)
+    if otp is None:
+        print(f"verify: pool holds no OTP key for round {args.round}", file=sys.stderr)
+        return 2
+    m = _read_message(args.message, args.msg_bits)
+    fp = find_field_params(pool.plan.w)
+    t = Tag(Bits.from_hex(args.tag, pool.plan.tau))
+    ok = verify_tag(m, t, pool.recycled_key(), otp, pool.plan, fp)
+    save_pool(args.key_pool, pool)
+    print("ok" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    adversary = parse_adversary(args.adversary)
+    p = _build_plan_args(args)
+    fp = find_field_params(p.w)
+    ledger = run_session(args.rounds, p, fp, adversary=adversary, seed=args.seed,
+                         eps_pred=args.eps_pred, eps_store=args.eps_store,
+                         eps_qkd=args.eps_qkd)
+    print(ledger.to_text())
+    return 1 if ledger.terminated else 0
+
+
+def cmd_attack_stats(args: argparse.Namespace) -> int:
+    if args.trials < 10**4:
+        print(f"attack-stats: {args.trials} trials resolve rates only down to "
+              f"~{10 / args.trials:.1e}; consider at least 10000", file=sys.stderr)
+    p = make_plan(tau=args.tau, lam=args.lam, w=args.w, mu=_parse_mu(args.mu))
+    fp = find_field_params(p.w)
+    stats = forgery_experiment(p, fp, strategy=args.strategy,
+                               trials=args.trials, seed=args.seed)
+    bound = substitution_bound(p) if args.strategy != "impersonate" else 2.0 ** -p.tau
+    print(f"strategy={args.strategy} trials={stats.trials} successes={stats.successes} "
+          f"rate={stats.rate!r} wilson99=({stats.wilson_lo!r},{stats.wilson_hi!r}) "
+          f"bound={bound!r}")
+    return 0
+
+
+def cmd_selftest(args: argparse.Namespace) -> int:
+    failures = 0
+
+    xu = toeplitz_xor_census(alpha=4, beta=2)
+    ok = xu.exact
+    failures += not ok
+    print(f"xor-universality alpha=4 beta=2: observed [{xu.worst_low}, {xu.worst_high}] "
+          f"expected {xu.expected} -> {'ok' if ok else 'VIOLATION'}")
+
+    for lam in (1, 2):
+        cc = collision_census(w=3, mu=5, lam=lam)
+        failures += not cc.ok
+        print(f"poly collision census w=3 mu=5 lam={lam}: max {cc.max_fraction} "
+              f"bound {cc.bound} over {cc.cases} pairs -> {'ok' if cc.ok else 'VIOLATION'}")
+
+    su = strong_uniformity_census(w=2, lam=1, tau=2, mu=3)
+    failures += not su.ok
+    print(f"strong-uniformity census w=2 lam=1 tau=2: marginal "
+          f"{'uniform' if su.marginal_exact else 'NON-UNIFORM'}, worst pair "
+          f"{su.worst_pair} bound {su.pair_bound} -> {'ok' if su.ok else 'VIOLATION'}")
+
+    return 1 if failures else 0
+
+
+def _add_plan_source_flags(sp: argparse.ArgumentParser, mu_default: "str | None") -> None:
+    sp.add_argument("--eps-auth", default=DEFAULT_EPS,
+                    help="target failure probability (decimal, default %(default)s)")
+    sp.add_argument("--mu", default=mu_default, help="message bound in bits, or '<n>Mbit'")
+    sp.add_argument("--w", type=int, default=DEFAULT_W, help="chunk width (default %(default)s)")
+    sp.add_argument("--tau", type=int, default=None,
+                    help="explicit tag length (bypasses eps-auth planning; needs --lam)")
+    sp.add_argument("--lam", type=int, default=1, help="parallel instances with --tau")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="qkdauth",
+                                 description="Recycled-key authentication for QKD "
+                                             "post-processing: planning, tagging, simulation.")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("plan", help="derive scheme parameters")
+    sp.add_argument("--eps-auth", default=DEFAULT_EPS)
+    sp.add_argument("--mu", default=None, help="message bound in bits, or '<n>Mbit'")
+    sp.add_argument("--w", type=int, default=None)
+    sp.add_argument("--table", action="store_true", help="print the full parameter grid")
+    sp.add_argument("--machine", action="store_true", help="comma-separated output")
+    sp.set_defaults(func=cmd_plan)
+
+    sp = sub.add_parser("primes", help="chunk-width prime moduli deltas")
+    sp.add_argument("--w-min", type=int, required=True)
+    sp.add_argument("--w-max", type=int, required=True)
+    sp.set_defaults(func=cmd_primes)
+
+    sp = sub.add_parser("cost", help="relative authentication cost of one round")
+    sp.add_argument("--eps-auth", required=True)
+    sp.add_argument("--l-sift", type=int, required=True)
+    sp.add_argument("--eta-pa", type=float, required=True)
+    sp.set_defaults(func=cmd_cost)
+
+    sp = sub.add_parser("init-pool", help="write a fresh key-pool file")
+    _add_plan_source_flags(sp, mu_default=str(DEFAULT_MU))
+    sp.add_argument("--rounds", type=int, default=8)
+    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--out", required=True)
+    sp.set_defaults(func=cmd_init_pool)
+
+    sp = sub.add_parser("tag", help="generate a tag, consuming the round's OTP key")
+    sp.add_argument("--key-pool", required=True)
+    sp.add_argument("--round", type=int, required=True)
+    sp.add_argument("--message", required=True, help="file path or - for stdin")
+    sp.add_argument("--msg-bits", type=int, default=None,
+                    help="explicit message bit length (default: 8 * file size)")
+    sp.set_defaults(func=cmd_tag)
+
+    sp = sub.add_parser("verify", help="check a tag, consuming the round's OTP key")
+    sp.add_argument("--key-pool", required=True)
+    sp.add_argument("--round", type=int, required=True)
+    sp.add_argument("--message", required=True)
+    sp.add_argument("--msg-bits", type=int, default=None)
+    sp.add_argument("--tag", required=True, help="hex tag to check")
+    sp.set_defaults(func=cmd_verify)
+
+    sp = sub.add_parser("simulate", help="run a key-growing session")
+    sp.add_argument("--rounds", type=int, required=True)
+    sp.add_argument("--adversary", default="none",
+                    help="none | quantum:K | tamper:K | block:K | "
+                         "substitute:K[:random|best-guess] | impersonate:K")
+    sp.add_argument("--seed", type=int, default=0)
+    _add_plan_source_flags(sp, mu_default=str(DEFAULT_MU))
+    sp.add_argument("--eps-pred", type=float, default=0.0)
+    sp.add_argument("--eps-store", type=float, default=0.0)
+    sp.add_argument("--eps-qkd", type=float, default=0.0)
+    sp.set_defaults(func=cmd_simulate)
+
+    sp = sub.add_parser("attack-stats", help="statistical forgery experiment")
+    sp.add_argument("--tau", type=int, required=True)
+    sp.add_argument("--w", type=int, required=True)
+    sp.add_argument("--mu", required=True)
+    sp.add_argument("--lam", type=int, default=1)
+    sp.add_argument("--trials", type=int, default=10**5)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--strategy", default="random",
+                    choices=("random", "best-guess", "replay", "impersonate"))
+    sp.set_defaults(func=cmd_attack_stats)
+
+    sp = sub.add_parser("selftest", help="exhaustive small-instance hash-family oracles")
+    sp.set_defaults(func=cmd_selftest)
+
+    return ap
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    try:
+        return args.func(args)
+    except OtpReuseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (PlanInfeasibleError, PoolFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

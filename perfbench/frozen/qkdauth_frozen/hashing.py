@@ -1,0 +1,227 @@
+"""Bit-exact hashing kernels for recycled-key tag generation.
+
+The tag pipeline compresses an arbitrary message of at most ``mu`` bits in
+three stages:
+
+1. ``lam`` parallel polynomial hashes over GF(p), p = 2**w + delta_w, each
+   mapping the padded message to w+1 bits (an almost-universal family with
+   pairwise collision probability <= ceil(mu/w) * 2**-w per instance);
+2. a Toeplitz matrix-vector product over GF(2) compressing the
+   lam*(w+1)-bit intermediate down to tau bits (XOR-universal, exactly
+   2**-tau for every offset);
+3. a one-time-pad mask of tau bits, XORed onto the digest, which lifts the
+   XOR-universal composition to a strongly-universal tag family and is the
+   only per-message key consumption.
+
+Stages 1 and 2 reuse the same recycled key for every message; only the OTP
+mask is single-use, which is enforced here via a consumed flag.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
+
+from .bits import Bits, constant_time_eq
+from .primes import is_prime_u64
+
+if TYPE_CHECKING:
+    from .planner import Plan
+
+MIN_CHUNK_WIDTH = 2
+MAX_CHUNK_WIDTH = 63
+
+
+class OtpReuseError(RuntimeError):
+    """A one-time-pad key was presented for a second use."""
+
+
+@dataclass(frozen=True, slots=True)
+class FieldParams:
+    """Prime modulus p = 2**w + delta for w-bit chunk arithmetic."""
+
+    w: int
+    delta: int
+    p: int
+
+
+def find_field_params(w: int) -> FieldParams:
+    """Smallest delta making 2**w + delta prime, for 2 <= w <= 63.
+
+    2**w is even for every supported w, so only odd offsets are candidates.
+    Deterministic: the Miller-Rabin witness set covers all n < 2**64.
+    """
+    if not MIN_CHUNK_WIDTH <= w <= MAX_CHUNK_WIDTH:
+        raise ValueError(f"chunk width must be in [{MIN_CHUNK_WIDTH}, {MAX_CHUNK_WIDTH}], got {w}")
+    base = 1 << w
+    delta = 1
+    while not is_prime_u64(base + delta):
+        delta += 2
+    return FieldParams(w=w, delta=delta, p=base + delta)
+
+
+def chunk_count(mu: int, w: int) -> int:
+    """Number of w-bit chunks after padding: ceil((mu+1)/w)."""
+    return -(-(mu + 1) // w)
+
+
+def pad_and_chunk(m: Bits, w: int, mu: int) -> list[int]:
+    """Split the padded message into chunk values, leftmost chunk first.
+
+    The message is extended with a single 1 bit and then zero-filled to
+    exactly ``chunk_count(mu, w) * w`` bits, which makes the map injective
+    on bit strings of length <= mu: the position of the final 1 encodes
+    the original length.
+    """
+    if len(m) > mu:
+        raise ValueError(f"message of {len(m)} bits exceeds the {mu}-bit bound")
+    l = chunk_count(mu, w)
+    padded = m + Bits(1, 1) + Bits.zeros(l * w - len(m) - 1)
+    data = padded.to_bytes()
+    mask = (1 << w) - 1
+    chunks: list[int] = []
+    acc = 0
+    nacc = 0
+    for byte in data:
+        acc = (acc << 8) | byte
+        nacc += 8
+        while nacc >= w:
+            nacc -= w
+            chunks.append((acc >> nacc) & mask)
+            acc &= (1 << nacc) - 1
+            if len(chunks) == l:
+                return chunks
+    return chunks
+
+
+def _poly_eval(chunks: Sequence[int], k: int, p: int) -> int:
+    """Sum of chunks[i] * k**i (mod p) by Horner's rule, highest term first.
+
+    The i = 0 term always contributes chunks[0], i.e. k**0 := 1 even for
+    k = 0.
+    """
+    acc = 0
+    for c in reversed(chunks):
+        acc = (acc * k + c) % p
+    return acc
+
+
+def poly_hash(m: Bits, key: Bits, fp: FieldParams, mu: int) -> Bits:
+    """Polynomial hash of ``m`` at evaluation point ``key``: w+1 output bits."""
+    if len(key) != fp.w:
+        raise ValueError(f"polynomial key must be {fp.w} bits, got {len(key)}")
+    chunks = pad_and_chunk(m, fp.w, mu)
+    return Bits(_poly_eval(chunks, key.value, fp.p), fp.w + 1)
+
+
+def multi_poly_hash(m: Bits, poly_keys: Sequence[Bits], fp: FieldParams, mu: int) -> Bits:
+    """Concatenation of independent polynomial hashes, one per subkey.
+
+    Raising the instance count multiplies the collision probability of the
+    single-instance family, so the bound becomes (ceil(mu/w) * 2**-w)**lam
+    without widening the modulus.
+    """
+    if not poly_keys:
+        raise ValueError("at least one polynomial subkey is required")
+    for key in poly_keys:
+        if len(key) != fp.w:
+            raise ValueError(f"polynomial subkeys must be {fp.w} bits, got {len(key)}")
+    chunks = pad_and_chunk(m, fp.w, mu)
+    out = 0
+    width = fp.w + 1
+    for key in poly_keys:
+        out = (out << width) | _poly_eval(chunks, key.value, fp.p)
+    return Bits(out, width * len(poly_keys))
+
+
+def toeplitz_hash(x: Bits, tk: Bits) -> Bits:
+    """Multiply ``x`` by the Toeplitz matrix defined by key ``tk`` over GF(2).
+
+    For input width alpha and output width beta the key holds
+    alpha + beta - 1 bits k_1..k_{alpha+beta-1}, and row i (1-indexed from
+    the top) of the matrix is T[i][j] = k_{beta+j-i}: the top-left entry is
+    k_beta, the bottom-left k_1, the top-right k_{beta+alpha-1}.  Row i is
+    therefore the contiguous key slice starting at k_{beta+1-i}, which lets
+    each output bit be computed as the parity of a mask-and-popcount.
+    """
+    alpha = len(x)
+    beta = len(tk) + 1 - alpha
+    if alpha < 1 or beta < 1:
+        raise ValueError(f"key of {len(tk)} bits does not match input of {alpha} bits")
+    kv = tk.value
+    xv = x.value
+    klen = len(tk)
+    out = 0
+    for i in range(1, beta + 1):
+        # row i = key bits (beta - i) .. (beta - i + alpha), 0-indexed from the left
+        start = beta - i
+        row = (kv >> (klen - start - alpha)) & ((1 << alpha) - 1)
+        out = (out << 1) | ((row & xv).bit_count() & 1)
+    return Bits(out, beta)
+
+
+@dataclass(frozen=True, slots=True)
+class RecycledKey:
+    """Hash-selecting key reused across every tag: polynomial subkeys plus
+    the Toeplitz key.  Never consumed, never refreshed within a session."""
+
+    poly_keys: tuple[Bits, ...]
+    toeplitz_key: Bits
+
+    @property
+    def total_bits(self) -> int:
+        return sum(len(k) for k in self.poly_keys) + len(self.toeplitz_key)
+
+    @classmethod
+    def from_bits(cls, raw: Bits, lam: int, w: int, tau: int) -> "RecycledKey":
+        """Slice a flat L_rec-bit string: lam w-bit subkeys, then the
+        (lam*(w+1) + tau - 1)-bit Toeplitz key."""
+        expected = 2 * lam * w + lam + tau - 1
+        if len(raw) != expected:
+            raise ValueError(f"recycled key must be {expected} bits, got {len(raw)}")
+        poly_keys = tuple(raw[i * w:(i + 1) * w] for i in range(lam))
+        return cls(poly_keys=poly_keys, toeplitz_key=raw[lam * w:])
+
+
+@dataclass(slots=True)
+class OtpKey:
+    """Single-use tau-bit mask.  ``consume()`` flips the flag exactly once."""
+
+    bits: Bits
+    consumed: bool = False
+
+    def consume(self) -> Bits:
+        if self.consumed:
+            raise OtpReuseError("one-time-pad key has already been used")
+        self.consumed = True
+        return self.bits
+
+
+@dataclass(frozen=True, slots=True)
+class Tag:
+    bits: Bits
+
+    def to_hex(self) -> str:
+        return self.bits.to_hex()
+
+
+def _composed_digest(m: Bits, rk: RecycledKey, plan: "Plan", fp: FieldParams) -> Bits:
+    if len(rk.poly_keys) != plan.lam:
+        raise ValueError(f"recycled key carries {len(rk.poly_keys)} subkeys, plan needs {plan.lam}")
+    inner = multi_poly_hash(m, rk.poly_keys, fp, plan.mu)
+    return toeplitz_hash(inner, rk.toeplitz_key)
+
+
+def compose_tag(m: Bits, rk: RecycledKey, otp: OtpKey, plan: "Plan", fp: FieldParams) -> Tag:
+    """Tag = Toeplitz(poly-hashes(m)) XOR otp; consumes the OTP key."""
+    digest = _composed_digest(m, rk, plan, fp)
+    if len(digest) != plan.tau:
+        raise ValueError("Toeplitz key width inconsistent with the plan's tag length")
+    return Tag(digest ^ otp.consume())
+
+
+def verify_tag(m: Bits, t: Tag, rk: RecycledKey, otp: OtpKey, plan: "Plan", fp: FieldParams) -> bool:
+    """Recompute the tag from the local transcript and compare in constant
+    time.  The verifier's OTP copy is consumed whether or not the tags match."""
+    expected = compose_tag(m, rk, otp, plan, fp)
+    return constant_time_eq(expected.bits, t.bits)

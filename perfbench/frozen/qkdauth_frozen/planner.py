@@ -1,0 +1,253 @@
+"""Scheme parameter derivation and key-consumption arithmetic.
+
+Everything here is exact: failure probabilities are handled as rationals
+(decimal inputs like "1e-12" convert without rounding), so floor/ceiling
+decisions at boundaries such as eps = 2**-n can never flip due to float
+error.  Key-size bounds over message spaces of 2**mu strings are evaluated
+with arbitrary-precision integers rather than in floating point.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
+from typing import Iterable, NamedTuple
+
+MAX_PARALLEL_INSTANCES = 64
+
+# Published parameter tables list L_rec = 229 for (w=31, mu=1 Mbit,
+# eps_auth=1e-12); the closed-form length 2*lam*w + lam + tau - 1 with the
+# minimal feasible lam = 3 gives 228.  We emit the formula value and
+# annotate, never silently adopt the published figure.
+PUBLISHED_LREC_DEVIATIONS: dict[tuple[int, int], int] = {(31, 10**6): 229}
+
+
+class PlanInfeasibleError(ValueError):
+    """No parameter choice can reach the requested failure probability."""
+
+
+def as_fraction(eps: "Fraction | Decimal | str | float | int") -> Fraction:
+    """Exact rational form of a failure probability.
+
+    Strings and floats are read as decimal literals, so "1e-12" and 1e-12
+    both mean exactly 10**-12.
+    """
+    if isinstance(eps, Fraction):
+        return eps
+    if isinstance(eps, (str, Decimal)):
+        return Fraction(Decimal(eps))
+    if isinstance(eps, int):
+        return Fraction(eps)
+    if isinstance(eps, float):
+        return Fraction(Decimal(repr(eps)))
+    raise TypeError(f"cannot interpret {type(eps).__name__} as a probability")
+
+
+def _floor_log2(q: Fraction) -> int:
+    """floor(log2(q)) for q > 0, exactly.
+
+    bit_length brackets the answer to {b, b-1}; one exact shifted
+    comparison settles it without ever forming a float.
+    """
+    if q <= 0:
+        raise ValueError("log2 of a non-positive value")
+    num, den = q.numerator, q.denominator
+    b = num.bit_length() - den.bit_length()
+    fits = (den << b) <= num if b >= 0 else den <= (num << -b)
+    return b if fits else b - 1
+
+
+def tag_length(eps_auth: "Fraction | str | float") -> int:
+    """Tag length tau = floor(-log2(eps_auth)) + 1.
+
+    The +1 leaves 2**-tau strictly below eps_auth (including when eps_auth
+    is an exact power of two), so a positive remainder is always available
+    for the polynomial stage's collision budget.
+    """
+    eps = as_fraction(eps_auth)
+    if not 0 < eps < 1:
+        raise ValueError("eps_auth must lie strictly between 0 and 1")
+    return _floor_log2(1 / eps) + 1
+
+
+@dataclass(frozen=True, slots=True)
+class Plan:
+    """Derived scheme parameters for a target failure probability and
+    message bound."""
+
+    eps_auth: Fraction
+    mu: int
+    w: int
+    tau: int
+    lam: int
+    l_rec: int
+    eps_achieved: Fraction
+
+    @property
+    def l_otp(self) -> int:
+        return self.tau
+
+    @property
+    def alpha(self) -> int:
+        """Toeplitz input width: lam parallel (w+1)-bit hashes."""
+        return self.lam * (self.w + 1)
+
+    @property
+    def toeplitz_key_bits(self) -> int:
+        return self.alpha + self.tau - 1
+
+
+def make_plan(tau: int, lam: int, w: int, mu: int) -> Plan:
+    """Plan from explicit parameters (test fixtures, attack experiments).
+
+    eps_achieved is still computed exactly; eps_auth is set equal to it.
+    """
+    if tau < 1 or lam < 1 or w < 1 or mu < 1:
+        raise ValueError("all plan parameters must be positive")
+    r = -(-mu // w)
+    eps = Fraction(1, 1 << tau) + Fraction(r**lam, 1 << (lam * w))
+    return Plan(eps_auth=eps, mu=mu, w=w, tau=tau, lam=lam,
+                l_rec=2 * lam * w + lam + tau - 1, eps_achieved=eps)
+
+
+def plan(eps_auth: "Fraction | str | float", mu: int, w: int) -> Plan:
+    """Derive (tau, lam, L_rec, L_OTP) for the target failure probability.
+
+    tau is fixed first (minimal OTP consumption), then lam is the smallest
+    instance count whose collision contribution fits in the remainder:
+    ceil(mu/w)**lam * 2**(-lam*w) <= eps_auth - 2**-tau.
+    """
+    eps = as_fraction(eps_auth)
+    if not 0 < eps < 1:
+        raise ValueError("eps_auth must lie strictly between 0 and 1")
+    if mu < 1:
+        raise ValueError("message bound mu must be at least 1 bit")
+    if w < 1:
+        raise ValueError("chunk width must be positive")
+    tau = _floor_log2(1 / eps) + 1
+    remainder = eps - Fraction(1, 1 << tau)
+    if remainder <= 0:
+        raise PlanInfeasibleError("no collision budget remains after fixing the tag length")
+    r = -(-mu // w)
+    if r >= 1 << w:
+        raise PlanInfeasibleError(
+            f"ceil(mu/w) = {r} >= 2**{w}: the per-instance collision bound cannot drop below 1"
+        )
+    rn, rd = remainder.numerator, remainder.denominator
+    for lam in range(1, MAX_PARALLEL_INSTANCES + 1):
+        if r**lam * rd <= rn << (lam * w):
+            achieved = Fraction(1, 1 << tau) + Fraction(r**lam, 1 << (lam * w))
+            return Plan(eps_auth=eps, mu=mu, w=w, tau=tau, lam=lam,
+                        l_rec=2 * lam * w + lam + tau - 1, eps_achieved=achieved)
+    raise PlanInfeasibleError(
+        f"no instance count up to {MAX_PARALLEL_INSTANCES} satisfies the collision budget"
+    )
+
+
+def stinson_bound(eps: "Fraction | str | float", msg_bits: int, tag_bits: int) -> int:
+    """Minimal key bits for an eps-almost-XOR-universal family, rounded up.
+
+    Evaluates ceil(log2(|M|(|T|-1) / (|T| eps (|M|-1) + |T| - |M|))) with
+    |M| = 2**msg_bits and |T| = 2**tag_bits in exact integer arithmetic;
+    2**mu never materializes in floating point.
+    """
+    e = as_fraction(eps)
+    if e <= 0:
+        raise ValueError("eps must be positive")
+    if msg_bits < 1 or tag_bits < 1:
+        raise ValueError("msg_bits and tag_bits must be positive")
+    a, b = e.numerator, e.denominator
+    M = 1 << msg_bits
+    T = 1 << tag_bits
+    num = b * M * (T - 1)
+    den = a * T * (M - 1) + b * (T - M)
+    if den <= 0:
+        raise ValueError("bound inapplicable: denominator is not positive in this regime")
+    g = max(0, num.bit_length() - den.bit_length())
+    while (den << g) < num:
+        g += 1
+    while g > 0 and (den << (g - 1)) >= num:
+        g -= 1
+    return g
+
+
+@dataclass(frozen=True, slots=True)
+class CostInput:
+    """Inputs for the relative authentication cost of one round."""
+
+    eps_auth: Fraction
+    l_sift: int
+    eta_pa: float
+
+    def __post_init__(self) -> None:
+        if self.l_sift <= 0:
+            raise ValueError("sifted block length must be positive")
+        if not 0 < self.eta_pa <= 1:
+            raise ValueError("privacy-amplification coefficient must be in (0, 1]")
+
+    @property
+    def l_sec(self) -> float:
+        return self.l_sift * self.eta_pa
+
+
+class CostResult(NamedTuple):
+    cost: float
+    tau: int
+    l_sec: float
+
+
+def relative_cost(ci: CostInput) -> CostResult:
+    """Fraction of each round's secret key spent on the next tag's OTP mask:
+    c = tau / (l_sift * eta_pa)."""
+    tau = tag_length(ci.eps_auth)
+    return CostResult(cost=tau / ci.l_sec, tau=tau, l_sec=ci.l_sec)
+
+
+class TableRow(NamedTuple):
+    mu: int
+    w: int
+    lam: int
+    l_rec: int
+    l_otp: int
+    published_l_rec: int | None
+
+
+def table_one(eps_auth: "Fraction | str | float",
+              mu_list: Iterable[int],
+              w_list: Iterable[int]) -> list[TableRow]:
+    """Batch plan() over a (mu, w) grid, flagging known published deviations."""
+    rows = []
+    for mu in mu_list:
+        for w in w_list:
+            p = plan(eps_auth, mu, w)
+            rows.append(TableRow(mu=mu, w=w, lam=p.lam, l_rec=p.l_rec, l_otp=p.l_otp,
+                                 published_l_rec=PUBLISHED_LREC_DEVIATIONS.get((w, mu))))
+    return rows
+
+
+def format_table(rows: list[TableRow], machine: bool = False) -> str:
+    """Render table rows: aligned text grid or comma-separated integers."""
+    if machine:
+        return "\n".join(f"{r.mu},{r.w},{r.lam},{r.l_rec},{r.l_otp}" for r in rows)
+    w_values = sorted({r.w for r in rows})
+    mu_values = sorted({r.mu for r in rows})
+    by_key = {(r.mu, r.w): r for r in rows}
+    header = f"{'mu, bits':>12} |" + "".join(
+        f"  w={w}: L_rec L_OTP |" for w in w_values)
+    lines = [header, "-" * len(header)]
+    notes = []
+    for mu in mu_values:
+        cells = [f"{mu:>12} |"]
+        for w in w_values:
+            r = by_key[(mu, w)]
+            mark = "*" if r.published_l_rec is not None and r.published_l_rec != r.l_rec else " "
+            cells.append(f"  {r.l_rec:>10}{mark}{r.l_otp:>6} |")
+            if mark == "*":
+                notes.append(
+                    f"* L_rec({w=}, {mu=}) = {r.l_rec} by the key-length formula; "
+                    f"published tables list {r.published_l_rec} for this row."
+                )
+        lines.append("".join(cells))
+    lines.extend(notes)
+    return "\n".join(lines)

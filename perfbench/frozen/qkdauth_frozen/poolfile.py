@@ -1,0 +1,125 @@
+"""On-disk key pool for the tag/verify command pair.
+
+Layout: magic "QKDA", one version byte, a fixed header with the scheme
+parameters, the recycled key, then the per-round OTP entries as
+(32-bit round, consumed flag, masked bits).  Bit strings are stored as a
+32-bit bit count followed by MSB-first bytes, so lengths that are not a
+multiple of 8 survive the round trip.  Writes go through a temp file and
+an atomic rename: a crash can never leave an OTP key half-consumed.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+from dataclasses import dataclass
+
+from .bits import Bits
+from .hashing import OtpKey, RecycledKey
+from .planner import Plan, make_plan
+from .rng import BitGen
+
+MAGIC = b"QKDA"
+VERSION = 1
+
+_HEADER = struct.Struct(">BHHQ")  # w, lam, tau, mu
+_U32 = struct.Struct(">I")
+
+
+class PoolFormatError(ValueError):
+    """The file is not a well-formed key pool."""
+
+
+@dataclass
+class TagPool:
+    plan: Plan
+    recycled: Bits
+    otp: dict[int, OtpKey]
+
+    def recycled_key(self) -> RecycledKey:
+        return RecycledKey.from_bits(self.recycled, self.plan.lam, self.plan.w, self.plan.tau)
+
+
+def new_pool(plan: Plan, rounds: int, seed: int) -> TagPool:
+    """Fresh pool with OTP masks for rounds 1..rounds, keys drawn from the
+    seeded generator.  Two pools built from the same seed are identical,
+    which is how a sender/receiver pair is provisioned."""
+    gen = BitGen(seed)
+    recycled = gen.take(plan.l_rec)
+    otp = {r: OtpKey(gen.take(plan.l_otp)) for r in range(1, rounds + 1)}
+    return TagPool(plan=plan, recycled=recycled, otp=otp)
+
+
+def _pack_bits(b: Bits) -> bytes:
+    return _U32.pack(len(b)) + b.to_bytes()
+
+
+class _Reader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def read(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise PoolFormatError("truncated pool file")
+        out = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def read_u32(self) -> int:
+        return _U32.unpack(self.read(4))[0]
+
+    def read_bits(self) -> Bits:
+        nbits = self.read_u32()
+        return Bits.from_bytes(self.read((nbits + 7) // 8), nbits)
+
+
+def dump_pool(pool: TagPool) -> bytes:
+    plan = pool.plan
+    parts = [MAGIC, bytes([VERSION]),
+             _HEADER.pack(plan.w, plan.lam, plan.tau, plan.mu),
+             _pack_bits(pool.recycled),
+             _U32.pack(len(pool.otp))]
+    for round_ in sorted(pool.otp):
+        key = pool.otp[round_]
+        parts.append(_U32.pack(round_))
+        parts.append(bytes([1 if key.consumed else 0]))
+        parts.append(_pack_bits(key.bits))
+    return b"".join(parts)
+
+
+def parse_pool(data: bytes) -> TagPool:
+    r = _Reader(data)
+    if r.read(4) != MAGIC:
+        raise PoolFormatError("bad magic, not a key pool file")
+    version = r.read(1)[0]
+    if version != VERSION:
+        raise PoolFormatError(f"unsupported pool version {version}")
+    w, lam, tau, mu = _HEADER.unpack(r.read(_HEADER.size))
+    plan = make_plan(tau=tau, lam=lam, w=w, mu=mu)
+    recycled = r.read_bits()
+    if len(recycled) != plan.l_rec:
+        raise PoolFormatError(f"recycled key is {len(recycled)} bits, expected {plan.l_rec}")
+    otp: dict[int, OtpKey] = {}
+    for _ in range(r.read_u32()):
+        round_ = r.read_u32()
+        consumed = r.read(1)[0] != 0
+        bits = r.read_bits()
+        if len(bits) != tau:
+            raise PoolFormatError(f"OTP entry for round {round_} is {len(bits)} bits, expected {tau}")
+        otp[round_] = OtpKey(bits, consumed=consumed)
+    return TagPool(plan=plan, recycled=recycled, otp=otp)
+
+
+def save_pool(path: str, pool: TagPool) -> None:
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(dump_pool(pool))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def load_pool(path: str) -> TagPool:
+    with open(path, "rb") as fh:
+        return parse_pool(fh.read())
