@@ -267,13 +267,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except OtpReuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PlanInfeasibleError, PoolFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (OtpReuseError, PlanInfeasibleError, PoolFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,10 @@ three stages:
 
 Stages 1 and 2 reuse the same recycled key for every message; only the OTP
 mask is single-use, which is enforced here via a consumed flag.
+
+Only the chunks up to the one holding the pad bit are evaluated: the rest
+are zero coefficients of the highest powers of the key, so tag time scales
+with the message while the padding and the security bound are unchanged.
 """
 
 from __future__ import annotations
@@ -94,6 +98,41 @@ def pad_and_chunk(m: Bits, w: int, mu: int) -> list[int]:
     return chunks
 
 
+_SPLIT_LEAF_CHUNKS = 32  # below this, per-chunk shifts beat further halving
+
+
+def _split_chunks(v: int, n: int, w: int, out: list[int]) -> None:
+    """Append the ``n`` w-bit chunks of ``v`` to ``out``, most significant first.
+
+    Halving first keeps every shift short: per-chunk shifts of the whole
+    value would copy it once per chunk, which is quadratic in its length.
+    """
+    if n <= _SPLIT_LEAF_CHUNKS:
+        mask = (1 << w) - 1
+        out.extend([(v >> (j * w)) & mask for j in range(n - 1, -1, -1)])
+        return
+    low = n >> 1
+    _split_chunks(v >> (low * w), n - low, w, out)
+    _split_chunks(v & ((1 << (low * w)) - 1), low, w, out)
+
+
+def _live_chunks(m: Bits, w: int, mu: int) -> list[int]:
+    """The prefix of ``pad_and_chunk(m, w, mu)`` that ends with the chunk
+    holding the pad bit.
+
+    Every chunk after it is zero and is the coefficient of a higher power
+    of the key than any chunk before it, so ``_poly_eval`` gives the same
+    sum over this prefix as over the full padded list.
+    """
+    if len(m) > mu:
+        raise ValueError(f"message of {len(m)} bits exceeds the {mu}-bit bound")
+    n = len(m)
+    u = n // w + 1  # ceil((n + 1) / w)
+    out: list[int] = []
+    _split_chunks(((m.value << 1) | 1) << (u * w - n - 1), u, w, out)
+    return out
+
+
 def _poly_eval(chunks: Sequence[int], k: int, p: int) -> int:
     """Sum of chunks[i] * k**i (mod p) by Horner's rule, highest term first.
 
@@ -110,7 +149,7 @@ def poly_hash(m: Bits, key: Bits, fp: FieldParams, mu: int) -> Bits:
     """Polynomial hash of ``m`` at evaluation point ``key``: w+1 output bits."""
     if len(key) != fp.w:
         raise ValueError(f"polynomial key must be {fp.w} bits, got {len(key)}")
-    chunks = pad_and_chunk(m, fp.w, mu)
+    chunks = _live_chunks(m, fp.w, mu)
     return Bits(_poly_eval(chunks, key.value, fp.p), fp.w + 1)
 
 
@@ -126,7 +165,7 @@ def multi_poly_hash(m: Bits, poly_keys: Sequence[Bits], fp: FieldParams, mu: int
     for key in poly_keys:
         if len(key) != fp.w:
             raise ValueError(f"polynomial subkeys must be {fp.w} bits, got {len(key)}")
-    chunks = pad_and_chunk(m, fp.w, mu)
+    chunks = _live_chunks(m, fp.w, mu)
     out = 0
     width = fp.w + 1
     for key in poly_keys:

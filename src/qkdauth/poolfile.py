@@ -2,7 +2,8 @@
 
 Layout: magic "QKDA", one version byte, a fixed header with the scheme
 parameters, the recycled key, then the per-round OTP entries as
-(32-bit round, consumed flag, masked bits).  Bit strings are stored as a
+(32-bit round, consumed flag, masked bits) in strictly increasing round
+order, with nothing after the last entry.  Bit strings are stored as a
 32-bit bit count followed by MSB-first bytes, so lengths that are not a
 multiple of 8 survive the round trip.  Writes go through a temp file and
 an atomic rename: a crash can never leave an OTP key half-consumed.
@@ -101,13 +102,20 @@ def parse_pool(data: bytes) -> TagPool:
     if len(recycled) != plan.l_rec:
         raise PoolFormatError(f"recycled key is {len(recycled)} bits, expected {plan.l_rec}")
     otp: dict[int, OtpKey] = {}
+    last = -1
     for _ in range(r.read_u32()):
         round_ = r.read_u32()
+        # a repeated round could overwrite a consumed mask with an unconsumed copy
+        if round_ <= last:
+            raise PoolFormatError(f"OTP round {round_} follows round {last}, rounds must increase")
+        last = round_
         consumed = r.read(1)[0] != 0
         bits = r.read_bits()
         if len(bits) != tau:
             raise PoolFormatError(f"OTP entry for round {round_} is {len(bits)} bits, expected {tau}")
         otp[round_] = OtpKey(bits, consumed=consumed)
+    if r.pos != len(data):
+        raise PoolFormatError(f"{len(data) - r.pos} trailing bytes after the last OTP entry")
     return TagPool(plan=plan, recycled=recycled, otp=otp)
 
 

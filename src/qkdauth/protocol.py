@@ -101,27 +101,42 @@ class Transcript:
     def __init__(self, mu: int):
         self.mu = mu
         self.entries: list[tuple[Direction, Bits]] = []
-        self._compound = Bits.zeros(0)
+        self._frames: list[Bits] = []
+        self._bits = 0
+        self._compound: "Bits | None" = None  # cache, cleared by append
 
     def append(self, direction: Direction, payload: "Bits | bytes") -> "Transcript":
         if isinstance(payload, bytes):
             payload = Bits.from_bytes(payload)
         frame = Bits(direction.value, 8) + Bits(len(payload), 64) + payload
-        if len(self._compound) + len(frame) > self.mu:
+        if self._bits + len(frame) > self.mu:
             raise TranscriptOverflowError(
-                f"compound string would reach {len(self._compound) + len(frame)} bits, "
+                f"compound string would reach {self._bits + len(frame)} bits, "
                 f"bound is {self.mu}"
             )
         self.entries.append((direction, payload))
-        self._compound = self._compound + frame
+        self._frames.append(frame)
+        self._bits += len(frame)
+        self._compound = None
         return self
 
     def compound(self) -> Bits:
+        """Concatenation of all frames, built once per change of the log.
+
+        Frames are joined pairwise in rounds, so each bit is copied about
+        log2(len(self)) times instead of once per later append.
+        """
+        if self._compound is None:
+            parts = self._frames or [Bits.zeros(0)]
+            while len(parts) > 1:
+                paired = [parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)]
+                parts = paired + parts[2 * len(paired):]
+            self._compound = parts[0]
         return self._compound
 
     def compound_hex(self) -> str:
         """Canonical compound string, hex-encoded for export."""
-        return self._compound.to_hex()
+        return self.compound().to_hex()
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -291,7 +291,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
             if mock.success:
                 h = harvest_keys(mock.secret_bits, i, plan)
                 for role in ("A", "B"):
-                    parties[role].pool.absorb_harvest(i, harvest_keys(mock.secret_bits, i, plan))
+                    parties[role].pool.absorb_harvest(i, h)
                 harvested = (len(h.recycled) if h.recycled else 0, len(h.otp_bits), len(h.external))
 
         outgoing = sender.finalize_sender(i)

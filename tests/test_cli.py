@@ -1,6 +1,9 @@
+import struct
+
 import pytest
 
 from qkdauth.cli import main
+from qkdauth.poolfile import TagPool, dump_pool, load_pool
 
 # regression vector generated once from a fixed pool seed and frozen
 KAT_MESSAGE = b"hello, authenticated world"
@@ -116,6 +119,31 @@ def test_tag_missing_round(tmp_path, capsys):
     msg.write_bytes(b"x")
     alice = make_pool(tmp_path, capsys, "alice.pool", rounds=2)
     assert main(["tag", "--key-pool", alice, "--round", "9", "--message", str(msg)]) == 2
+
+
+def test_tag_rejects_malformed_pool_files(tmp_path, capsys):
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    alice = make_pool(tmp_path, capsys, "alice.pool")
+    assert main(["tag", "--key-pool", alice, "--round", "1", "--message", str(msg)]) == 0
+    capsys.readouterr()
+    pool = load_pool(alice)
+    blob = dump_pool(pool)
+    # relabel round 2's entry as a second, unconsumed round 1
+    empty = len(dump_pool(TagPool(pool.plan, pool.recycled, {})))
+    size = (len(blob) - empty) // len(pool.otp)
+    relabelled = bytearray(blob)
+    struct.pack_into(">I", relabelled, empty + size, 1)
+    for bad, reason in ((bytes(relabelled), "rounds must increase"),
+                        (blob + b"\x00", "trailing bytes")):
+        with open(alice, "wb") as fh:
+            fh.write(bad)
+        assert main(["tag", "--key-pool", alice, "--round", "1", "--message", str(msg)]) == 2
+        assert main(["verify", "--key-pool", alice, "--round", "3", "--message", str(msg),
+                     "--tag", KAT_TAG_HEX]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(reason) == 2 and "Traceback" not in captured.err
 
 
 def test_simulate_clean_and_terminated(capsys):

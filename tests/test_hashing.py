@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
 from qkdauth.hashing import (FieldParams, OtpKey, OtpReuseError, RecycledKey,
-                             Tag, chunk_count, compose_tag, find_field_params,
-                             multi_poly_hash, pad_and_chunk, poly_hash,
-                             toeplitz_hash, verify_tag)
+                             Tag, _poly_eval, chunk_count, compose_tag,
+                             find_field_params, multi_poly_hash, pad_and_chunk,
+                             poly_hash, toeplitz_hash, verify_tag)
 from qkdauth.planner import make_plan
+from qkdauth.rng import BitGen
 
 
 def all_messages(mu):
@@ -161,6 +162,48 @@ def test_multi_poly_hash_degenerate_and_duplicate():
     assert multi_poly_hash(m, [k], fp, 5) == single
     doubled = multi_poly_hash(m, [k, k], fp, 5)
     assert doubled == single + single
+
+
+def reference_multi_poly_hash(m, keys, fp, mu):
+    """The specification: Horner over every chunk of the fully padded message."""
+    chunks = pad_and_chunk(m, fp.w, mu)
+    out = 0
+    for k in keys:
+        out = (out << (fp.w + 1)) | _poly_eval(chunks, k.value, fp.p)
+    return Bits(out, (fp.w + 1) * len(keys))
+
+
+@st.composite
+def hash_cases(draw):
+    w = draw(st.integers(min_value=2, max_value=63))
+    lam = draw(st.integers(min_value=1, max_value=4))
+    mu = draw(st.integers(min_value=w + 1, max_value=100 * w))
+    n = draw(st.sampled_from([0, 1, w - 1, w, w + 1, mu - 1, mu])
+             | st.integers(min_value=0, max_value=mu))
+    m = Bits(draw(st.integers(min_value=0, max_value=(1 << n) - 1)), n)
+    keys = [Bits(draw(st.integers(min_value=0, max_value=(1 << w) - 1)), w)
+            for _ in range(lam)]
+    return m, keys, find_field_params(w), mu
+
+
+@settings(max_examples=300)
+@given(hash_cases())
+def test_poly_hash_matches_fully_padded_reference(case):
+    # the fast path stops at the pad bit's chunk; the tags must not change
+    m, keys, fp, mu = case
+    assert multi_poly_hash(m, keys, fp, mu) == reference_multi_poly_hash(m, keys, fp, mu)
+    assert poly_hash(m, keys[0], fp, mu) == reference_multi_poly_hash(m, keys[:1], fp, mu)
+
+
+def test_poly_hash_matches_reference_on_long_messages():
+    gen = BitGen(3)
+    mu = 100_000
+    for w in (31, 63):
+        fp = find_field_params(w)
+        keys = [gen.take(w) for _ in range(3)]
+        for n in (mu, mu - 1, 54_321):
+            m = gen.take(n)
+            assert multi_poly_hash(m, keys, fp, mu) == reference_multi_poly_hash(m, keys, fp, mu)
 
 
 def test_multi_poly_hash_errors():

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from qkdauth.bits import Bits
 from qkdauth.hashing import OtpKey, RecycledKey, find_field_params
 from qkdauth.planner import make_plan
-from qkdauth.poolfile import (PoolFormatError, dump_pool, load_pool, new_pool,
-                              parse_pool, save_pool)
+from qkdauth.poolfile import (PoolFormatError, TagPool, dump_pool, load_pool,
+                              new_pool, parse_pool, save_pool)
 from qkdauth.protocol import (ACC, BOT, Direction, KeyPool, MessageKind,
                               PartyState, ProtocolError, Transcript,
                               TranscriptOverflowError, ack_transcript,
@@ -107,6 +108,33 @@ def test_transcript_deterministic_across_sides(payloads):
         t1.append(d, p)
         t2.append(d, p)
     assert t1.compound() == t2.compound()
+
+
+def frame(direction, payload):
+    return Bits(direction.value, 8) + Bits(len(payload), 64) + payload
+
+
+bit_strings = st.integers(min_value=0, max_value=300).flatmap(
+    lambda n: st.integers(min_value=0, max_value=(1 << n) - 1).map(lambda v: Bits(v, n)))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from(Direction), bit_strings), max_size=12),
+       st.integers(min_value=0, max_value=2000))
+def test_transcript_compound_matches_left_fold(entries, mu):
+    # compound() is read after every append, so a stale cache would show
+    t = Transcript(mu)
+    folded = Bits.zeros(0)
+    for direction, payload in entries:
+        f = frame(direction, payload)
+        if len(folded) + len(f) > mu:
+            with pytest.raises(TranscriptOverflowError):
+                t.append(direction, payload)
+        else:
+            t.append(direction, payload)
+            folded = folded + f
+        assert t.compound() == folded
+    assert sum(len(frame(d, p)) for d, p in t.entries) == len(folded)
 
 
 # -- harvesting ------------------------------------------------------------------
@@ -357,3 +385,31 @@ def test_pool_format_errors():
         parse_pool(blob[:4] + bytes([9]) + blob[5:])
     with pytest.raises(PoolFormatError):
         parse_pool(blob[:-3])
+
+
+def relabel_otp_entry(pool, index, round_):
+    """``dump_pool(pool)`` with the round number of its index-th OTP entry replaced."""
+    blob = bytearray(dump_pool(pool))
+    empty = len(dump_pool(TagPool(pool.plan, pool.recycled, {})))
+    size = (len(blob) - empty) // len(pool.otp)
+    struct.pack_into(">I", blob, empty + index * size, round_)
+    return bytes(blob)
+
+
+def test_pool_rejects_repeated_or_decreasing_rounds():
+    plan = make_plan(tau=16, lam=1, w=15, mu=2048)
+    pool = new_pool(plan, 3, seed=1)
+    pool.otp[1].consumed = True
+    assert parse_pool(relabel_otp_entry(pool, 1, 2)).otp[1].consumed  # unchanged layout
+    # a fresh copy of round 1 after the consumed one would un-consume its mask
+    with pytest.raises(PoolFormatError, match="rounds must increase"):
+        parse_pool(relabel_otp_entry(pool, 1, 1))
+    with pytest.raises(PoolFormatError, match="rounds must increase"):
+        parse_pool(relabel_otp_entry(pool, 2, 0))
+
+
+def test_pool_rejects_trailing_bytes():
+    plan = make_plan(tau=16, lam=1, w=15, mu=2048)
+    blob = dump_pool(new_pool(plan, 2, seed=1))
+    with pytest.raises(PoolFormatError, match="trailing"):
+        parse_pool(blob + b"\x00")
