@@ -6,9 +6,9 @@ from .hashing import (FieldParams, OtpKey, OtpReuseError, RecycledKey, Tag,
                       pad_and_chunk, poly_hash, toeplitz_hash, verify_tag)
 from .planner import (CostInput, Plan, PlanInfeasibleError, make_plan, plan,
                       relative_cost, stinson_bound, table_one, tag_length)
-from .protocol import (Direction, Harvest, KeyPool, PartyState, RoundOutcome,
-                       Transcript, VerificationFlag, WireMessage, harvest_keys,
-                       tag_sender, tag_verifier)
+from .protocol import (Direction, Harvest, KeyPool, KeyState, PartyState,
+                       RoundOutcome, Transcript, VerificationFlag, WireMessage,
+                       harvest_keys, tag_sender, tag_verifier)
 from .simulator import (AdversaryConfig, EpsilonBudget, MockQkdSource,
                         SessionLedger, TrialStats, collision_census,
                         epsilon_budget, forgery_experiment, run_session,
@@ -16,7 +16,7 @@ from .simulator import (AdversaryConfig, EpsilonBudget, MockQkdSource,
 
 __all__ = [
     "AdversaryConfig", "Bits", "CostInput", "Direction", "EpsilonBudget",
-    "FieldParams", "Harvest", "KeyPool", "MockQkdSource", "OtpKey",
+    "FieldParams", "Harvest", "KeyPool", "KeyState", "MockQkdSource", "OtpKey",
     "OtpReuseError", "PartyState", "Plan", "PlanInfeasibleError",
     "RecycledKey", "RoundOutcome", "SessionLedger", "Tag", "Transcript",
     "TrialStats", "VerificationFlag", "WireMessage", "collision_census",

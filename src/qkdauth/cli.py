@@ -14,9 +14,9 @@ from .hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_
 from .planner import (PlanInfeasibleError, CostInput, as_fraction, format_table,
                       make_plan, plan as derive_plan, relative_cost, table_one)
 from .poolfile import PoolFormatError, load_pool, new_pool, save_pool
-from .simulator import (collision_census, forgery_experiment, parse_adversary,
-                        run_session, strong_uniformity_census, substitution_bound,
-                        toeplitz_xor_census)
+from .simulator import (ATTACK_STRATEGIES, collision_census, forgery_experiment,
+                        parse_adversary, run_session, strong_uniformity_census,
+                        substitution_bound, toeplitz_xor_census)
 
 TABLE_MU_MBITS = (1, 4, 16, 64, 256)
 TABLE_W = (31, 63)
@@ -252,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lam", type=int, default=1)
     sp.add_argument("--trials", type=int, default=10**5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--strategy", default="random",
-                    choices=("random", "best-guess", "replay", "impersonate"))
+    sp.add_argument("--strategy", default="random", choices=ATTACK_STRATEGIES)
     sp.set_defaults(func=cmd_attack_stats)
 
     sp = sub.add_parser("selftest", help="exhaustive small-instance hash-family oracles")

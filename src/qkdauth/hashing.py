@@ -199,6 +199,12 @@ def toeplitz_hash(x: Bits, tk: Bits) -> Bits:
     return Bits(out, beta)
 
 
+def recycled_key_bits(lam: int, w: int, tau: int) -> int:
+    """L_rec = 2*lam*w + lam + tau - 1: lam w-bit polynomial subkeys, then
+    the (lam*(w+1) + tau - 1)-bit Toeplitz key."""
+    return 2 * lam * w + lam + tau - 1
+
+
 @dataclass(frozen=True, slots=True)
 class RecycledKey:
     """Hash-selecting key reused across every tag: polynomial subkeys plus
@@ -215,7 +221,7 @@ class RecycledKey:
     def from_bits(cls, raw: Bits, lam: int, w: int, tau: int) -> "RecycledKey":
         """Slice a flat L_rec-bit string: lam w-bit subkeys, then the
         (lam*(w+1) + tau - 1)-bit Toeplitz key."""
-        expected = 2 * lam * w + lam + tau - 1
+        expected = recycled_key_bits(lam, w, tau)
         if len(raw) != expected:
             raise ValueError(f"recycled key must be {expected} bits, got {len(raw)}")
         poly_keys = tuple(raw[i * w:(i + 1) * w] for i in range(lam))

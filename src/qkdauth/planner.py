@@ -14,6 +14,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+from .hashing import MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH, recycled_key_bits
+
 MAX_PARALLEL_INSTANCES = 64
 
 # Published parameter tables list L_rec = 229 for (w=31, mu=1 Mbit,
@@ -98,17 +100,28 @@ class Plan:
         return self.alpha + self.tau - 1
 
 
-def make_plan(tau: int, lam: int, w: int, mu: int) -> Plan:
-    """Plan from explicit parameters (test fixtures, attack experiments).
+def collision_bound(mu: int, w: int, lam: int) -> Fraction:
+    """Collision probability of lam parallel polynomial hashes on distinct
+    messages of at most mu bits: ceil(mu/w)**lam * 2**-(lam*w), exactly."""
+    return Fraction((-(-mu // w)) ** lam, 1 << (lam * w))
 
+
+def make_plan(tau: int, lam: int, w: int, mu: int) -> Plan:
+    """Plan from explicit parameters (test fixtures, attack experiments,
+    pool-file headers).
+
+    w and lam are range-checked before any arithmetic, so a hostile pool
+    header cannot make the bound's big-integer powers take unbounded time.
     eps_achieved is still computed exactly; eps_auth is set equal to it.
     """
-    if tau < 1 or lam < 1 or w < 1 or mu < 1:
-        raise ValueError("all plan parameters must be positive")
-    r = -(-mu // w)
-    eps = Fraction(1, 1 << tau) + Fraction(r**lam, 1 << (lam * w))
+    if not (MIN_CHUNK_WIDTH <= w <= MAX_CHUNK_WIDTH and 1 <= lam <= MAX_PARALLEL_INSTANCES
+            and tau >= 1 and mu >= 1):
+        raise ValueError(f"need {MIN_CHUNK_WIDTH} <= w <= {MAX_CHUNK_WIDTH}, 1 <= lam <= "
+                         f"{MAX_PARALLEL_INSTANCES}, tau >= 1 and mu >= 1; got w={w} "
+                         f"lam={lam} tau={tau} mu={mu}")
+    eps = Fraction(1, 1 << tau) + collision_bound(mu, w, lam)
     return Plan(eps_auth=eps, mu=mu, w=w, tau=tau, lam=lam,
-                l_rec=2 * lam * w + lam + tau - 1, eps_achieved=eps)
+                l_rec=recycled_key_bits(lam, w, tau), eps_achieved=eps)
 
 
 def plan(eps_auth: "Fraction | str | float", mu: int, w: int) -> Plan:
@@ -119,27 +132,22 @@ def plan(eps_auth: "Fraction | str | float", mu: int, w: int) -> Plan:
     ceil(mu/w)**lam * 2**(-lam*w) <= eps_auth - 2**-tau.
     """
     eps = as_fraction(eps_auth)
-    if not 0 < eps < 1:
-        raise ValueError("eps_auth must lie strictly between 0 and 1")
+    tau = tag_length(eps)
     if mu < 1:
         raise ValueError("message bound mu must be at least 1 bit")
-    if w < 1:
-        raise ValueError("chunk width must be positive")
-    tau = _floor_log2(1 / eps) + 1
-    remainder = eps - Fraction(1, 1 << tau)
-    if remainder <= 0:
-        raise PlanInfeasibleError("no collision budget remains after fixing the tag length")
-    r = -(-mu // w)
-    if r >= 1 << w:
+    if not MIN_CHUNK_WIDTH <= w <= MAX_CHUNK_WIDTH:
+        raise ValueError(f"chunk width must be in [{MIN_CHUNK_WIDTH}, {MAX_CHUNK_WIDTH}], got {w}")
+    remainder = eps - Fraction(1, 1 << tau)  # positive by the choice of tau
+    if collision_bound(mu, w, 1) >= 1:
         raise PlanInfeasibleError(
-            f"ceil(mu/w) = {r} >= 2**{w}: the per-instance collision bound cannot drop below 1"
+            f"ceil(mu/w) >= 2**{w}: the per-instance collision bound cannot drop below 1"
         )
-    rn, rd = remainder.numerator, remainder.denominator
     for lam in range(1, MAX_PARALLEL_INSTANCES + 1):
-        if r**lam * rd <= rn << (lam * w):
-            achieved = Fraction(1, 1 << tau) + Fraction(r**lam, 1 << (lam * w))
+        bound = collision_bound(mu, w, lam)
+        if bound <= remainder:
             return Plan(eps_auth=eps, mu=mu, w=w, tau=tau, lam=lam,
-                        l_rec=2 * lam * w + lam + tau - 1, eps_achieved=achieved)
+                        l_rec=recycled_key_bits(lam, w, tau),
+                        eps_achieved=Fraction(1, 1 << tau) + bound)
     raise PlanInfeasibleError(
         f"no instance count up to {MAX_PARALLEL_INSTANCES} satisfies the collision budget"
     )

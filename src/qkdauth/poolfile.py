@@ -3,10 +3,12 @@
 Layout: magic "QKDA", one version byte, a fixed header with the scheme
 parameters, the recycled key, then the per-round OTP entries as
 (32-bit round, consumed flag, masked bits) in strictly increasing round
-order, with nothing after the last entry.  Bit strings are stored as a
-32-bit bit count followed by MSB-first bytes, so lengths that are not a
-multiple of 8 survive the round trip.  Writes go through a temp file and
-an atomic rename: a crash can never leave an OTP key half-consumed.
+order, with nothing after the last entry.  Header values outside the
+planner's range are rejected before any arithmetic on them.  Bit strings
+are stored as a 32-bit bit count followed by MSB-first bytes, so lengths
+that are not a multiple of 8 survive the round trip.  Writes go through a
+temp file, an atomic rename and an fsync of the directory: a crash can
+never leave an OTP key half-consumed, nor bring back a consumed one.
 """
 
 from __future__ import annotations
@@ -97,7 +99,10 @@ def parse_pool(data: bytes) -> TagPool:
     if version != VERSION:
         raise PoolFormatError(f"unsupported pool version {version}")
     w, lam, tau, mu = _HEADER.unpack(r.read(_HEADER.size))
-    plan = make_plan(tau=tau, lam=lam, w=w, mu=mu)
+    try:
+        plan = make_plan(tau=tau, lam=lam, w=w, mu=mu)
+    except ValueError as exc:
+        raise PoolFormatError(f"pool header out of range: {exc}") from None
     recycled = r.read_bits()
     if len(recycled) != plan.l_rec:
         raise PoolFormatError(f"recycled key is {len(recycled)} bits, expected {plan.l_rec}")
@@ -121,11 +126,21 @@ def parse_pool(data: bytes) -> TagPool:
 
 def save_pool(path: str, pool: TagPool) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(dump_pool(pool))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(dump_pool(pool))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
+    # the rename is durable only once the directory entry is on disk
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_pool(path: str) -> TagPool:

@@ -184,22 +184,30 @@ def harvest_keys(secret_key: Bits, round_: int, plan: Plan) -> Harvest:
 
 # -- per-party key pool ----------------------------------------------------
 
+class KeyState(enum.Enum):
+    """Fate of one absorbed round's harvest.
+
+    A round's external key, the OTP mask it supplies for round r+2 and, for
+    round 1, the quantum recycled key always move together, so one state
+    covers all of them.  Only UNVERIFIED moves; VERIFIED and DISCARDED are
+    terminal.
+    """
+
+    UNVERIFIED = "unverified"
+    VERIFIED = "verified"
+    DISCARDED = "discarded"
+
+
 @dataclass
 class KeyPool:
-    """One party's keys, with every external key in exactly one of the
-    verified / unverified / discarded buckets."""
+    """One party's keys, with every absorbed round in exactly one KeyState."""
 
     recycled_pre: RecycledKey
     plan: Plan
     recycled_qkd: "RecycledKey | None" = None
-    recycled_qkd_state: "str | None" = None  # 'unverified' | 'verified' | 'discarded'
     otp: dict[int, OtpKey] = field(default_factory=dict)
-    verified: list[tuple[int, Bits]] = field(default_factory=list)
-    unverified: list[tuple[int, Bits]] = field(default_factory=list)
-    discarded: list[int] = field(default_factory=list)
-    otp_verified: set[int] = field(default_factory=set)
-    otp_discarded: set[int] = field(default_factory=set)
-    harvested_rounds: set[int] = field(default_factory=set)
+    state: dict[int, KeyState] = field(default_factory=dict)
+    external: dict[int, Bits] = field(default_factory=dict)  # non-empty parts only
 
     @property
     def pre_distributed_bits(self) -> int:
@@ -216,56 +224,49 @@ class KeyPool:
         if h.recycled is not None:
             self.recycled_qkd = RecycledKey.from_bits(
                 h.recycled, self.plan.lam, self.plan.w, self.plan.tau)
-            self.recycled_qkd_state = "unverified"
         self.otp[h.otp_round] = OtpKey(h.otp_bits)
-        self.harvested_rounds.add(round_)
+        self.state[round_] = KeyState.UNVERIFIED
         if len(h.external) > 0:
-            self.unverified.append((round_, h.external))
+            self.external[round_] = h.external
 
     def external_state(self, round_: int) -> str:
-        if any(r == round_ for r, _ in self.verified):
-            return "verified"
-        if any(r == round_ for r, _ in self.unverified):
-            return "unverified"
-        if round_ in self.discarded:
-            return "discarded"
-        return "absent"
+        """State of the round's external key, or 'absent' if it has none."""
+        return self.state[round_].value if round_ in self.external else "absent"
+
+    def _settle(self, rounds: "set[int]", to: KeyState) -> frozenset[int]:
+        """Move the given rounds that are still UNVERIFIED to ``to``; returns
+        those of them that carry an external key."""
+        moved = [r for r in rounds if self.state.get(r) is KeyState.UNVERIFIED]
+        for r in moved:
+            self.state[r] = to
+        return frozenset(r for r in moved if r in self.external)
 
     def promote_rounds(self, rounds: "set[int]") -> frozenset[int]:
         """Move the harvest of the given rounds from unverified to verified;
         returns the rounds whose external key actually moved."""
-        rounds = {r for r in rounds if r >= 1}
-        moved = set()
-        still = []
-        for r, bits in self.unverified:
-            if r in rounds:
-                self.verified.append((r, bits))
-                moved.add(r)
-            else:
-                still.append((r, bits))
-        self.unverified = still
-        for r in rounds & self.harvested_rounds:
-            if r + 2 in self.otp and r + 2 not in self.otp_discarded:
-                self.otp_verified.add(r + 2)
-            if r == 1 and self.recycled_qkd_state == "unverified":
-                self.recycled_qkd_state = "verified"
-        return frozenset(moved)
+        return self._settle(rounds, KeyState.VERIFIED)
 
     def discard_rounds(self, rounds: "set[int]") -> None:
         """Drop the still-unverified harvest of the given rounds."""
-        rounds = {r for r in rounds if r >= 1}
-        still = []
-        for r, bits in self.unverified:
-            if r in rounds:
-                self.discarded.append(r)
-            else:
-                still.append((r, bits))
-        self.unverified = still
-        for r in rounds & self.harvested_rounds:
-            if r + 2 in self.otp and r + 2 not in self.otp_verified:
-                self.otp_discarded.add(r + 2)
-            if r == 1 and self.recycled_qkd_state == "unverified":
-                self.recycled_qkd_state = "discarded"
+        self._settle(rounds, KeyState.DISCARDED)
+
+    def final_block(self) -> dict[str, str]:
+        """The session ledger's settlement of this pool: the rounds whose
+        external key is in each state, the quantum recycled key's state and
+        the unconsumed OTP masks that are still usable."""
+        def rounds(s: KeyState) -> str:
+            return ",".join(str(r) for r in sorted(self.external) if self.state[r] is s)
+
+        # the mask for round r was harvested in round r-2 and shares its fate
+        surplus = [r for r in sorted(self.otp) if not self.otp[r].consumed
+                   and self.state.get(r - 2) is not KeyState.DISCARDED]
+        return {
+            "verified": rounds(KeyState.VERIFIED),
+            "unverified": rounds(KeyState.UNVERIFIED),
+            "discarded": rounds(KeyState.DISCARDED),
+            "recycled_qkd": self.state[1].value if 1 in self.state else "absent",
+            "otp_surplus": ",".join(str(r) for r in surplus) or "-",
+        }
 
 
 # -- party state machine ----------------------------------------------------
@@ -304,6 +305,27 @@ class PartyState:
             self.terminated_at = round_
         return flag
 
+    def _outcome(self, round_: int, value: str, checked: bool,
+                 promoted: frozenset[int] = frozenset()) -> RoundOutcome:
+        return RoundOutcome(round_, self._set_flag(round_, value), promoted, checked)
+
+    def _keys(self, round_: int) -> "tuple[RecycledKey, OtpKey]":
+        otp = self.pool.otp.get(round_)
+        if otp is None:
+            raise ProtocolError(f"no OTP key designated for round {round_}")
+        return self.pool.active_recycled(round_), otp
+
+    def _tag(self, kind: MessageKind, round_: int, m: Bits) -> WireMessage:
+        rk, otp = self._keys(round_)
+        return WireMessage(kind, round_, compose_tag(m, rk, otp, self.plan, self.fp).bits)
+
+    def _check(self, kind: MessageKind, round_: int, m: Bits, incoming: WireMessage) -> bool:
+        if incoming.kind is not kind or incoming.round != round_:
+            raise ProtocolError(f"a {incoming.kind.value} message of round {incoming.round} "
+                                f"was handed to the {kind.value} slot of round {round_}")
+        rk, otp = self._keys(round_)
+        return verify_tag(m, Tag(incoming.payload), rk, otp, self.plan, self.fp)
+
     # -- sender side --------------------------------------------------------
 
     def finalize_sender(self, round_: int) -> "WireMessage | None":
@@ -316,12 +338,7 @@ class PartyState:
             raise ProtocolError(f"party {self.role} is not the tag sender of round {round_}")
         if self.terminated or self.flag_value(round_ - 1) != ACC:
             return None
-        otp = self.pool.otp.get(round_)
-        if otp is None:
-            raise ProtocolError(f"no OTP key designated for round {round_}")
-        rk = self.pool.active_recycled(round_)
-        tag = compose_tag(self.transcript(round_).compound(), rk, otp, self.plan, self.fp)
-        return WireMessage(kind=MessageKind.TAG, round=round_, payload=tag.bits)
+        return self._tag(MessageKind.TAG, round_, self.transcript(round_).compound())
 
     # -- verifier side --------------------------------------------------------
 
@@ -337,28 +354,15 @@ class PartyState:
         if tag_verifier(round_) != self.role:
             raise ProtocolError(f"party {self.role} is not the tag verifier of round {round_}")
         if self.terminated or self.flag_value(round_ - 2) != ACC:
-            flag = self._set_flag(round_, BOT)
-            return RoundOutcome(round_, flag, frozenset(), checked=False)
-        if incoming is None:  # timeout injected by the harness
+            return self._outcome(round_, BOT, checked=False)
+        checked = incoming is not None  # None: timeout injected by the harness
+        if not checked or not self._check(MessageKind.TAG, round_,
+                                          self.transcript(round_).compound(), incoming):
             self.pool.discard_rounds({round_ - 1, round_})
-            flag = self._set_flag(round_, BOT)
-            return RoundOutcome(round_, flag, frozenset(), checked=False)
-        if incoming.kind is not MessageKind.TAG or incoming.round != round_:
-            raise ProtocolError("verifier was handed a message for the wrong slot")
-        otp = self.pool.otp.get(round_)
-        if otp is None:
-            raise ProtocolError(f"no OTP key designated for round {round_}")
-        rk = self.pool.active_recycled(round_)
-        ok = verify_tag(self.transcript(round_).compound(), Tag(incoming.payload),
-                        rk, otp, self.plan, self.fp)
-        if not ok:
-            self.pool.discard_rounds({round_ - 1, round_})
-            flag = self._set_flag(round_, BOT)
-            return RoundOutcome(round_, flag, frozenset(), checked=True)
+            return self._outcome(round_, BOT, checked=checked)
         promoted = self.pool.promote_rounds({round_ - 1, round_})
-        fresh = round_ in self.pool.harvested_rounds
-        flag = self._set_flag(round_, ACC if fresh else BOT)
-        return RoundOutcome(round_, flag, promoted, checked=True)
+        fresh = round_ in self.pool.state
+        return self._outcome(round_, ACC if fresh else BOT, checked=True, promoted=promoted)
 
     # -- fictitious acknowledgement round ------------------------------------
 
@@ -369,13 +373,8 @@ class PartyState:
             raise ProtocolError(f"party {self.role} did not verify round {n_max}")
         if self.flag_value(n_max) != ACC:
             return None
-        otp = self.pool.otp.get(n_max + ACK_ROUND_OFFSET)
-        if otp is None:
-            raise ProtocolError("no OTP key available for the acknowledgement")
-        rk = self.pool.active_recycled(n_max + ACK_ROUND_OFFSET)
         m = ack_transcript(n_max, self.plan.mu).compound()
-        tag = compose_tag(m, rk, otp, self.plan, self.fp)
-        return WireMessage(kind=MessageKind.ACK, round=n_max + ACK_ROUND_OFFSET, payload=tag.bits)
+        return self._tag(MessageKind.ACK, n_max + ACK_ROUND_OFFSET, m)
 
     def receive_acknowledgement(self, n_max: int,
                                 incoming: "WireMessage | None") -> RoundOutcome:
@@ -389,23 +388,10 @@ class PartyState:
         if tag_sender(n_max) != self.role:
             raise ProtocolError(f"party {self.role} does not expect the acknowledgement")
         ack_round = n_max + ACK_ROUND_OFFSET
-        if self.terminated:
-            flag = self._set_flag(ack_round, BOT)
-            return RoundOutcome(ack_round, flag, frozenset(), checked=False)
-        if incoming is None:
-            flag = self._set_flag(ack_round, BOT)
-            return RoundOutcome(ack_round, flag, frozenset(), checked=False)
-        if incoming.kind is not MessageKind.ACK or incoming.round != ack_round:
-            raise ProtocolError("acknowledgement handed to the wrong slot")
-        otp = self.pool.otp.get(ack_round)
-        if otp is None:
-            raise ProtocolError("no OTP key available for the acknowledgement check")
-        rk = self.pool.active_recycled(ack_round)
+        if self.terminated or incoming is None:
+            return self._outcome(ack_round, BOT, checked=False)
         m = ack_transcript(n_max, self.plan.mu).compound()
-        ok = verify_tag(m, Tag(incoming.payload), rk, otp, self.plan, self.fp)
-        if not ok:
-            flag = self._set_flag(ack_round, BOT)
-            return RoundOutcome(ack_round, flag, frozenset(), checked=True)
+        if not self._check(MessageKind.ACK, ack_round, m, incoming):
+            return self._outcome(ack_round, BOT, checked=True)
         promoted = self.pool.promote_rounds({n_max})
-        flag = self._set_flag(ack_round, ACC)
-        return RoundOutcome(ack_round, flag, promoted, checked=True)
+        return self._outcome(ack_round, ACC, checked=True, promoted=promoted)

@@ -23,7 +23,7 @@ from typing import Sequence
 from .bits import Bits
 from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, compose_tag,
                       find_field_params, multi_poly_hash, toeplitz_hash, verify_tag)
-from .planner import Plan
+from .planner import Plan, collision_bound
 from .protocol import (BOT, Direction, KeyPool, MessageKind, PartyState,
                        WireMessage, harvest_keys, tag_sender, tag_verifier)
 from .rng import BitGen
@@ -32,6 +32,10 @@ ATTACK_KINDS = ("none", "quantum", "tamper", "substitute", "block", "impersonate
 SUBSTITUTE_STRATEGIES = ("random", "best-guess")
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+# scripted classical traffic of every mock round
+MESSAGES_PER_ROUND = 3
+MESSAGE_BYTES = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,19 +109,16 @@ class MockQkdSource:
     per round, scripted classical traffic plus (on success) one shared
     secret bit block."""
 
-    def __init__(self, gen: BitGen, secret_bits: int,
-                 messages_per_round: int = 3, message_bytes: int = 24):
+    def __init__(self, gen: BitGen, secret_bits: int):
         self._gen = gen
         self.secret_bits = secret_bits
-        self.messages_per_round = messages_per_round
-        self.message_bytes = message_bytes
 
     def round(self, round_: int, success: bool) -> MockQkdRound:
         g = self._gen.derive(round_)
         msgs = []
-        for j in range(self.messages_per_round):
+        for j in range(MESSAGES_PER_ROUND):
             direction = Direction.A2B if j % 2 == 0 else Direction.B2A
-            msgs.append((direction, g.take_bytes(self.message_bytes)))
+            msgs.append((direction, g.take_bytes(MESSAGE_BYTES)))
         secret = g.take(self.secret_bits) if success else None
         return MockQkdRound(round=round_, success=success, secret_bits=secret,
                             classical_messages=tuple(msgs))
@@ -175,7 +176,7 @@ class SessionLedger:
     ack_status: str = "none"
     ack_flag: str = BOT
     ack_promoted: tuple[int, ...] = ()
-    final: dict[str, dict[str, object]] = field(default_factory=dict)
+    final: dict[str, dict[str, str]] = field(default_factory=dict)
     budget: "EpsilonBudget | None" = None
     terminated: bool = False
     forgery_slipped: bool = False
@@ -216,10 +217,6 @@ class SessionLedger:
             f"forgery_slipped={'yes' if self.forgery_slipped else 'no'}"
         )
         return "\n".join(lines)
-
-
-def _rounds_csv(rounds: "list[int]") -> str:
-    return ",".join(str(r) for r in sorted(rounds))
 
 
 def run_session(n_max: int, plan: Plan, fp: FieldParams,
@@ -300,10 +297,8 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         if outgoing is not None and classical_attack:
             if adversary.kind == "block":
                 delivered, tag_status = None, "blocked"
-            elif adversary.kind == "substitute" and adversary.strategy == "random":
-                delivered = WireMessage(MessageKind.TAG, i, eve.take(plan.tau))
-                tag_status = "substituted"
-            elif adversary.kind == "impersonate":
+            elif adversary.kind == "impersonate" or (
+                    adversary.kind == "substitute" and adversary.strategy == "random"):
                 delivered = WireMessage(MessageKind.TAG, i, eve.take(plan.tau))
                 tag_status = "substituted"
             # tamper and best-guess substitution leave the tag bits alone
@@ -330,17 +325,8 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     ledger.ack_flag = ack_outcome.flag.value
     ledger.ack_promoted = tuple(sorted(ack_outcome.promoted_rounds))
 
-    for role in ("A", "B"):
-        pool = parties[role].pool
-        surplus = sorted(r for r, k in pool.otp.items()
-                         if not k.consumed and r not in pool.otp_discarded)
-        ledger.final[role] = {
-            "verified": _rounds_csv([r for r, _ in pool.verified]),
-            "unverified": _rounds_csv([r for r, _ in pool.unverified]),
-            "discarded": _rounds_csv(pool.discarded),
-            "recycled_qkd": pool.recycled_qkd_state or "absent",
-            "otp_surplus": ",".join(str(r) for r in surplus) or "-",
-        }
+    for role, party in parties.items():
+        ledger.final[role] = party.pool.final_block()
     ledger.terminated = any(f.value == BOT for p in parties.values()
                             for f in p.flags.values())
     ledger.budget = epsilon_budget(n_max, eps_pred=eps_pred, eps_store=eps_store,
@@ -418,19 +404,22 @@ def forgery_experiment(plan: Plan, fp: FieldParams, strategy: str,
 
 def substitution_bound(plan: Plan) -> float:
     """Analytic acceptance bound for substitution forgeries:
-    2**-tau + ceil(mu/w)**lam * 2**(-lam*w)."""
-    return float(Fraction(1, 1 << plan.tau)
-                 + Fraction((-(-plan.mu // plan.w)) ** plan.lam, 1 << (plan.lam * plan.w)))
+    2**-tau + ceil(mu/w)**lam * 2**(-lam*w), the plan's eps_achieved."""
+    return float(plan.eps_achieved)
 
 
 # -- exhaustive small-instance oracles ----------------------------------------
 
 def _all_messages(mu: int) -> list[Bits]:
-    out = []
-    for n in range(mu + 1):
-        for v in range(1 << n):
-            out.append(Bits(v, n))
-    return out
+    """Every bit string of at most mu bits."""
+    return [Bits(v, n) for n in range(mu + 1) for v in range(1 << n)]
+
+
+def _all_poly_keys(w: int, lam: int) -> list[tuple[Bits, ...]]:
+    """Every tuple of lam w-bit polynomial subkeys."""
+    mask = (1 << w) - 1
+    return [tuple(Bits((kv >> (w * j)) & mask, w) for j in range(lam))
+            for kv in range(1 << (w * lam))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -463,16 +452,14 @@ def collision_census(w: int, mu: int, lam: int = 1,
                 raise ValueError("collision census needs distinct message pairs")
             pairs.append((len(msgs), len(msgs) + 1))
             msgs.extend((a, b))
-    key_tuples = [tuple(Bits((kv >> (w * j)) & ((1 << w) - 1), w) for j in range(lam))
-                  for kv in range(1 << (w * lam))]
+    key_tuples = _all_poly_keys(w, lam)
     table = [[multi_poly_hash(m, kt, fp, mu).value for m in msgs] for kt in key_tuples]
     nkeys = len(key_tuples)
     worst = Fraction(0)
     for ia, ib in pairs:
         hits = sum(1 for row in table if row[ia] == row[ib])
         worst = max(worst, Fraction(hits, nkeys))
-    bound = Fraction((-(-mu // w)) ** lam, 1 << (w * lam))
-    return CensusResult(max_fraction=worst, bound=bound, cases=len(pairs))
+    return CensusResult(max_fraction=worst, bound=collision_bound(mu, w, lam), cases=len(pairs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -527,7 +514,7 @@ def strong_uniformity_census(w: int, lam: int, tau: int, mu: int) -> StrongUnifo
     Enumerates every (polynomial keys, Toeplitz key, OTP mask) triple and
     verifies (a) the tag marginal is exactly uniform for every message and
     (b) every joint probability Pr[tag(m)=t, tag(m')=t'] stays within
-    (eps1 + eps2) * 2**-tau, where eps1 = ceil(mu/w)**lam * 2**(-lam*w)
+    (eps1 + eps2) * 2**-tau, where eps1 = collision_bound(mu, w, lam)
     and eps2 = 2**-tau.
     """
     fp = find_field_params(w)
@@ -537,8 +524,7 @@ def strong_uniformity_census(w: int, lam: int, tau: int, mu: int) -> StrongUnifo
     if total_key_bits > 20:
         raise ValueError("key space too large for exhaustive enumeration")
     msgs = _all_messages(mu)
-    poly_tuples = [tuple(Bits((kv >> (w * j)) & ((1 << w) - 1), w) for j in range(lam))
-                   for kv in range(1 << (w * lam))]
+    poly_tuples = _all_poly_keys(w, lam)
     tkeys = [Bits(v, tkey_bits) for v in range(1 << tkey_bits)]
     # digest table before the OTP stage; the mask is applied per key triple
     digest = [[toeplitz_hash(multi_poly_hash(m, pt, fp, mu), tk).value for m in msgs]
@@ -554,9 +540,7 @@ def strong_uniformity_census(w: int, lam: int, tau: int, mu: int) -> StrongUnifo
         if any(Fraction(c, nkeys) != expected for c in counts):
             marginal_exact = False
             break
-    eps1 = Fraction((-(-mu // w)) ** lam, 1 << (w * lam))
-    eps2 = Fraction(1, 1 << tau)
-    pair_bound = (eps1 + eps2) * expected
+    pair_bound = (collision_bound(mu, w, lam) + expected) * expected
     worst = Fraction(0)
     cases = 0
     for ia, ib in combinations(range(len(msgs)), 2):

@@ -1,9 +1,11 @@
+import os
 import struct
+import time
 
 import pytest
 
 from qkdauth.cli import main
-from qkdauth.poolfile import TagPool, dump_pool, load_pool
+from qkdauth.poolfile import _HEADER, MAGIC, VERSION, TagPool, dump_pool, load_pool
 
 # regression vector generated once from a fixed pool seed and frozen
 KAT_MESSAGE = b"hello, authenticated world"
@@ -144,6 +146,40 @@ def test_tag_rejects_malformed_pool_files(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count(reason) == 2 and "Traceback" not in captured.err
+
+
+def test_hostile_pool_header_fails_fast(tmp_path, capsys):
+    # the largest header values: planning them used to take minutes
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    pool = tmp_path / "hostile.pool"
+    pool.write_bytes(MAGIC + bytes([VERSION]) + _HEADER.pack(255, 65535, 65535, 2**64 - 1))
+    t0 = time.perf_counter()
+    assert main(["tag", "--key-pool", str(pool), "--round", "1", "--message", str(msg)]) == 2
+    assert main(["verify", "--key-pool", str(pool), "--round", "1", "--message", str(msg),
+                 "--tag", KAT_TAG_HEX]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("out of range") == 2 and "Traceback" not in captured.err
+
+
+def test_tag_fails_cleanly_when_pool_write_fails(tmp_path, capsys, monkeypatch):
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    alice = make_pool(tmp_path, capsys, "alice.pool")
+    before = open(alice, "rb").read()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    assert main(["tag", "--key-pool", alice, "--round", "1", "--message", str(msg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no tag leaves without the consumed mask on disk
+    assert "disk full" in captured.err and "Traceback" not in captured.err
+    assert open(alice, "rb").read() == before
+    assert sorted(os.listdir(tmp_path)) == ["alice.pool", "m.bin"]
 
 
 def test_simulate_clean_and_terminated(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdauth.planner import (CostInput, PlanInfeasibleError, as_fraction,
-                             format_table, make_plan, plan, relative_cost,
+                             collision_bound, format_table, make_plan, plan, relative_cost,
                              stinson_bound, table_one, tag_length)
 
 TABLE_MU = [m * 10**6 for m in (1, 4, 16, 64, 256)]
@@ -94,6 +94,9 @@ def test_plan_domain_errors():
         plan("1e-12", 0, 63)
     with pytest.raises(ValueError):
         plan(0, 100, 63)
+    for w in (1, 64):  # outside the chunk widths find_field_params supports
+        with pytest.raises(ValueError, match="chunk width"):
+            plan("1e-12", 100, w)
 
 
 @settings(max_examples=60)
@@ -107,6 +110,19 @@ def test_l_otp_depends_only_on_eps():
     taus = {plan("1e-12", mu, w).l_otp for mu in (10, 10**4, 10**6) for w in (31, 63)}
     taus |= {plan("1e-12", mu, 15).l_otp for mu in (10, 10**4)}
     assert taus == {40}
+
+
+def test_collision_bound_exact():
+    assert collision_bound(4096, 63, 1) == Fraction(66, 2**63)  # ceil(4096/63) = 66
+    assert collision_bound(10**6, 31, 3) == Fraction(32259**3, 2**93)
+    for p in (plan("1e-12", 10**6, 31), make_plan(tau=8, lam=2, w=15, mu=2048)):
+        assert p.eps_achieved == Fraction(1, 2**p.tau) + collision_bound(p.mu, p.w, p.lam)
+
+
+def test_make_plan_rejects_out_of_range_before_arithmetic():
+    for w, lam in ((1, 1), (64, 1), (15, 0), (15, 65), (255, 65535)):
+        with pytest.raises(ValueError, match="need 2 <= w <= 63"):
+            make_plan(tau=65535, lam=lam, w=w, mu=2**64 - 1)
 
 
 def test_make_plan_explicit():

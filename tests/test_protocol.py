@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from qkdauth.bits import Bits
 from qkdauth.hashing import OtpKey, RecycledKey, find_field_params
 from qkdauth.planner import make_plan
-from qkdauth.poolfile import (PoolFormatError, TagPool, dump_pool, load_pool,
-                              new_pool, parse_pool, save_pool)
-from qkdauth.protocol import (ACC, BOT, Direction, KeyPool, MessageKind,
+from qkdauth.poolfile import (_HEADER, MAGIC, VERSION, PoolFormatError, TagPool,
+                              _pack_bits, dump_pool, load_pool, new_pool,
+                              parse_pool, save_pool)
+from qkdauth.protocol import (ACC, BOT, Direction, KeyPool, KeyState, MessageKind,
                               PartyState, ProtocolError, Transcript,
                               TranscriptOverflowError, ack_transcript,
                               harvest_keys, tag_sender, tag_verifier)
@@ -188,11 +189,56 @@ def test_pool_promote_and_discard_states():
     moved = a.pool.promote_rounds({1, 2})
     assert moved == frozenset({1, 2})
     assert a.pool.external_state(1) == "verified"
-    assert a.pool.recycled_qkd_state == "verified"
+    assert a.pool.state[1] is KeyState.VERIFIED  # carries the recycled key
     a.pool.discard_rounds({3})
     assert a.pool.external_state(3) == "discarded"
-    assert 5 in a.pool.otp_discarded
+    assert a.pool.state[3] is KeyState.DISCARDED  # carries the mask for round 5
+    assert a.pool.final_block()["otp_surplus"] == "1,2,3,4"
     assert a.pool.external_state(7) == "absent"
+
+
+def test_pool_terminal_states_do_not_move():
+    a, _ = fresh_pair()
+    gen = BitGen(5)
+    for r in (1, 2):
+        grow(a, r, gen)
+    a.pool.discard_rounds({1})
+    assert a.pool.promote_rounds({2}) == frozenset({2})
+    assert a.pool.promote_rounds({1}) == frozenset()
+    a.pool.discard_rounds({2})
+    assert a.pool.state == {1: KeyState.DISCARDED, 2: KeyState.VERIFIED}
+    assert a.pool.external_state(1) == "discarded"
+    assert a.pool.external_state(2) == "verified"
+    final = a.pool.final_block()
+    assert final["recycled_qkd"] == "discarded"
+    assert final["otp_surplus"] == "1,2,4"  # round 1's mask for round 3 went with it
+
+
+def test_pool_exact_fit_round_moves_keys_without_external():
+    a, _ = fresh_pair()
+    gen = BitGen(6)
+    a.pool.absorb_harvest(1, harvest_keys(gen.take(PLAN.l_rec + PLAN.l_otp), 1, PLAN))
+    a.pool.absorb_harvest(2, harvest_keys(gen.take(PLAN.l_otp), 2, PLAN))
+    assert a.pool.external == {}
+    assert a.pool.promote_rounds({1}) == frozenset()  # no external key moved
+    a.pool.discard_rounds({2})
+    assert a.pool.state == {1: KeyState.VERIFIED, 2: KeyState.DISCARDED}
+    assert a.pool.external_state(1) == a.pool.external_state(2) == "absent"
+    final = a.pool.final_block()
+    assert final["verified"] == final["unverified"] == final["discarded"] == ""
+    assert final["recycled_qkd"] == "verified"
+    assert final["otp_surplus"] == "1,2,3"  # round 2's mask for round 4 went with it
+
+
+def test_pool_unabsorbed_rounds_stay_absent():
+    a, _ = fresh_pair()
+    grow(a, 1, BitGen(7))
+    assert a.pool.promote_rounds({0, 2, 3}) == frozenset()
+    a.pool.discard_rounds({-1, 0, 4})
+    assert a.pool.state == {1: KeyState.UNVERIFIED}
+    for r in (-1, 0, 2, 3, 4):
+        assert a.pool.external_state(r) == "absent"
+    assert a.pool.final_block()["otp_surplus"] == "1,2,3"
 
 
 def test_pool_active_recycled_routing():
@@ -241,7 +287,7 @@ def test_round_one_uses_predistributed_keys():
     assert a.pool.otp[1].consumed and b.pool.otp[1].consumed
     assert b.pool.external_state(1) == "verified"
     assert a.pool.external_state(1) == "unverified"  # Alice confirms in round 2
-    assert b.pool.recycled_qkd_state == "verified"
+    assert b.pool.state[1] is KeyState.VERIFIED
 
 
 def test_wrong_role_raises():
@@ -268,7 +314,7 @@ def test_tampered_round_discards_both_recent_rounds():
     assert outcome.checked
     assert a.pool.external_state(1) == "discarded"
     assert a.pool.external_state(2) == "discarded"
-    assert a.pool.recycled_qkd_state == "discarded"
+    assert a.pool.state[1] is KeyState.DISCARDED
     assert a.terminated
     # Bob still holds round 1 verified, round 2 unverified until his timeout
     assert b.pool.external_state(1) == "verified"
@@ -322,7 +368,8 @@ def test_clean_session_with_ack_promotes_everything():
         assert a.pool.external_state(r) == "verified"
         assert b.pool.external_state(r) == "verified"
     # verified external keys agree bit for bit
-    assert sorted(a.pool.verified) == sorted(b.pool.verified)
+    assert len(a.pool.external) == n_max
+    assert a.pool.external == b.pool.external
 
 
 def test_blocked_ack_leaves_peer_unverified():
@@ -406,6 +453,34 @@ def test_pool_rejects_repeated_or_decreasing_rounds():
         parse_pool(relabel_otp_entry(pool, 1, 1))
     with pytest.raises(PoolFormatError, match="rounds must increase"):
         parse_pool(relabel_otp_entry(pool, 2, 0))
+
+
+@pytest.mark.parametrize("w, lam", [(1, 1), (64, 1), (15, 0), (15, 65)])
+def test_pool_rejects_header_outside_planner_range(w, lam):
+    # a well-formed body for the header, so only the range check can reject it
+    tau = 16
+    blob = (MAGIC + bytes([VERSION]) + _HEADER.pack(w, lam, tau, 2048)
+            + _pack_bits(Bits.zeros(2 * lam * w + lam + tau - 1)) + struct.pack(">I", 0))
+    with pytest.raises(PoolFormatError, match="out of range"):
+        parse_pool(blob)
+
+
+def test_save_pool_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    plan = make_plan(tau=16, lam=1, w=15, mu=2048)
+    path = tmp_path / "keys.pool"
+    save_pool(str(path), new_pool(plan, 2, seed=1))
+    before = path.read_bytes()
+    pool = load_pool(str(path))
+    pool.otp[1].consumed = True
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        save_pool(str(path), pool)
+    assert os.listdir(tmp_path) == ["keys.pool"]
+    assert path.read_bytes() == before
 
 
 def test_pool_rejects_trailing_bytes():
