@@ -422,6 +422,11 @@ def _all_poly_keys(w: int, lam: int) -> list[tuple[Bits, ...]]:
             for kv in range(1 << (w * lam))]
 
 
+def _all_toeplitz_keys(bits: int) -> list[Bits]:
+    """Every Toeplitz key of ``bits`` bits."""
+    return [Bits(kv, bits) for kv in range(1 << bits)]
+
+
 @dataclass(frozen=True, slots=True)
 class CensusResult:
     max_fraction: Fraction
@@ -477,7 +482,7 @@ def toeplitz_xor_census(alpha: int, beta: int) -> XorCensusResult:
     keys with h(x) xor h(x') = c must equal 2**-beta exactly."""
     if alpha + beta - 1 > 22:
         raise ValueError("key space too large for exhaustive enumeration")
-    keys = [Bits(kv, alpha + beta - 1) for kv in range(1 << (alpha + beta - 1))]
+    keys = _all_toeplitz_keys(alpha + beta - 1)
     xs = [Bits(v, alpha) for v in range(1 << alpha)]
     table = [[toeplitz_hash(x, k).value for x in xs] for k in keys]
     expected = Fraction(1, 1 << beta)
@@ -525,7 +530,7 @@ def strong_uniformity_census(w: int, lam: int, tau: int, mu: int) -> StrongUnifo
         raise ValueError("key space too large for exhaustive enumeration")
     msgs = _all_messages(mu)
     poly_tuples = _all_poly_keys(w, lam)
-    tkeys = [Bits(v, tkey_bits) for v in range(1 << tkey_bits)]
+    tkeys = _all_toeplitz_keys(tkey_bits)
     # digest table before the OTP stage; the mask is applied per key triple
     digest = [[toeplitz_hash(multi_poly_hash(m, pt, fp, mu), tk).value for m in msgs]
               for pt, tk in product(poly_tuples, tkeys)]
