@@ -6,9 +6,9 @@ from .hashing import (FieldParams, OtpKey, OtpReuseError, RecycledKey, Tag,
                       pad_and_chunk, poly_hash, toeplitz_hash, verify_tag)
 from .planner import (CostInput, Plan, PlanInfeasibleError, make_plan, plan,
                       relative_cost, stinson_bound, table_one, tag_length)
-from .protocol import (Direction, Harvest, KeyPool, KeyState, PartyState,
-                       RoundOutcome, Transcript, VerificationFlag, WireMessage,
-                       harvest_keys, tag_sender, tag_verifier)
+from .protocol import (Direction, Flag, Harvest, KeyPool, KeyState, PartyState,
+                       RoundOutcome, Transcript, WireMessage, harvest_keys,
+                       tag_sender, tag_verifier)
 from .simulator import (AdversaryConfig, EpsilonBudget, MockQkdSource,
                         SessionLedger, TrialStats, collision_census,
                         epsilon_budget, forgery_experiment, run_session,
@@ -16,10 +16,10 @@ from .simulator import (AdversaryConfig, EpsilonBudget, MockQkdSource,
 
 __all__ = [
     "AdversaryConfig", "Bits", "CostInput", "Direction", "EpsilonBudget",
-    "FieldParams", "Harvest", "KeyPool", "KeyState", "MockQkdSource", "OtpKey",
-    "OtpReuseError", "PartyState", "Plan", "PlanInfeasibleError",
+    "FieldParams", "Flag", "Harvest", "KeyPool", "KeyState", "MockQkdSource",
+    "OtpKey", "OtpReuseError", "PartyState", "Plan", "PlanInfeasibleError",
     "RecycledKey", "RoundOutcome", "SessionLedger", "Tag", "Transcript",
-    "TrialStats", "VerificationFlag", "WireMessage", "collision_census",
+    "TrialStats", "WireMessage", "collision_census",
     "compose_tag", "constant_time_eq", "epsilon_budget", "find_field_params",
     "forgery_experiment", "harvest_keys", "make_plan", "multi_poly_hash",
     "pad_and_chunk", "plan", "poly_hash", "relative_cost", "run_session",

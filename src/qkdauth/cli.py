@@ -11,9 +11,9 @@ import sys
 
 from .bits import Bits
 from .hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_tag
-from .planner import (PlanInfeasibleError, CostInput, as_fraction, format_table,
-                      make_plan, plan as derive_plan, relative_cost, table_one)
-from .poolfile import PoolFormatError, load_pool, new_pool, save_pool
+from .planner import (CostInput, as_fraction, format_table, make_plan,
+                      plan as derive_plan, relative_cost, table_one)
+from .poolfile import locked_pool, new_pool, save_pool
 from .simulator import (ATTACK_STRATEGIES, collision_census, forgery_experiment,
                         parse_adversary, run_session, strong_uniformity_census,
                         substitution_bound, toeplitz_xor_census)
@@ -96,31 +96,33 @@ def cmd_init_pool(args: argparse.Namespace) -> int:
     return 0
 
 
+def _use_round_mask(args: argparse.Namespace, op):
+    """Return ``op(message, recycled key, OTP mask, plan, field)`` for the
+    round's mask, after the pool is saved with that mask consumed.
+
+    The pool stays locked from before it is read until the save is durable,
+    so concurrent tag/verify processes cannot both use one mask.
+    """
+    with locked_pool(args.key_pool) as pool:
+        otp = pool.otp.get(args.round)
+        if otp is None:
+            raise ValueError(f"pool holds no OTP key for round {args.round}")
+        m = _read_message(args.message, args.msg_bits)
+        result = op(m, pool.recycled_key(), otp, pool.plan, find_field_params(pool.plan.w))
+        save_pool(args.key_pool, pool)
+    return result
+
+
 def cmd_tag(args: argparse.Namespace) -> int:
-    pool = load_pool(args.key_pool)
-    otp = pool.otp.get(args.round)
-    if otp is None:
-        print(f"tag: pool holds no OTP key for round {args.round}", file=sys.stderr)
-        return 2
-    m = _read_message(args.message, args.msg_bits)
-    fp = find_field_params(pool.plan.w)
-    tag = compose_tag(m, pool.recycled_key(), otp, pool.plan, fp)
-    save_pool(args.key_pool, pool)
-    print(tag.to_hex())
+    print(_use_round_mask(args, compose_tag).to_hex())
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    pool = load_pool(args.key_pool)
-    otp = pool.otp.get(args.round)
-    if otp is None:
-        print(f"verify: pool holds no OTP key for round {args.round}", file=sys.stderr)
-        return 2
-    m = _read_message(args.message, args.msg_bits)
-    fp = find_field_params(pool.plan.w)
-    t = Tag(Bits.from_hex(args.tag, pool.plan.tau))
-    ok = verify_tag(m, t, pool.recycled_key(), otp, pool.plan, fp)
-    save_pool(args.key_pool, pool)
+    def check(m, rk, otp, plan, fp) -> bool:
+        return verify_tag(m, Tag(Bits.from_hex(args.tag, plan.tau)), rk, otp, plan, fp)
+
+    ok = _use_round_mask(args, check)
     print("ok" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -266,7 +268,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (OtpReuseError, PlanInfeasibleError, PoolFormatError, ValueError, OSError) as exc:
+    except (OtpReuseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -147,10 +147,7 @@ def _poly_eval(chunks: Sequence[int], k: int, p: int) -> int:
 
 def poly_hash(m: Bits, key: Bits, fp: FieldParams, mu: int) -> Bits:
     """Polynomial hash of ``m`` at evaluation point ``key``: w+1 output bits."""
-    if len(key) != fp.w:
-        raise ValueError(f"polynomial key must be {fp.w} bits, got {len(key)}")
-    chunks = _live_chunks(m, fp.w, mu)
-    return Bits(_poly_eval(chunks, key.value, fp.p), fp.w + 1)
+    return multi_poly_hash(m, (key,), fp, mu)
 
 
 def multi_poly_hash(m: Bits, poly_keys: Sequence[Bits], fp: FieldParams, mu: int) -> Bits:
@@ -213,10 +210,6 @@ class RecycledKey:
     poly_keys: tuple[Bits, ...]
     toeplitz_key: Bits
 
-    @property
-    def total_bits(self) -> int:
-        return sum(len(k) for k in self.poly_keys) + len(self.toeplitz_key)
-
     @classmethod
     def from_bits(cls, raw: Bits, lam: int, w: int, tau: int) -> "RecycledKey":
         """Slice a flat L_rec-bit string: lam w-bit subkeys, then the
@@ -250,16 +243,11 @@ class Tag:
         return self.bits.to_hex()
 
 
-def _composed_digest(m: Bits, rk: RecycledKey, plan: "Plan", fp: FieldParams) -> Bits:
-    if len(rk.poly_keys) != plan.lam:
-        raise ValueError(f"recycled key carries {len(rk.poly_keys)} subkeys, plan needs {plan.lam}")
-    inner = multi_poly_hash(m, rk.poly_keys, fp, plan.mu)
-    return toeplitz_hash(inner, rk.toeplitz_key)
-
-
 def compose_tag(m: Bits, rk: RecycledKey, otp: OtpKey, plan: "Plan", fp: FieldParams) -> Tag:
     """Tag = Toeplitz(poly-hashes(m)) XOR otp; consumes the OTP key."""
-    digest = _composed_digest(m, rk, plan, fp)
+    if len(rk.poly_keys) != plan.lam:
+        raise ValueError(f"recycled key carries {len(rk.poly_keys)} subkeys, plan needs {plan.lam}")
+    digest = toeplitz_hash(multi_poly_hash(m, rk.poly_keys, fp, plan.mu), rk.toeplitz_key)
     if len(digest) != plan.tau:
         raise ValueError("Toeplitz key width inconsistent with the plan's tag length")
     return Tag(digest ^ otp.consume())

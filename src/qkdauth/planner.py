@@ -9,14 +9,17 @@ with arbitrary-precision integers rather than in floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal
+from dataclasses import dataclass, replace
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .hashing import MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH, recycled_key_bits
 
 MAX_PARALLEL_INSTANCES = 64
+# |exponent| of a decimal input beyond which its exact value would take
+# unbounded time to build; 1e-20000 already needs a 66,440-bit tag
+MAX_DECIMAL_EXPONENT = 20000
 
 # Published parameter tables list L_rec = 229 for (w=31, mu=1 Mbit,
 # eps_auth=1e-12); the closed-form length 2*lam*w + lam + tau - 1 with the
@@ -33,28 +36,35 @@ def as_fraction(eps: "Fraction | Decimal | str | float | int") -> Fraction:
     """Exact rational form of a failure probability.
 
     Strings and floats are read as decimal literals, so "1e-12" and 1e-12
-    both mean exactly 10**-12.
+    both mean exactly 10**-12.  Text that is not a finite decimal, or whose
+    exponent lies beyond +-MAX_DECIMAL_EXPONENT, raises ValueError.
     """
     if isinstance(eps, Fraction):
         return eps
-    if isinstance(eps, (str, Decimal)):
-        return Fraction(Decimal(eps))
     if isinstance(eps, int):
         return Fraction(eps)
     if isinstance(eps, float):
-        return Fraction(Decimal(repr(eps)))
-    raise TypeError(f"cannot interpret {type(eps).__name__} as a probability")
+        eps = repr(eps)
+    if not isinstance(eps, (str, Decimal)):
+        raise TypeError(f"cannot interpret {type(eps).__name__} as a probability")
+    try:
+        d = Decimal(eps)
+    except InvalidOperation:
+        raise ValueError(f"not a decimal number: {eps!r}") from None
+    if not d.is_finite() or abs(d.as_tuple().exponent) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"probability {eps!r} is not finite or its exponent lies beyond "
+                         f"+-{MAX_DECIMAL_EXPONENT}")
+    return Fraction(d)
 
 
-def _floor_log2(q: Fraction) -> int:
-    """floor(log2(q)) for q > 0, exactly.
+def _floor_log2(num: int, den: int) -> int:
+    """floor(log2(num / den)) for positive integers, exactly.
 
     bit_length brackets the answer to {b, b-1}; one exact shifted
     comparison settles it without ever forming a float.
     """
-    if q <= 0:
+    if num <= 0 or den <= 0:
         raise ValueError("log2 of a non-positive value")
-    num, den = q.numerator, q.denominator
     b = num.bit_length() - den.bit_length()
     fits = (den << b) <= num if b >= 0 else den <= (num << -b)
     return b if fits else b - 1
@@ -70,7 +80,7 @@ def tag_length(eps_auth: "Fraction | str | float") -> int:
     eps = as_fraction(eps_auth)
     if not 0 < eps < 1:
         raise ValueError("eps_auth must lie strictly between 0 and 1")
-    return _floor_log2(1 / eps) + 1
+    return _floor_log2(eps.denominator, eps.numerator) + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +93,11 @@ class Plan:
     w: int
     tau: int
     lam: int
-    l_rec: int
     eps_achieved: Fraction
+
+    @property
+    def l_rec(self) -> int:
+        return recycled_key_bits(self.lam, self.w, self.tau)
 
     @property
     def l_otp(self) -> int:
@@ -120,8 +133,7 @@ def make_plan(tau: int, lam: int, w: int, mu: int) -> Plan:
                          f"{MAX_PARALLEL_INSTANCES}, tau >= 1 and mu >= 1; got w={w} "
                          f"lam={lam} tau={tau} mu={mu}")
     eps = Fraction(1, 1 << tau) + collision_bound(mu, w, lam)
-    return Plan(eps_auth=eps, mu=mu, w=w, tau=tau, lam=lam,
-                l_rec=recycled_key_bits(lam, w, tau), eps_achieved=eps)
+    return Plan(eps_auth=eps, mu=mu, w=w, tau=tau, lam=lam, eps_achieved=eps)
 
 
 def plan(eps_auth: "Fraction | str | float", mu: int, w: int) -> Plan:
@@ -143,11 +155,8 @@ def plan(eps_auth: "Fraction | str | float", mu: int, w: int) -> Plan:
             f"ceil(mu/w) >= 2**{w}: the per-instance collision bound cannot drop below 1"
         )
     for lam in range(1, MAX_PARALLEL_INSTANCES + 1):
-        bound = collision_bound(mu, w, lam)
-        if bound <= remainder:
-            return Plan(eps_auth=eps, mu=mu, w=w, tau=tau, lam=lam,
-                        l_rec=recycled_key_bits(lam, w, tau),
-                        eps_achieved=Fraction(1, 1 << tau) + bound)
+        if collision_bound(mu, w, lam) <= remainder:
+            return replace(make_plan(tau, lam, w, mu), eps_auth=eps)
     raise PlanInfeasibleError(
         f"no instance count up to {MAX_PARALLEL_INSTANCES} satisfies the collision budget"
     )
@@ -172,12 +181,7 @@ def stinson_bound(eps: "Fraction | str | float", msg_bits: int, tag_bits: int) -
     den = a * T * (M - 1) + b * (T - M)
     if den <= 0:
         raise ValueError("bound inapplicable: denominator is not positive in this regime")
-    g = max(0, num.bit_length() - den.bit_length())
-    while (den << g) < num:
-        g += 1
-    while g > 0 and (den << (g - 1)) >= num:
-        g -= 1
-    return g
+    return max(0, -_floor_log2(den, num))  # ceil(log2(num / den)), at least 0
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,13 +9,18 @@ are stored as a 32-bit bit count followed by MSB-first bytes, so lengths
 that are not a multiple of 8 survive the round trip.  Writes go through a
 temp file, an atomic rename and an fsync of the directory: a crash can
 never leave an OTP key half-consumed, nor bring back a consumed one.
+``locked_pool`` holds an exclusive ``flock`` across a load and the save
+that follows it, so two processes can never both use one OTP key.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import os
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bits import Bits
 from .hashing import OtpKey, RecycledKey
@@ -79,6 +84,10 @@ class _Reader:
 
 def dump_pool(pool: TagPool) -> bytes:
     plan = pool.plan
+    # w and lam fit their fields whenever the planner accepted them
+    if plan.tau >= 1 << 16 or plan.mu >= 1 << 64:
+        raise ValueError(f"a pool file holds tau < 2**16 and mu < 2**64, "
+                         f"got tau={plan.tau} mu={plan.mu}")
     parts = [MAGIC, bytes([VERSION]),
              _HEADER.pack(plan.w, plan.lam, plan.tau, plan.mu),
              _pack_bits(pool.recycled),
@@ -125,10 +134,11 @@ def parse_pool(data: bytes) -> TagPool:
 
 
 def save_pool(path: str, pool: TagPool) -> None:
+    data = dump_pool(pool)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(dump_pool(pool))
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -146,3 +156,20 @@ def save_pool(path: str, pool: TagPool) -> None:
 def load_pool(path: str) -> TagPool:
     with open(path, "rb") as fh:
         return parse_pool(fh.read())
+
+
+@contextlib.contextmanager
+def locked_pool(path: str) -> Iterator[TagPool]:
+    """Load the pool at ``path`` under an exclusive ``flock`` held until the
+    block exits; a ``save_pool`` inside the block is then covered up to its
+    directory fsync.
+
+    ``save_pool`` renames a new inode over the path, so a process that
+    waited for the lock on the old inode opens the path again and retries.
+    """
+    while True:
+        with open(path, "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+                yield parse_pool(fh.read())
+                return

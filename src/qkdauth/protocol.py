@@ -25,12 +25,6 @@ from .bits import Bits
 from .hashing import FieldParams, OtpKey, RecycledKey, Tag, compose_tag, verify_tag
 from .planner import Plan
 
-ACC = "acc"
-BOT = "bot"
-
-ACK_ROUND_OFFSET = 1
-
-
 class ProtocolError(RuntimeError):
     """A party was driven outside its contract (wrong role, missing key)."""
 
@@ -45,7 +39,6 @@ class Direction(enum.Enum):
 
 
 class MessageKind(enum.Enum):
-    DATA = "data"
     TAG = "tag"
     ACK = "ack"
 
@@ -57,20 +50,17 @@ class WireMessage:
     payload: Bits
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationFlag:
-    value: str
-    round: int
+class Flag(enum.Enum):
+    """A round's verdict V_i; ``BOT`` (the paper's bottom) ends the process."""
 
-    @property
-    def accepted(self) -> bool:
-        return self.value == ACC
+    ACC = "acc"
+    BOT = "bot"
 
 
 @dataclass(frozen=True, slots=True)
 class RoundOutcome:
     round: int
-    flag: VerificationFlag
+    flag: Flag
     promoted_rounds: frozenset[int]
     checked: bool  # False when the verifier skipped the check (gate or timeout)
 
@@ -81,7 +71,7 @@ def tag_sender(round_: int) -> str:
 
 
 def tag_verifier(round_: int) -> str:
-    return "B" if round_ % 2 == 1 else "A"
+    return tag_sender(round_ + 1)
 
 
 # -- transcripts -----------------------------------------------------------
@@ -100,7 +90,6 @@ class Transcript:
 
     def __init__(self, mu: int):
         self.mu = mu
-        self.entries: list[tuple[Direction, Bits]] = []
         self._frames: list[Bits] = []
         self._bits = 0
         self._compound: "Bits | None" = None  # cache, cleared by append
@@ -114,7 +103,6 @@ class Transcript:
                 f"compound string would reach {self._bits + len(frame)} bits, "
                 f"bound is {self.mu}"
             )
-        self.entries.append((direction, payload))
         self._frames.append(frame)
         self._bits += len(frame)
         self._compound = None
@@ -139,7 +127,7 @@ class Transcript:
         return self.compound().to_hex()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._frames)
 
 
 def ack_transcript(n_max: int, mu: int) -> Transcript:
@@ -279,35 +267,27 @@ class PartyState:
     plan: Plan
     fp: FieldParams
     pool: KeyPool
-    flags: dict[int, VerificationFlag] = field(default_factory=dict)
+    flags: dict[int, Flag] = field(default_factory=dict)
     transcripts: dict[int, Transcript] = field(default_factory=dict)
-    terminated_at: "int | None" = None
 
     def transcript(self, round_: int) -> Transcript:
         if round_ not in self.transcripts:
             self.transcripts[round_] = Transcript(self.plan.mu)
         return self.transcripts[round_]
 
-    def flag_value(self, round_: int) -> str:
+    def flag(self, round_: int) -> Flag:
         if round_ < 1:
-            return ACC  # V_0 and earlier are defined as accepted
-        f = self.flags.get(round_)
-        return f.value if f is not None else BOT
+            return Flag.ACC  # V_0 and earlier are defined as accepted
+        return self.flags.get(round_, Flag.BOT)
 
     @property
     def terminated(self) -> bool:
-        return self.terminated_at is not None
+        return Flag.BOT in self.flags.values()
 
-    def _set_flag(self, round_: int, value: str) -> VerificationFlag:
-        flag = VerificationFlag(value=value, round=round_)
-        self.flags[round_] = flag
-        if value == BOT and self.terminated_at is None:
-            self.terminated_at = round_
-        return flag
-
-    def _outcome(self, round_: int, value: str, checked: bool,
+    def _outcome(self, round_: int, flag: Flag, checked: bool,
                  promoted: frozenset[int] = frozenset()) -> RoundOutcome:
-        return RoundOutcome(round_, self._set_flag(round_, value), promoted, checked)
+        self.flags[round_] = flag
+        return RoundOutcome(round_, flag, promoted, checked)
 
     def _keys(self, round_: int) -> "tuple[RecycledKey, OtpKey]":
         otp = self.pool.otp.get(round_)
@@ -336,7 +316,7 @@ class PartyState:
         """
         if tag_sender(round_) != self.role:
             raise ProtocolError(f"party {self.role} is not the tag sender of round {round_}")
-        if self.terminated or self.flag_value(round_ - 1) != ACC:
+        if self.terminated or self.flag(round_ - 1) is not Flag.ACC:
             return None
         return self._tag(MessageKind.TAG, round_, self.transcript(round_).compound())
 
@@ -353,16 +333,16 @@ class PartyState:
         """
         if tag_verifier(round_) != self.role:
             raise ProtocolError(f"party {self.role} is not the tag verifier of round {round_}")
-        if self.terminated or self.flag_value(round_ - 2) != ACC:
-            return self._outcome(round_, BOT, checked=False)
+        if self.terminated or self.flag(round_ - 2) is not Flag.ACC:
+            return self._outcome(round_, Flag.BOT, checked=False)
         checked = incoming is not None  # None: timeout injected by the harness
         if not checked or not self._check(MessageKind.TAG, round_,
                                           self.transcript(round_).compound(), incoming):
             self.pool.discard_rounds({round_ - 1, round_})
-            return self._outcome(round_, BOT, checked=checked)
+            return self._outcome(round_, Flag.BOT, checked=checked)
         promoted = self.pool.promote_rounds({round_ - 1, round_})
-        fresh = round_ in self.pool.state
-        return self._outcome(round_, ACC if fresh else BOT, checked=True, promoted=promoted)
+        flag = Flag.ACC if round_ in self.pool.state else Flag.BOT  # fresh keys only
+        return self._outcome(round_, flag, checked=True, promoted=promoted)
 
     # -- fictitious acknowledgement round ------------------------------------
 
@@ -371,10 +351,10 @@ class PartyState:
         consuming the OTP mask of the fictitious round n_max + 1."""
         if tag_verifier(n_max) != self.role:
             raise ProtocolError(f"party {self.role} did not verify round {n_max}")
-        if self.flag_value(n_max) != ACC:
+        if self.flag(n_max) is not Flag.ACC:
             return None
         m = ack_transcript(n_max, self.plan.mu).compound()
-        return self._tag(MessageKind.ACK, n_max + ACK_ROUND_OFFSET, m)
+        return self._tag(MessageKind.ACK, n_max + 1, m)
 
     def receive_acknowledgement(self, n_max: int,
                                 incoming: "WireMessage | None") -> RoundOutcome:
@@ -387,11 +367,11 @@ class PartyState:
         """
         if tag_sender(n_max) != self.role:
             raise ProtocolError(f"party {self.role} does not expect the acknowledgement")
-        ack_round = n_max + ACK_ROUND_OFFSET
+        ack_round = n_max + 1
         if self.terminated or incoming is None:
-            return self._outcome(ack_round, BOT, checked=False)
+            return self._outcome(ack_round, Flag.BOT, checked=False)
         m = ack_transcript(n_max, self.plan.mu).compound()
         if not self._check(MessageKind.ACK, ack_round, m, incoming):
-            return self._outcome(ack_round, BOT, checked=True)
+            return self._outcome(ack_round, Flag.BOT, checked=True)
         promoted = self.pool.promote_rounds({n_max})
-        return self._outcome(ack_round, ACC, checked=True, promoted=promoted)
+        return self._outcome(ack_round, Flag.ACC, checked=True, promoted=promoted)

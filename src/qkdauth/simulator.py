@@ -24,7 +24,7 @@ from .bits import Bits
 from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, compose_tag,
                       find_field_params, multi_poly_hash, toeplitz_hash, verify_tag)
 from .planner import Plan, collision_bound
-from .protocol import (BOT, Direction, KeyPool, MessageKind, PartyState,
+from .protocol import (Direction, Flag, KeyPool, MessageKind, PartyState,
                        WireMessage, harvest_keys, tag_sender, tag_verifier)
 from .rng import BitGen
 
@@ -139,6 +139,8 @@ class EpsilonBudget:
 def epsilon_budget(n_max: int, eps_pred: float = 0.0, eps_store: float = 0.0,
                    eps_auth: float = 0.0, eps_qkd: float = 0.0) -> EpsilonBudget:
     """total = eps_pred + eps_store + n_max * (eps_auth + eps_qkd)."""
+    if not all(map(math.isfinite, (eps_pred, eps_store, eps_auth, eps_qkd))):
+        raise ValueError("failure probabilities must be finite")
     if min(eps_pred, eps_store, eps_auth, eps_qkd) < 0:
         raise ValueError("failure probabilities cannot be negative")
     if n_max < 0:
@@ -174,7 +176,7 @@ class SessionLedger:
     pre_distributed_bits: int
     records: list[RoundRecord] = field(default_factory=list)
     ack_status: str = "none"
-    ack_flag: str = BOT
+    ack_flag: str = Flag.BOT.value
     ack_promoted: tuple[int, ...] = ()
     final: dict[str, dict[str, str]] = field(default_factory=dict)
     budget: "EpsilonBudget | None" = None
@@ -304,7 +306,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
             # tamper and best-guess substitution leave the tag bits alone
 
         outcome = verifier.finalize_verifier(i, delivered)
-        if classical_attack and outcome.flag.accepted:
+        if classical_attack and outcome.flag is Flag.ACC:
             ledger.forgery_slipped = True
         ledger.records.append(RoundRecord(
             round=i, sender=sender.role, qkd_success=qkd_success,
@@ -327,8 +329,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
 
     for role, party in parties.items():
         ledger.final[role] = party.pool.final_block()
-    ledger.terminated = any(f.value == BOT for p in parties.values()
-                            for f in p.flags.values())
+    ledger.terminated = any(p.terminated for p in parties.values())
     ledger.budget = epsilon_budget(n_max, eps_pred=eps_pred, eps_store=eps_store,
                                    eps_auth=float(plan.eps_achieved), eps_qkd=eps_qkd)
     return ledger

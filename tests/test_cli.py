@@ -1,9 +1,14 @@
+import contextlib
+import fcntl
 import os
 import struct
+import subprocess
+import sys
 import time
 
 import pytest
 
+import qkdauth
 from qkdauth.cli import main
 from qkdauth.poolfile import _HEADER, MAGIC, VERSION, TagPool, dump_pool, load_pool
 
@@ -180,6 +185,101 @@ def test_tag_fails_cleanly_when_pool_write_fails(tmp_path, capsys, monkeypatch):
     assert "disk full" in captured.err and "Traceback" not in captured.err
     assert open(alice, "rb").read() == before
     assert sorted(os.listdir(tmp_path)) == ["alice.pool", "m.bin"]
+
+
+# Each racer imports the CLI, touches its ready file and then blocks on a
+# shared lock of the gate file, so all commands start when the gate opens.
+RACER = """
+import fcntl, sys
+from qkdauth.cli import main
+ready, gate, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+open(ready, "w").close()
+with open(gate, "rb") as fh:
+    fcntl.flock(fh, fcntl.LOCK_SH)
+sys.exit(main(argv))
+"""
+
+
+@contextlib.contextmanager
+def racers(tmp_path, argv, n):
+    """Start n CLI processes running argv; they all begin when the block exits
+    and are returned through the yielded list."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qkdauth.__file__)))
+    gate = tmp_path / "gate"
+    gate.touch()
+    procs = []
+    with open(gate, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        for i in range(n):
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", RACER, str(tmp_path / f"ready{i}"), str(gate), *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env))
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / f"ready{i}").exists() for i in range(n)):
+            assert time.monotonic() < deadline and all(p.poll() is None for p in procs)
+            time.sleep(0.01)
+        yield procs
+
+
+def test_tag_waits_for_the_pool_lock(tmp_path, capsys):
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    alice = make_pool(tmp_path, capsys, "alice.pool")
+    with open(alice, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        with racers(tmp_path, ["tag", "--key-pool", alice, "--round", "1",
+                               "--message", str(msg)], 1) as (proc,):
+            pass
+        time.sleep(1.0)  # an unblocked tag finishes in milliseconds
+        assert proc.poll() is None
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out.strip(), err) == (0, KAT_TAG_HEX, "")
+
+
+def test_racing_tags_use_one_mask_once(tmp_path, capsys):
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    # a long pool file widens the window between a racer's read and its rename
+    alice = make_pool(tmp_path, capsys, "alice.pool", rounds=2048)
+    with racers(tmp_path, ["tag", "--key-pool", alice, "--round", "1",
+                           "--message", str(msg)], 4) as procs:
+        pass
+    results = sorted((p.wait(timeout=60), p.stdout.read().strip(), p.stderr.read())
+                     for p in procs)
+    for p in procs:
+        p.stdout.close()
+        p.stderr.close()
+    assert [rc for rc, _, _ in results] == [0, 2, 2, 2]
+    assert results[0][1] == KAT_TAG_HEX
+    assert all(out == "" and "already been used" in err for _, out, err in results[1:])
+    assert load_pool(alice).otp[1].consumed and not load_pool(alice).otp[2].consumed
+
+
+BAD_INPUTS = {
+    "plan-eps-text": ["plan", "--eps-auth", "abc", "--mu", "4096", "--w", "63"],
+    "plan-eps-inf": ["plan", "--eps-auth", "inf", "--mu", "4096", "--w", "63"],
+    "plan-eps-tiny": ["plan", "--eps-auth", "1e-999999999", "--mu", "4096", "--w", "63"],
+    "plan-eps-huge": ["plan", "--eps-auth", "1e999999999", "--mu", "4096", "--w", "63"],
+    "cost-eps-text": ["cost", "--eps-auth", "abc", "--l-sift", "1000", "--eta-pa", "0.1"],
+    "init-pool-eps-text": ["init-pool", "--eps-auth", "abc", "--seed", "1", "--out", "{pool}"],
+    "init-pool-tau": ["init-pool", "--tau", "70000", "--seed", "1", "--out", "{pool}"],
+    "init-pool-mu": ["init-pool", "--tau", "16", "--mu", "18446744073709551616",
+                     "--seed", "1", "--out", "{pool}"],
+    "simulate-eps-text": ["simulate", "--rounds", "2", "--eps-auth", "abc"],
+    "simulate-eps-pred-nan": ["simulate", "--rounds", "2", "--eps-pred", "nan"],
+    "simulate-eps-qkd-inf": ["simulate", "--rounds", "2", "--eps-qkd", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_fails_closed(argv, tmp_path, capsys):
+    t0 = time.perf_counter()
+    assert main([a.format(pool=tmp_path / "p.pool") for a in argv]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert os.listdir(tmp_path) == []  # no pool file, no temp file
 
 
 def test_simulate_clean_and_terminated(capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdauth.planner import (CostInput, PlanInfeasibleError, as_fraction,
-                             collision_bound, format_table, make_plan, plan, relative_cost,
+from qkdauth.planner import (MAX_DECIMAL_EXPONENT, CostInput, PlanInfeasibleError,
+                             _floor_log2, as_fraction, collision_bound, format_table, make_plan, plan, relative_cost,
                              stinson_bound, table_one, tag_length)
 
 TABLE_MU = [m * 10**6 for m in (1, 4, 16, 64, 256)]
@@ -43,6 +43,21 @@ def test_as_fraction_decimal_exactness():
     assert as_fraction("1e-12") == Fraction(1, 10**12)
     assert as_fraction(1e-12) == Fraction(1, 10**12)
     assert as_fraction(Fraction(3, 7)) == Fraction(3, 7)
+
+
+def test_as_fraction_rejects_non_decimals_and_huge_exponents():
+    assert as_fraction(f"1e-{MAX_DECIMAL_EXPONENT}") == Fraction(1, 10**MAX_DECIMAL_EXPONENT)
+    for bad in ("abc", "", "nan", "inf", "-Infinity", float("nan"), float("inf"),
+                f"1e-{MAX_DECIMAL_EXPONENT + 1}", "1e-999999999", "1e999999999"):
+        with pytest.raises(ValueError):
+            as_fraction(bad)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=2**200), st.integers(min_value=1, max_value=2**200))
+def test_floor_log2_brackets_the_ratio(num, den):
+    k = _floor_log2(num, den)
+    assert Fraction(2) ** k <= Fraction(num, den) < Fraction(2) ** (k + 1)
 
 
 # -- plan ----------------------------------------------------------------------
