@@ -13,7 +13,7 @@ from .bits import Bits
 from .hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_tag
 from .planner import (CostInput, as_fraction, format_table, make_plan,
                       plan as derive_plan, relative_cost, table_one)
-from .poolfile import locked_pool, new_pool, save_pool
+from .poolfile import new_pool, round_mask, save_pool
 from .simulator import (ATTACK_STRATEGIES, collision_census, forgery_experiment,
                         parse_adversary, run_session, strong_uniformity_census,
                         substitution_bound, toeplitz_xor_census)
@@ -98,19 +98,15 @@ def cmd_init_pool(args: argparse.Namespace) -> int:
 
 def _use_round_mask(args: argparse.Namespace, op):
     """Return ``op(message, recycled key, OTP mask, plan, field)`` for the
-    round's mask, after the pool is saved with that mask consumed.
+    round's mask, once that mask is durably marked consumed in the pool.
 
-    The pool stays locked from before it is read until the save is durable,
-    so concurrent tag/verify processes cannot both use one mask.
+    The pool stays locked from before it is read until that write is
+    durable, so concurrent tag/verify processes cannot both use one mask.
     """
-    with locked_pool(args.key_pool) as pool:
-        otp = pool.otp.get(args.round)
-        if otp is None:
-            raise ValueError(f"pool holds no OTP key for round {args.round}")
+    with round_mask(args.key_pool, args.round) as pool:
         m = _read_message(args.message, args.msg_bits)
-        result = op(m, pool.recycled_key(), otp, pool.plan, find_field_params(pool.plan.w))
-        save_pool(args.key_pool, pool)
-    return result
+        return op(m, pool.recycled_key(), pool.otp[args.round], pool.plan,
+                  find_field_params(pool.plan.w))
 
 
 def cmd_tag(args: argparse.Namespace) -> int:

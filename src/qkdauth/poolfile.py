@@ -2,15 +2,19 @@
 
 Layout: magic "QKDA", one version byte, a fixed header with the scheme
 parameters, the recycled key, then the per-round OTP entries as
-(32-bit round, consumed flag, masked bits) in strictly increasing round
-order, with nothing after the last entry.  Header values outside the
+(32-bit round, consumed flag, masked bits), entry i holding round i for
+rounds 1..R, with nothing after the last entry.  Header values outside the
 planner's range are rejected before any arithmetic on them.  Bit strings
 are stored as a 32-bit bit count followed by MSB-first bytes, so lengths
-that are not a multiple of 8 survive the round trip.  Writes go through a
-temp file, an atomic rename and an fsync of the directory: a crash can
-never leave an OTP key half-consumed, nor bring back a consumed one.
-``locked_pool`` holds an exclusive ``flock`` across a load and the save
-that follows it, so two processes can never both use one OTP key.
+that are not a multiple of 8 survive the round trip.  Any non-zero flag
+reads as consumed and a consumed mask is written as 0xFF, so no single bit
+error brings a consumed mask back.
+
+Every entry has the same size, so ``round_mask`` reads round r at its own
+offset and consumes it in place: one ``pwrite`` of the flag byte and an
+``fsync``, under an exclusive ``flock`` held from the read until the write
+is durable.  ``save_pool`` writes whole pools through a temp file, an atomic
+rename and an fsync of the directory.
 """
 
 from __future__ import annotations
@@ -29,9 +33,12 @@ from .rng import BitGen
 
 MAGIC = b"QKDA"
 VERSION = 1
+CONSUMED = 0xFF
 
 _HEADER = struct.Struct(">BHHQ")  # w, lam, tau, mu
 _U32 = struct.Struct(">I")
+_ENTRY = struct.Struct(">IBI")  # round, consumed flag, mask bit count; the mask follows
+_FLAG = 4  # offset of the flag byte in an entry
 
 
 class PoolFormatError(ValueError):
@@ -95,12 +102,14 @@ def dump_pool(pool: TagPool) -> bytes:
     for round_ in sorted(pool.otp):
         key = pool.otp[round_]
         parts.append(_U32.pack(round_))
-        parts.append(bytes([1 if key.consumed else 0]))
+        parts.append(bytes([CONSUMED if key.consumed else 0]))
         parts.append(_pack_bits(key.bits))
     return b"".join(parts)
 
 
-def parse_pool(data: bytes) -> TagPool:
+def _check_layout(data: bytes) -> tuple[TagPool, range]:
+    """Validate a whole pool file.  Return its pool with no OTP entries
+    decoded and the offset of each entry, round r's at index r - 1."""
     r = _Reader(data)
     if r.read(4) != MAGIC:
         raise PoolFormatError("bad magic, not a key pool file")
@@ -115,22 +124,43 @@ def parse_pool(data: bytes) -> TagPool:
     recycled = r.read_bits()
     if len(recycled) != plan.l_rec:
         raise PoolFormatError(f"recycled key is {len(recycled)} bits, expected {plan.l_rec}")
-    otp: dict[int, OtpKey] = {}
-    last = -1
-    for _ in range(r.read_u32()):
-        round_ = r.read_u32()
-        # a repeated round could overwrite a consumed mask with an unconsumed copy
-        if round_ <= last:
-            raise PoolFormatError(f"OTP round {round_} follows round {last}, rounds must increase")
-        last = round_
-        consumed = r.read(1)[0] != 0
-        bits = r.read_bits()
-        if len(bits) != tau:
-            raise PoolFormatError(f"OTP entry for round {round_} is {len(bits)} bits, expected {tau}")
-        otp[round_] = OtpKey(bits, consumed=consumed)
-    if r.pos != len(data):
-        raise PoolFormatError(f"{len(data) - r.pos} trailing bytes after the last OTP entry")
-    return TagPool(plan=plan, recycled=recycled, otp=otp)
+    rounds = r.read_u32()
+    start, size = r.pos, _ENTRY.size + (tau + 7) // 8
+    entries = range(start, start + rounds * size, size)
+    if len(data) < entries.stop:
+        raise PoolFormatError(f"truncated pool file: {rounds} OTP entries end at byte "
+                              f"{entries.stop}, the file has {len(data)}")
+    if len(data) > entries.stop:
+        raise PoolFormatError(f"{len(data) - entries.stop} trailing bytes after the last OTP entry")
+    # Entry i must hold round i and tau bits, so round r is read at its own
+    # offset and no other entry can claim it.  Each byte column of the round
+    # and bit-count fields is compared at once; the entries are walked only
+    # to name the first bad one.
+    ids = struct.pack(f">{rounds}I", *range(1, rounds + 1))
+    nbits = _U32.pack(tau)
+    if (any(data[start + j::size] != ids[j::4] for j in range(4))
+            or any(data[start + _FLAG + 1 + j::size] != nbits[j:j + 1] * rounds
+                   for j in range(4))):
+        for i, pos in enumerate(entries):
+            round_, _, n = _ENTRY.unpack_from(data, pos)
+            if round_ != i + 1:
+                why = ("rounds must increase" if 0 < i and round_ <= i
+                       else f"rounds must be 1..{rounds} in order")
+                raise PoolFormatError(f"OTP entry {i + 1} holds round {round_}, {why}")
+            if n != tau:
+                raise PoolFormatError(f"OTP entry for round {round_} is {n} bits, expected {tau}")
+    return TagPool(plan=plan, recycled=recycled, otp={}), entries
+
+
+def _read_otp(data: bytes, pos: int, tau: int) -> OtpKey:
+    mask = data[pos + _ENTRY.size:pos + _ENTRY.size + (tau + 7) // 8]
+    return OtpKey(Bits.from_bytes(mask, tau), consumed=data[pos + _FLAG] != 0)
+
+
+def parse_pool(data: bytes) -> TagPool:
+    pool, entries = _check_layout(data)
+    pool.otp = {r: _read_otp(data, pos, pool.plan.tau) for r, pos in enumerate(entries, 1)}
+    return pool
 
 
 def save_pool(path: str, pool: TagPool) -> None:
@@ -159,17 +189,25 @@ def load_pool(path: str) -> TagPool:
 
 
 @contextlib.contextmanager
-def locked_pool(path: str) -> Iterator[TagPool]:
-    """Load the pool at ``path`` under an exclusive ``flock`` held until the
-    block exits; a ``save_pool`` inside the block is then covered up to its
-    directory fsync.
+def round_mask(path: str, round_: int) -> Iterator[TagPool]:
+    """Yield the pool at ``path`` holding only round ``round_``'s OTP entry,
+    under an exclusive ``flock`` held until the block exits.
 
-    ``save_pool`` renames a new inode over the path, so a process that
-    waited for the lock on the old inode opens the path again and retries.
+    The whole file is validated as ``parse_pool`` does.  If the block
+    returns having consumed the mask, its flag byte is written ``CONSUMED``
+    with one ``pwrite`` and made durable with ``fsync`` before the result
+    leaves the block; the inode never changes, so waiters lock the same file.
     """
-    while True:
-        with open(path, "rb") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
-                yield parse_pool(fh.read())
-                return
+    with open(path, "r+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        data = fh.read()
+        pool, entries = _check_layout(data)
+        if not 1 <= round_ <= len(entries):
+            raise ValueError(f"pool holds no OTP key for round {round_}")
+        pos = entries[round_ - 1]
+        otp = pool.otp[round_] = _read_otp(data, pos, pool.plan.tau)
+        fresh = not otp.consumed
+        yield pool
+        if fresh and otp.consumed:
+            os.pwrite(fh.fileno(), bytes([CONSUMED]), pos + _FLAG)
+            os.fsync(fh.fileno())

@@ -240,6 +240,8 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         limit = n_max + 1 if adversary.kind == "block" else n_max
         if adversary.round > limit:
             raise ValueError(f"attack round {adversary.round} is outside the session")
+    budget = epsilon_budget(n_max, eps_pred=eps_pred, eps_store=eps_store,
+                            eps_auth=float(plan.eps_achieved), eps_qkd=eps_qkd)
 
     master = BitGen(seed)
     keygen = master.derive("pre-distribution")
@@ -262,7 +264,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
 
     ledger = SessionLedger(
         n_max=n_max, seed=seed, adversary=adversary.describe(), plan=plan,
-        pre_distributed_bits=parties["A"].pool.pre_distributed_bits,
+        pre_distributed_bits=parties["A"].pool.pre_distributed_bits, budget=budget,
     )
 
     for i in range(1, n_max + 1):
@@ -330,8 +332,6 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     for role, party in parties.items():
         ledger.final[role] = party.pool.final_block()
     ledger.terminated = any(p.terminated for p in parties.values())
-    ledger.budget = epsilon_budget(n_max, eps_pred=eps_pred, eps_store=eps_store,
-                                   eps_auth=float(plan.eps_achieved), eps_qkd=eps_qkd)
     return ledger
 
 

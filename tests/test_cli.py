@@ -5,12 +5,17 @@ import struct
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import qkdauth
+from qkdauth.bits import Bits
 from qkdauth.cli import main
-from qkdauth.poolfile import _HEADER, MAGIC, VERSION, TagPool, dump_pool, load_pool
+from qkdauth.hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_tag
+from qkdauth.planner import plan
+from qkdauth.poolfile import (_HEADER, CONSUMED, MAGIC, VERSION, PoolFormatError, TagPool,
+                              dump_pool, load_pool, new_pool, parse_pool)
 
 # regression vector generated once from a fixed pool seed and frozen
 KAT_MESSAGE = b"hello, authenticated world"
@@ -153,6 +158,132 @@ def test_tag_rejects_malformed_pool_files(tmp_path, capsys):
         assert captured.err.count(reason) == 2 and "Traceback" not in captured.err
 
 
+def malformed_pools():
+    """Pool files whose OTP entries disagree with the header, each with the
+    error text it must give."""
+    pool = new_pool(plan("1e-12", 4096, 63), rounds=4, seed=42)
+    blob = dump_pool(pool)
+    head = len(dump_pool(TagPool(pool.plan, pool.recycled, {})))  # up to the entry count
+    size = (len(blob) - head) // len(pool.otp)
+
+    def patched(offset, value):
+        out = bytearray(blob)
+        struct.pack_into(">I", out, offset, value)
+        return bytes(out)
+
+    gap = {r: pool.otp[r] for r in (1, 2, 4)}
+    return {
+        "rounds-1-2-4": (dump_pool(TagPool(pool.plan, pool.recycled, gap)),
+                         "OTP entry 3 holds round 4, rounds must be 1..3 in order"),
+        "count-above-size": (patched(head - 4, 5), "truncated pool file"),
+        "count-below-size": (patched(head - 4, 3), f"{size} trailing bytes"),
+        "cut-inside-entry": (blob[:-3], "truncated pool file"),
+        "bit-count-not-tau": (patched(head + size + 5, pool.plan.tau - 1),
+                              f"round 2 is {pool.plan.tau - 1} bits, expected {pool.plan.tau}"),
+    }
+
+
+MALFORMED_POOLS = malformed_pools()
+
+
+@pytest.mark.parametrize("blob, reason", MALFORMED_POOLS.values(), ids=MALFORMED_POOLS.keys())
+def test_pool_layout_rejections(blob, reason, tmp_path, capsys):
+    with pytest.raises(PoolFormatError) as exc:
+        parse_pool(blob)
+    assert reason in str(exc.value)
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    pool = tmp_path / "p.pool"
+    pool.write_bytes(blob)
+    for argv in (["tag", "--key-pool", str(pool), "--round", "1", "--message", str(msg)],
+                 ["verify", "--key-pool", str(pool), "--round", "1", "--message", str(msg),
+                  "--tag", KAT_TAG_HEX]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
+    assert pool.read_bytes() == blob
+
+
+def test_in_place_consume_matches_rewrite_reference(tmp_path, capsys):
+    """tag/verify write one flag byte in place; the reference loads the
+    whole pool, consumes the mask and dumps the pool again."""
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    tampered = tmp_path / "m2.bin"
+    tampered.write_bytes(KAT_MESSAGE[:-1] + b"!")
+    alice = make_pool(tmp_path, capsys, "alice.pool", rounds=6)
+    bob = make_pool(tmp_path, capsys, "bob.pool", rounds=6)
+    reference = {alice: load_pool(alice), bob: load_pool(bob)}
+    tags = {}
+    steps = [("tag", alice, 1, msg), ("verify", bob, 1, msg), ("tag", alice, 2, msg),
+             ("verify", bob, 2, tampered), ("tag", alice, 1, msg), ("verify", bob, 2, msg),
+             ("tag", alice, 6, msg), ("verify", bob, 5, msg), ("verify", bob, 6, msg)]
+    for command, path, round_, message in steps:
+        ref = reference[path]
+        m = Bits.from_bytes(message.read_bytes())
+        args = (ref.recycled_key(), ref.otp[round_], ref.plan, find_field_params(ref.plan.w))
+        tag = tags.get(round_, "0" * 10)
+        try:
+            if command == "tag":
+                want = (0, compose_tag(m, *args).to_hex())
+            else:
+                ok = verify_tag(m, Tag(Bits.from_hex(tag, ref.plan.tau)), *args)
+                want = (0, "ok") if ok else (1, "FAIL")
+        except OtpReuseError:
+            want = (2, "")
+        argv = [command, "--key-pool", path, "--round", str(round_), "--message", str(message)]
+        rc = main(argv + (["--tag", tag] if command == "verify" else []))
+        assert (rc, capsys.readouterr().out.strip()) == want
+        if command == "tag" and rc == 0:
+            tags[round_] = want[1]
+    assert tags[1] == KAT_TAG_HEX
+    for path, ref in reference.items():
+        assert Path(path).read_bytes() == dump_pool(ref)
+
+
+def test_bit_flips_never_bring_back_a_consumed_mask(tmp_path, capsys):
+    """Flip each bit of a pool whose round 2 is consumed, then tag every round.
+
+    Every run on round 2 must exit 2 without a tag.  A flip in a fresh
+    round's mask bits gives a tag that only fails ``verify``; that is not
+    a failure here.  A flip of a fresh flag reads as consumed and wastes
+    the mask, which fails closed."""
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    # a short pool with pad bits in its keys: tau = 6, l_rec = 20
+    alice = str(tmp_path / "alice.pool")
+    assert main(["init-pool", "--tau", "6", "--lam", "1", "--w", "7", "--mu", "256",
+                 "--rounds", "3", "--seed", "42", "--out", alice]) == 0
+    assert main(["tag", "--key-pool", alice, "--round", "2", "--message", str(msg)]) == 0
+    capsys.readouterr()
+    clean = Path(alice).read_bytes()
+    for bit in range(8 * len(clean)):
+        flipped = bytearray(clean)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        Path(alice).write_bytes(flipped)
+        for round_ in (1, 2, 3):
+            rc = main(["tag", "--key-pool", alice, "--round", str(round_),
+                       "--message", str(msg)])
+            captured = capsys.readouterr()
+            assert rc in (0, 2) and "Traceback" not in captured.err
+            if round_ == 2:
+                assert (rc, captured.out) == (2, ""), f"bit {bit} brought round 2 back"
+
+
+def test_tag_cost_does_not_grow_with_the_pool(tmp_path, capsys):
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    alice = make_pool(tmp_path, capsys, "alice.pool", rounds=65536)
+    t0 = time.perf_counter()
+    assert main(["tag", "--key-pool", alice, "--round", "65536", "--message", str(msg)]) == 0
+    # rewriting the whole 918 kB pool took ~0.55 s per tag on a 2-vCPU VM
+    assert time.perf_counter() - t0 < 0.25
+    capsys.readouterr()
+    assert load_pool(alice).otp[65536].consumed
+
+
 def test_hostile_pool_header_fails_fast(tmp_path, capsys):
     # the largest header values: planning them used to take minutes
     msg = tmp_path / "m.bin"
@@ -169,11 +300,18 @@ def test_hostile_pool_header_fails_fast(tmp_path, capsys):
     assert captured.err.count("out of range") == 2 and "Traceback" not in captured.err
 
 
+def first_entry_offset(path):
+    """Offset of round 1's OTP entry in the pool file at ``path``."""
+    pool = load_pool(path)
+    return len(dump_pool(TagPool(pool.plan, pool.recycled, {})))
+
+
 def test_tag_fails_cleanly_when_pool_write_fails(tmp_path, capsys, monkeypatch):
     msg = tmp_path / "m.bin"
     msg.write_bytes(KAT_MESSAGE)
     alice = make_pool(tmp_path, capsys, "alice.pool")
-    before = open(alice, "rb").read()
+    before = Path(alice).read_bytes()
+    flag = first_entry_offset(alice) + 4
 
     def failing_fsync(fd):
         raise OSError("disk full")
@@ -183,8 +321,30 @@ def test_tag_fails_cleanly_when_pool_write_fails(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""  # no tag leaves without the consumed mask on disk
     assert "disk full" in captured.err and "Traceback" not in captured.err
-    assert open(alice, "rb").read() == before
+    # the flag was written before the failed fsync: the mask is wasted, not reusable
+    after = Path(alice).read_bytes()
+    assert after[flag] != 0
+    assert after[:flag] + after[flag + 1:] == before[:flag] + before[flag + 1:]
+    assert main(["tag", "--key-pool", alice, "--round", "1", "--message", str(msg)]) == 2
+    assert "already been used" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["alice.pool", "m.bin"]
+
+
+def test_tag_fails_cleanly_when_flag_write_fails(tmp_path, capsys, monkeypatch):
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    alice = make_pool(tmp_path, capsys, "alice.pool")
+    flag = first_entry_offset(alice) + 4
+
+    def failing_pwrite(fd, data, offset):
+        raise OSError("I/O error")
+
+    monkeypatch.setattr(os, "pwrite", failing_pwrite)
+    assert main(["tag", "--key-pool", alice, "--round", "1", "--message", str(msg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: I/O error\n"
+    assert Path(alice).read_bytes()[flag] in (0x00, CONSUMED)
 
 
 # Each racer imports the CLI, touches its ready file and then blocks on a
@@ -267,6 +427,7 @@ BAD_INPUTS = {
                      "--seed", "1", "--out", "{pool}"],
     "simulate-eps-text": ["simulate", "--rounds", "2", "--eps-auth", "abc"],
     "simulate-eps-pred-nan": ["simulate", "--rounds", "2", "--eps-pred", "nan"],
+    "simulate-eps-pred-nan-long": ["simulate", "--rounds", "100000", "--eps-pred", "nan"],
     "simulate-eps-qkd-inf": ["simulate", "--rounds", "2", "--eps-qkd", "inf"],
 }
 
