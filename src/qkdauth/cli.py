@@ -48,8 +48,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(format_table(rows, machine=args.machine))
         return 0
     if args.mu is None or args.w is None:
-        print("plan: --mu and --w are required unless --table is given", file=sys.stderr)
-        return 2
+        raise ValueError("plan: --mu and --w are required unless --table is given")
     p = derive_plan(args.eps_auth, _parse_mu(args.mu), args.w)
     if args.machine:
         print(f"{p.mu},{p.w},{p.lam},{p.l_rec},{p.l_otp}")
@@ -65,11 +64,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_primes(args: argparse.Namespace) -> int:
     if args.w_min > args.w_max:
-        print("primes: --w-min must not exceed --w-max", file=sys.stderr)
-        return 2
-    for w in range(args.w_min, args.w_max + 1):
-        fp = find_field_params(w)
-        print(f"{fp.w} {fp.delta}")
+        raise ValueError("primes: --w-min must not exceed --w-max")
+    fps = [find_field_params(w) for w in range(args.w_min, args.w_max + 1)]
+    print("\n".join(f"{fp.w} {fp.delta}" for fp in fps))
     return 0
 
 
@@ -96,29 +93,21 @@ def cmd_init_pool(args: argparse.Namespace) -> int:
     return 0
 
 
-def _use_round_mask(args: argparse.Namespace, op):
-    """Return ``op(message, recycled key, OTP mask, plan, field)`` for the
-    round's mask, once that mask is durably marked consumed in the pool.
-
-    The pool stays locked from before it is read until that write is
-    durable, so concurrent tag/verify processes cannot both use one mask.
-    """
+# tag/verify print only after ``round_mask`` has made the consumed mask durable.
+def cmd_tag(args: argparse.Namespace) -> int:
     with round_mask(args.key_pool, args.round) as pool:
         m = _read_message(args.message, args.msg_bits)
-        return op(m, pool.recycled_key(), pool.otp[args.round], pool.plan,
-                  find_field_params(pool.plan.w))
-
-
-def cmd_tag(args: argparse.Namespace) -> int:
-    print(_use_round_mask(args, compose_tag).to_hex())
+        tag = compose_tag(m, pool.recycled_key(), pool.otp[args.round], pool.plan,
+                          find_field_params(pool.plan.w))
+    print(tag.to_hex())
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    def check(m, rk, otp, plan, fp) -> bool:
-        return verify_tag(m, Tag(Bits.from_hex(args.tag, plan.tau)), rk, otp, plan, fp)
-
-    ok = _use_round_mask(args, check)
+    with round_mask(args.key_pool, args.round) as pool:
+        m = _read_message(args.message, args.msg_bits)
+        ok = verify_tag(m, Tag(Bits.from_hex(args.tag, pool.plan.tau)), pool.recycled_key(),
+                        pool.otp[args.round], pool.plan, find_field_params(pool.plan.w))
     print("ok" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -135,7 +124,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack_stats(args: argparse.Namespace) -> int:
-    if args.trials < 10**4:
+    if 0 < args.trials < 10**4:  # forgery_experiment rejects trials < 1
         print(f"attack-stats: {args.trials} trials resolve rates only down to "
               f"~{10 / args.trials:.1e}; consider at least 10000", file=sys.stderr)
     p = make_plan(tau=args.tau, lam=args.lam, w=args.w, mu=_parse_mu(args.mu))

@@ -3,18 +3,19 @@
 Layout: magic "QKDA", one version byte, a fixed header with the scheme
 parameters, the recycled key, then the per-round OTP entries as
 (32-bit round, consumed flag, masked bits), entry i holding round i for
-rounds 1..R, with nothing after the last entry.  Header values outside the
-planner's range are rejected before any arithmetic on them.  Bit strings
-are stored as a 32-bit bit count followed by MSB-first bytes, so lengths
-that are not a multiple of 8 survive the round trip.  Any non-zero flag
-reads as consumed and a consumed mask is written as 0xFF, so no single bit
-error brings a consumed mask back.
+rounds 1..R, with nothing after the last entry.  Bit strings are stored as
+a 32-bit bit count followed by MSB-first bytes with zero pad bits.  Any
+non-zero flag reads as consumed and a consumed mask is written as 0xFF, so
+no single bit error brings a consumed mask back.
 
-Every entry has the same size, so ``round_mask`` reads round r at its own
-offset and consumes it in place: one ``pwrite`` of the flag byte and an
-``fsync``, under an exclusive ``flock`` held from the read until the write
-is durable.  ``save_pool`` writes whole pools through a temp file, an atomic
-rename and an fsync of the directory.
+The 18-byte header fixes every other offset.  ``_check_layout`` is the one
+validator: it range-checks the header before any arithmetic on it, then
+every field and pad bit after it, so ``parse_pool`` and ``round_mask``
+accept the same files.  ``round_mask`` reads round r at its own offset and
+consumes it in place with one ``pwrite`` of the flag byte and an ``fsync``,
+under an exclusive ``flock`` held until the write is durable.  ``save_pool``
+writes whole pools through a temp file, an atomic rename and an fsync of
+the directory.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _HEADER = struct.Struct(">BHHQ")  # w, lam, tau, mu
 _U32 = struct.Struct(">I")
 _ENTRY = struct.Struct(">IBI")  # round, consumed flag, mask bit count; the mask follows
 _FLAG = 4  # offset of the flag byte in an entry
+_HEAD_END = len(MAGIC) + 1 + _HEADER.size  # the recycled key's bit count starts here
+_MAX_ROUNDS = (1 << 32) - 1  # the entry count is a u32
 
 
 class PoolFormatError(ValueError):
@@ -59,34 +62,12 @@ def new_pool(plan: Plan, rounds: int, seed: int) -> TagPool:
     """Fresh pool with OTP masks for rounds 1..rounds, keys drawn from the
     seeded generator.  Two pools built from the same seed are identical,
     which is how a sender/receiver pair is provisioned."""
+    if not 1 <= rounds <= _MAX_ROUNDS:
+        raise ValueError(f"a pool holds 1..{_MAX_ROUNDS} rounds, got {rounds}")
     gen = BitGen(seed)
     recycled = gen.take(plan.l_rec)
     otp = {r: OtpKey(gen.take(plan.l_otp)) for r in range(1, rounds + 1)}
     return TagPool(plan=plan, recycled=recycled, otp=otp)
-
-
-def _pack_bits(b: Bits) -> bytes:
-    return _U32.pack(len(b)) + b.to_bytes()
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def read(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise PoolFormatError("truncated pool file")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def read_u32(self) -> int:
-        return _U32.unpack(self.read(4))[0]
-
-    def read_bits(self) -> Bits:
-        nbits = self.read_u32()
-        return Bits.from_bytes(self.read((nbits + 7) // 8), nbits)
 
 
 def dump_pool(pool: TagPool) -> bytes:
@@ -97,50 +78,64 @@ def dump_pool(pool: TagPool) -> bytes:
                          f"got tau={plan.tau} mu={plan.mu}")
     parts = [MAGIC, bytes([VERSION]),
              _HEADER.pack(plan.w, plan.lam, plan.tau, plan.mu),
-             _pack_bits(pool.recycled),
+             _U32.pack(len(pool.recycled)), pool.recycled.to_bytes(),
              _U32.pack(len(pool.otp))]
-    for round_ in sorted(pool.otp):
-        key = pool.otp[round_]
-        parts.append(_U32.pack(round_))
-        parts.append(bytes([CONSUMED if key.consumed else 0]))
-        parts.append(_pack_bits(key.bits))
+    for round_, key in sorted(pool.otp.items()):
+        parts.append(_ENTRY.pack(round_, CONSUMED if key.consumed else 0, len(key.bits)))
+        parts.append(key.bits.to_bytes())
     return b"".join(parts)
+
+
+def _zero_pad(nbits: int) -> bytes:
+    """Every value of a bit string's last byte whose pad bits are zero."""
+    return bytes(range(0, 256, 1 << (-nbits % 8)))
 
 
 def _check_layout(data: bytes) -> tuple[TagPool, range]:
     """Validate a whole pool file.  Return its pool with no OTP entries
     decoded and the offset of each entry, round r's at index r - 1."""
-    r = _Reader(data)
-    if r.read(4) != MAGIC:
+    if data[:len(MAGIC)] != MAGIC:
         raise PoolFormatError("bad magic, not a key pool file")
-    version = r.read(1)[0]
-    if version != VERSION:
-        raise PoolFormatError(f"unsupported pool version {version}")
-    w, lam, tau, mu = _HEADER.unpack(r.read(_HEADER.size))
+    if len(data) < _HEAD_END:
+        raise PoolFormatError("truncated pool file")
+    if data[len(MAGIC)] != VERSION:
+        raise PoolFormatError(f"unsupported pool version {data[len(MAGIC)]}")
+    w, lam, tau, mu = _HEADER.unpack_from(data, len(MAGIC) + 1)
     try:
         plan = make_plan(tau=tau, lam=lam, w=w, mu=mu)
     except ValueError as exc:
         raise PoolFormatError(f"pool header out of range: {exc}") from None
-    recycled = r.read_bits()
-    if len(recycled) != plan.l_rec:
-        raise PoolFormatError(f"recycled key is {len(recycled)} bits, expected {plan.l_rec}")
-    rounds = r.read_u32()
-    start, size = r.pos, _ENTRY.size + (tau + 7) // 8
+    # The header fixes every offset: the recycled key's bytes, the entry
+    # count and entry i at start + i * size.
+    key = _HEAD_END + _U32.size
+    count = key + (plan.l_rec + 7) // 8
+    start = count + _U32.size
+    if len(data) < start:
+        raise PoolFormatError("truncated pool file")
+    (nbits,) = _U32.unpack_from(data, _HEAD_END)
+    if nbits != plan.l_rec:
+        raise PoolFormatError(f"recycled key is {nbits} bits, expected {plan.l_rec}")
+    if data[count - 1:count].translate(None, _zero_pad(nbits)):
+        raise PoolFormatError("recycled key has nonzero padding bits")
+    (rounds,) = _U32.unpack_from(data, count)
+    size = _ENTRY.size + (tau + 7) // 8
     entries = range(start, start + rounds * size, size)
     if len(data) < entries.stop:
         raise PoolFormatError(f"truncated pool file: {rounds} OTP entries end at byte "
                               f"{entries.stop}, the file has {len(data)}")
     if len(data) > entries.stop:
         raise PoolFormatError(f"{len(data) - entries.stop} trailing bytes after the last OTP entry")
-    # Entry i must hold round i and tau bits, so round r is read at its own
-    # offset and no other entry can claim it.  Each byte column of the round
-    # and bit-count fields is compared at once; the entries are walked only
-    # to name the first bad one.
+    # Entry i must hold round i and tau bits with zero pad bits, so round r
+    # is read at its own offset and no other entry can claim it.  Each byte
+    # column of the round and bit-count fields, and the last mask byte, is
+    # checked at once; the entries are walked only to name the first bad one.
     ids = struct.pack(f">{rounds}I", *range(1, rounds + 1))
-    nbits = _U32.pack(tau)
+    tau_bits = _U32.pack(tau)
+    pad_ok = _zero_pad(tau)
     if (any(data[start + j::size] != ids[j::4] for j in range(4))
-            or any(data[start + _FLAG + 1 + j::size] != nbits[j:j + 1] * rounds
-                   for j in range(4))):
+            or any(data[start + _FLAG + 1 + j::size] != tau_bits[j:j + 1] * rounds
+                   for j in range(4))
+            or data[start + size - 1::size].translate(None, pad_ok)):
         for i, pos in enumerate(entries):
             round_, _, n = _ENTRY.unpack_from(data, pos)
             if round_ != i + 1:
@@ -149,6 +144,9 @@ def _check_layout(data: bytes) -> tuple[TagPool, range]:
                 raise PoolFormatError(f"OTP entry {i + 1} holds round {round_}, {why}")
             if n != tau:
                 raise PoolFormatError(f"OTP entry for round {round_} is {n} bits, expected {tau}")
+            if data[pos + size - 1:pos + size].translate(None, pad_ok):
+                raise PoolFormatError(f"OTP mask for round {round_} has nonzero padding bits")
+    recycled = Bits.from_bytes(data[key:count], nbits)
     return TagPool(plan=plan, recycled=recycled, otp={}), entries
 
 

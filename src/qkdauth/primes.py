@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+# The first 12 primes: trial divisors, and a Miller-Rabin witness set proven
+# sufficient for every n < 3.3e24 > 2**64 (Sorenson & Webster), so the test
+# below is deterministic in our range.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Witness set proven sufficient for every n < 3.3e24 > 2**64
-# (Sorenson & Webster), so the test below is deterministic in our range.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _U64_LIMIT = 1 << 64
 
@@ -25,7 +24,7 @@ def is_prime_u64(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

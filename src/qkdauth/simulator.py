@@ -377,10 +377,7 @@ def forgery_experiment(plan: Plan, fp: FieldParams, strategy: str,
     successes = 0
     for trial in range(trials):
         g = base.derive(trial)
-        rk = RecycledKey(
-            poly_keys=tuple(g.take(plan.w) for _ in range(plan.lam)),
-            toeplitz_key=g.take(plan.toeplitz_key_bits),
-        )
+        rk = RecycledKey.from_bits(g.take(plan.l_rec), plan.lam, plan.w, plan.tau)
         pad = g.take(plan.tau)
         m = g.take(plan.mu)
         if strategy == "impersonate":

@@ -13,7 +13,7 @@ import qkdauth
 from qkdauth.bits import Bits
 from qkdauth.cli import main
 from qkdauth.hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_tag
-from qkdauth.planner import plan
+from qkdauth.planner import make_plan, plan
 from qkdauth.poolfile import (_HEADER, CONSUMED, MAGIC, VERSION, PoolFormatError, TagPool,
                               dump_pool, load_pool, new_pool, parse_pool)
 
@@ -172,6 +172,10 @@ def malformed_pools():
         return bytes(out)
 
     gap = {r: pool.otp[r] for r in (1, 2, 4)}
+    key_pad = bytearray(blob)
+    key_pad[head - 5] |= 1  # l_rec = 166: the recycled key's last byte has 2 pad bits
+    short = bytearray(dump_pool(new_pool(make_plan(tau=6, lam=1, w=7, mu=256), 3, seed=42)))
+    short[-1] |= 1  # tau = 6: round 3's mask ends the file with 2 pad bits
     return {
         "rounds-1-2-4": (dump_pool(TagPool(pool.plan, pool.recycled, gap)),
                          "OTP entry 3 holds round 4, rounds must be 1..3 in order"),
@@ -180,6 +184,8 @@ def malformed_pools():
         "cut-inside-entry": (blob[:-3], "truncated pool file"),
         "bit-count-not-tau": (patched(head + size + 5, pool.plan.tau - 1),
                               f"round 2 is {pool.plan.tau - 1} bits, expected {pool.plan.tau}"),
+        "recycled-key-pad-bit": (bytes(key_pad), "recycled key has nonzero padding bits"),
+        "round-3-mask-pad-bit": (bytes(short), "OTP mask for round 3 has nonzero padding bits"),
     }
 
 
@@ -249,7 +255,8 @@ def test_bit_flips_never_bring_back_a_consumed_mask(tmp_path, capsys):
     Every run on round 2 must exit 2 without a tag.  A flip in a fresh
     round's mask bits gives a tag that only fails ``verify``; that is not
     a failure here.  A flip of a fresh flag reads as consumed and wastes
-    the mask, which fails closed."""
+    the mask, which fails closed.  ``tag`` accepts exactly the files that
+    ``parse_pool`` accepts, and refuses exactly the consumed rounds."""
     msg = tmp_path / "m.bin"
     msg.write_bytes(KAT_MESSAGE)
     # a short pool with pad bits in its keys: tau = 6, l_rec = 20
@@ -263,6 +270,10 @@ def test_bit_flips_never_bring_back_a_consumed_mask(tmp_path, capsys):
         flipped = bytearray(clean)
         flipped[bit // 8] ^= 0x80 >> (bit % 8)
         Path(alice).write_bytes(flipped)
+        try:
+            consumed = {r: k.consumed for r, k in parse_pool(bytes(flipped)).otp.items()}
+        except PoolFormatError as exc:
+            consumed, rejection = None, f"error: {exc}\n"
         for round_ in (1, 2, 3):
             rc = main(["tag", "--key-pool", alice, "--round", str(round_),
                        "--message", str(msg)])
@@ -270,6 +281,10 @@ def test_bit_flips_never_bring_back_a_consumed_mask(tmp_path, capsys):
             assert rc in (0, 2) and "Traceback" not in captured.err
             if round_ == 2:
                 assert (rc, captured.out) == (2, ""), f"bit {bit} brought round 2 back"
+            if consumed is None:
+                assert (rc, captured.err) == (2, rejection), f"bit {bit}, round {round_}"
+            else:
+                assert (rc == 2) == consumed[round_], f"bit {bit}, round {round_}"
 
 
 def test_tag_cost_does_not_grow_with_the_pool(tmp_path, capsys):
@@ -429,6 +444,15 @@ BAD_INPUTS = {
     "simulate-eps-pred-nan": ["simulate", "--rounds", "2", "--eps-pred", "nan"],
     "simulate-eps-pred-nan-long": ["simulate", "--rounds", "100000", "--eps-pred", "nan"],
     "simulate-eps-qkd-inf": ["simulate", "--rounds", "2", "--eps-qkd", "inf"],
+    "attack-stats-no-trials": ["attack-stats", "--tau", "8", "--w", "15", "--mu", "512",
+                               "--trials", "0"],
+    "init-pool-no-rounds": ["init-pool", "--rounds", "0", "--seed", "1", "--out", "{pool}"],
+    "init-pool-negative-rounds": ["init-pool", "--rounds", "-1", "--seed", "1",
+                                  "--out", "{pool}"],
+    "plan-no-mu": ["plan", "--w", "63"],
+    "plan-no-w": ["plan", "--mu", "4096"],
+    "primes-empty-range": ["primes", "--w-min", "5", "--w-max", "4"],
+    "primes-w-above-63": ["primes", "--w-min", "62", "--w-max", "64"],
 }
 
 

@@ -9,8 +9,7 @@ from qkdauth.bits import Bits
 from qkdauth.hashing import OtpKey, RecycledKey, find_field_params
 from qkdauth.planner import make_plan
 from qkdauth.poolfile import (_HEADER, MAGIC, VERSION, PoolFormatError, TagPool,
-                              _pack_bits, dump_pool, load_pool, new_pool,
-                              parse_pool, save_pool)
+                              dump_pool, load_pool, new_pool, parse_pool, save_pool)
 from qkdauth.protocol import (Direction, Flag, KeyPool, KeyState, MessageKind,
                               PartyState, ProtocolError, Transcript,
                               TranscriptOverflowError, ack_transcript,
@@ -461,8 +460,9 @@ def test_pool_rejects_repeated_or_decreasing_rounds():
 def test_pool_rejects_header_outside_planner_range(w, lam):
     # a well-formed body for the header, so only the range check can reject it
     tau = 16
+    nbits = 2 * lam * w + lam + tau - 1
     blob = (MAGIC + bytes([VERSION]) + _HEADER.pack(w, lam, tau, 2048)
-            + _pack_bits(Bits.zeros(2 * lam * w + lam + tau - 1)) + struct.pack(">I", 0))
+            + struct.pack(">I", nbits) + Bits.zeros(nbits).to_bytes() + struct.pack(">I", 0))
     with pytest.raises(PoolFormatError, match="out of range"):
         parse_pool(blob)
 
