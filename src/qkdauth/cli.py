@@ -117,8 +117,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     p = _build_plan_args(args)
     fp = find_field_params(p.w)
     ledger = run_session(args.rounds, p, fp, adversary=adversary, seed=args.seed,
-                         eps_pred=args.eps_pred, eps_store=args.eps_store,
-                         eps_qkd=args.eps_qkd)
+                         eps_pred=as_fraction(args.eps_pred),
+                         eps_store=as_fraction(args.eps_store),
+                         eps_qkd=as_fraction(args.eps_qkd))
     print(ledger.to_text())
     return 1 if ledger.terminated else 0
 
@@ -227,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "substitute:K[:random|best-guess] | impersonate:K")
     sp.add_argument("--seed", type=int, default=0)
     _add_plan_source_flags(sp, mu_default=str(DEFAULT_MU))
-    sp.add_argument("--eps-pred", type=float, default=0.0)
-    sp.add_argument("--eps-store", type=float, default=0.0)
-    sp.add_argument("--eps-qkd", type=float, default=0.0)
+    sp.add_argument("--eps-pred", default="0")
+    sp.add_argument("--eps-store", default="0")
+    sp.add_argument("--eps-qkd", default="0")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("attack-stats", help="statistical forgery experiment")

@@ -19,6 +19,11 @@ mask is single-use, which is enforced here via a consumed flag.
 Only the chunks up to the one holding the pad bit are evaluated: the rest
 are zero coefficients of the highest powers of the key, so tag time scales
 with the message while the padding and the security bound are unchanged.
+The polynomial is evaluated lane-parallel on the padded message as one big
+integer: neighbouring lanes are folded pairwise, level by level, with a
+few big-integer operations over the whole message per level, and only the
+last few hundred lanes take a Python Horner step each (``_poly_sums``).
+``pad_and_chunk`` and ``chunk_count`` state the padding rule itself.
 """
 
 from __future__ import annotations
@@ -98,51 +103,70 @@ def pad_and_chunk(m: Bits, w: int, mu: int) -> list[int]:
     return chunks
 
 
-_SPLIT_LEAF_CHUNKS = 32  # below this, per-chunk shifts beat further halving
+# The polynomial kernel pairs neighbouring lanes level by level, so that the
+# Python loop at the end runs over at most _FINAL_LANES lanes.  At least
+# _MIN_LEVELS levels make a final lane of w * 2**levels bits whole bytes.
+_MIN_LEVELS = 3
+_FINAL_LANES = 512
 
 
-def _split_chunks(v: int, n: int, w: int, out: list[int]) -> None:
-    """Append the ``n`` w-bit chunks of ``v`` to ``out``, most significant first.
+def _pair_masks(w: int, levels: int, nbits: int) -> list[int]:
+    """``masks[j]`` keeps the low lane of each pair at level j: the low
+    ``w << j`` bits of every ``w << (j+1)``, over ``nbits`` bits.
 
-    Halving first keeps every shift short: per-chunk shifts of the whole
-    value would copy it once per chunk, which is quadratic in its length.
+    Only the deepest mask is built from bytes; each shallower one follows
+    from the next with one shift and one XOR.
     """
-    if n <= _SPLIT_LEAF_CHUNKS:
-        mask = (1 << w) - 1
-        out.extend([(v >> (j * w)) & mask for j in range(n - 1, -1, -1)])
-        return
-    low = n >> 1
-    _split_chunks(v >> (low * w), n - low, w, out)
-    _split_chunks(v & ((1 << (low * w)) - 1), low, w, out)
+    s = w << (levels - 1)
+    m = int.from_bytes(((1 << s) - 1).to_bytes(s // 4, "little") * (nbits // (2 * s)), "little")
+    masks = [m]
+    while s > w:
+        s >>= 1
+        m ^= m << s
+        masks.append(m)
+    return masks[::-1]
 
 
-def _live_chunks(m: Bits, w: int, mu: int) -> list[int]:
-    """The prefix of ``pad_and_chunk(m, w, mu)`` that ends with the chunk
-    holding the pad bit.
+def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
+    """Sum of c_i * k**i (mod p) over the chunks c_0, c_1, ... of the padded
+    message, leftmost first, up to the chunk holding the pad bit, per key k.
 
-    Every chunk after it is zero and is the coefficient of a higher power
-    of the key than any chunk before it, so ``_poly_eval`` gives the same
-    sum over this prefix as over the full padded list.
+    The chunks after the pad bit's are zero coefficients of higher powers,
+    so leaving them out keeps the sum; zero chunks appended on the right
+    for whole groups keep it too.  The padded value v holds chunk c_i in
+    lane u-1-i, so Horner's rule reads lanes from the low end.  Level 1
+    folds each pair of w-bit lanes (lo, hi) into lo*k + hi, and level j
+    folds pairs of (w << (j-1))-bit lanes with k**(2**(j-1)) mod p, each
+    as a few big-integer operations over the whole message.  The last
+    ``2**levels``-chunk lanes go through one Python Horner step each.
+
+    Headroom: after level j a lane is below 2**(2w + (j-1)(w+1)) and has
+    w * 2**j bits.  Level 1 is exact, (2**w-1)*k + 2**w-1 < 2**(2w) as
+    k < 2**w; each later level multiplies by a value below p < 2**(w+1)
+    and adds one lane, so its bound grows by w+1 bits while the lane
+    doubles: 2w + (j-1)(w+1) <= w * 2**j for every j >= 1.  No lane ever
+    carries into the next, and no level needs a reduction mod p.
     """
-    if len(m) > mu:
-        raise ValueError(f"message of {len(m)} bits exceeds the {mu}-bit bound")
     n = len(m)
     u = n // w + 1  # ceil((n + 1) / w)
-    out: list[int] = []
-    _split_chunks(((m.value << 1) | 1) << (u * w - n - 1), u, w, out)
-    return out
-
-
-def _poly_eval(chunks: Sequence[int], k: int, p: int) -> int:
-    """Sum of chunks[i] * k**i (mod p) by Horner's rule, highest term first.
-
-    The i = 0 term always contributes chunks[0], i.e. k**0 := 1 even for
-    k = 0.
-    """
-    acc = 0
-    for c in reversed(chunks):
-        acc = (acc * k + c) % p
-    return acc
+    levels = max(_MIN_LEVELS, (u // _FINAL_LANES).bit_length())
+    u = -(-u >> levels) << levels
+    v = ((m.value << 1) | 1) << (u * w - n - 1)
+    masks = _pair_masks(w, levels, u * w)
+    lo, hi = v & masks[0], (v >> w) & masks[0]
+    lane_bytes = (w << levels) // 8
+    sums = []
+    for k in keys:
+        acc, kk = lo * k + hi, k * k % p
+        for j in range(1, levels):
+            acc = (acc & masks[j]) * kk + ((acc >> (w << j)) & masks[j])
+            kk = kk * kk % p
+        data = acc.to_bytes(u * w // 8, "little")
+        h = 0
+        for i in range(0, len(data), lane_bytes):
+            h = (h * kk + int.from_bytes(data[i:i + lane_bytes], "little")) % p
+        sums.append(h)
+    return sums
 
 
 def poly_hash(m: Bits, key: Bits, fp: FieldParams, mu: int) -> Bits:
@@ -162,11 +186,12 @@ def multi_poly_hash(m: Bits, poly_keys: Sequence[Bits], fp: FieldParams, mu: int
     for key in poly_keys:
         if len(key) != fp.w:
             raise ValueError(f"polynomial subkeys must be {fp.w} bits, got {len(key)}")
-    chunks = _live_chunks(m, fp.w, mu)
+    if len(m) > mu:
+        raise ValueError(f"message of {len(m)} bits exceeds the {mu}-bit bound")
     out = 0
     width = fp.w + 1
-    for key in poly_keys:
-        out = (out << width) | _poly_eval(chunks, key.value, fp.p)
+    for h in _poly_sums(m, fp.w, [key.value for key in poly_keys], fp.p):
+        out = (out << width) | h
     return Bits(out, width * len(poly_keys))
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 from .bits import Bits
 from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, compose_tag,
                       find_field_params, multi_poly_hash, toeplitz_hash, verify_tag)
-from .planner import Plan, collision_bound
+from .planner import Plan, as_fraction, collision_bound
 from .protocol import (Direction, Flag, KeyPool, MessageKind, PartyState,
                        WireMessage, harvest_keys, tag_sender, tag_verifier)
 from .rng import BitGen
@@ -126,28 +126,30 @@ class MockQkdSource:
 
 @dataclass(frozen=True, slots=True)
 class EpsilonBudget:
-    """Composable security budget of the whole key-growing process."""
+    """Composable security budget of the whole key-growing process, exact."""
 
-    eps_pred: float
-    eps_store: float
-    eps_auth: float
-    eps_qkd: float
+    eps_pred: Fraction
+    eps_store: Fraction
+    eps_auth: Fraction
+    eps_qkd: Fraction
     n_max: int
-    total: float
+    total: Fraction
 
 
-def epsilon_budget(n_max: int, eps_pred: float = 0.0, eps_store: float = 0.0,
-                   eps_auth: float = 0.0, eps_qkd: float = 0.0) -> EpsilonBudget:
-    """total = eps_pred + eps_store + n_max * (eps_auth + eps_qkd)."""
-    if not all(map(math.isfinite, (eps_pred, eps_store, eps_auth, eps_qkd))):
-        raise ValueError("failure probabilities must be finite")
-    if min(eps_pred, eps_store, eps_auth, eps_qkd) < 0:
+def epsilon_budget(n_max: int, eps_pred: "Fraction | str | float" = 0,
+                   eps_store: "Fraction | str | float" = 0,
+                   eps_auth: "Fraction | str | float" = 0,
+                   eps_qkd: "Fraction | str | float" = 0) -> EpsilonBudget:
+    """total = eps_pred + eps_store + n_max * (eps_auth + eps_qkd), summed
+    exactly; each input is read by ``as_fraction``."""
+    eps = [as_fraction(e) for e in (eps_pred, eps_store, eps_auth, eps_qkd)]
+    if min(eps) < 0:
         raise ValueError("failure probabilities cannot be negative")
     if n_max < 0:
         raise ValueError("round count cannot be negative")
-    total = eps_pred + eps_store + n_max * (eps_auth + eps_qkd)
-    return EpsilonBudget(eps_pred=eps_pred, eps_store=eps_store, eps_auth=eps_auth,
-                         eps_qkd=eps_qkd, n_max=n_max, total=total)
+    pred, store, auth, qkd = eps
+    return EpsilonBudget(eps_pred=pred, eps_store=store, eps_auth=auth, eps_qkd=qkd,
+                         n_max=n_max, total=pred + store + n_max * (auth + qkd))
 
 
 # -- full session ------------------------------------------------------------
@@ -211,8 +213,9 @@ class SessionLedger:
         if self.budget is not None:
             b = self.budget
             lines.append(
-                f"budget eps_pred={b.eps_pred!r} eps_store={b.eps_store!r} "
-                f"eps_auth={b.eps_auth!r} eps_qkd={b.eps_qkd!r} n_max={b.n_max} total={b.total!r}"
+                f"budget eps_pred={float(b.eps_pred)!r} eps_store={float(b.eps_store)!r} "
+                f"eps_auth={float(b.eps_auth)!r} eps_qkd={float(b.eps_qkd)!r} "
+                f"n_max={b.n_max} total={float(b.total)!r}"
             )
         lines.append(
             f"terminated={'yes' if self.terminated else 'no'} "
@@ -224,8 +227,9 @@ class SessionLedger:
 def run_session(n_max: int, plan: Plan, fp: FieldParams,
                 adversary: "AdversaryConfig | None" = None, seed: int = 0,
                 secret_bits: "int | None" = None,
-                eps_pred: float = 0.0, eps_store: float = 0.0,
-                eps_qkd: float = 0.0) -> SessionLedger:
+                eps_pred: "Fraction | str | float" = 0,
+                eps_store: "Fraction | str | float" = 0,
+                eps_qkd: "Fraction | str | float" = 0) -> SessionLedger:
     """Run one key-growing session of n_max rounds plus the acknowledgement.
 
     Deterministic for a given (configuration, seed): the ledger is
@@ -241,7 +245,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         if adversary.round > limit:
             raise ValueError(f"attack round {adversary.round} is outside the session")
     budget = epsilon_budget(n_max, eps_pred=eps_pred, eps_store=eps_store,
-                            eps_auth=float(plan.eps_achieved), eps_qkd=eps_qkd)
+                            eps_auth=plan.eps_achieved, eps_qkd=eps_qkd)
 
     master = BitGen(seed)
     keygen = master.derive("pre-distribution")

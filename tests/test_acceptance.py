@@ -233,10 +233,10 @@ def test_key_accounting_clean_ten_rounds():
 
 def test_composable_budget():
     b = epsilon_budget(100, eps_auth=1e-12, eps_qkd=1e-12)
-    assert b.total == 100 * (1e-12 + 1e-12)
-    assert b.total == 2e-10
+    assert b.total == Fraction(2, 10**10)
+    assert float(b.total) == 100 * (1e-12 + 1e-12) == 2e-10
     for n in range(0, 50, 7):
         lo = epsilon_budget(n, 1e-9, 2e-9, 3e-12, 4e-12).total
         hi = epsilon_budget(n + 1, 1e-9, 2e-9, 3e-12, 4e-12).total
-        assert math.isclose(hi - lo, 7e-12, rel_tol=1e-9)
+        assert hi - lo == Fraction(7, 10**12)
     report("composable budget: 2e-10 spot value exact, linear slope eps_auth+eps_qkd")

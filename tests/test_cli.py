@@ -444,6 +444,8 @@ BAD_INPUTS = {
     "simulate-eps-pred-nan": ["simulate", "--rounds", "2", "--eps-pred", "nan"],
     "simulate-eps-pred-nan-long": ["simulate", "--rounds", "100000", "--eps-pred", "nan"],
     "simulate-eps-qkd-inf": ["simulate", "--rounds", "2", "--eps-qkd", "inf"],
+    "simulate-eps-store-text": ["simulate", "--rounds", "2", "--eps-store", "abc"],
+    "simulate-eps-qkd-negative": ["simulate", "--rounds", "2", "--eps-qkd=-1e-9"],
     "attack-stats-no-trials": ["attack-stats", "--tau", "8", "--w", "15", "--mu", "512",
                                "--trials", "0"],
     "init-pool-no-rounds": ["init-pool", "--rounds", "0", "--seed", "1", "--out", "{pool}"],

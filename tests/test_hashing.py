@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
-from qkdauth.hashing import (FieldParams, OtpKey, OtpReuseError, RecycledKey,
-                             Tag, _poly_eval, chunk_count, compose_tag,
+from qkdauth.hashing import (_FINAL_LANES, _MIN_LEVELS, FieldParams, OtpKey,
+                             OtpReuseError, RecycledKey, Tag, chunk_count, compose_tag,
                              find_field_params, multi_poly_hash, pad_and_chunk,
                              poly_hash, toeplitz_hash, verify_tag)
 from qkdauth.planner import make_plan
@@ -164,12 +164,20 @@ def test_multi_poly_hash_degenerate_and_duplicate():
     assert doubled == single + single
 
 
+def horner(chunks, k, p):
+    """Sum of chunks[i] * k**i (mod p), highest term first; k**0 is 1 even for k = 0."""
+    acc = 0
+    for c in reversed(chunks):
+        acc = (acc * k + c) % p
+    return acc
+
+
 def reference_multi_poly_hash(m, keys, fp, mu):
     """The specification: Horner over every chunk of the fully padded message."""
     chunks = pad_and_chunk(m, fp.w, mu)
     out = 0
     for k in keys:
-        out = (out << (fp.w + 1)) | _poly_eval(chunks, k.value, fp.p)
+        out = (out << (fp.w + 1)) | horner(chunks, k.value, fp.p)
     return Bits(out, (fp.w + 1) * len(keys))
 
 
@@ -204,6 +212,47 @@ def test_poly_hash_matches_reference_on_long_messages():
         for n in (mu, mu - 1, 54_321):
             m = gen.take(n)
             assert multi_poly_hash(m, keys, fp, mu) == reference_multi_poly_hash(m, keys, fp, mu)
+
+
+BOUNDARY_WIDTHS = (2, 3, 15, 31, 32, 62, 63)
+
+
+def extreme_keys(w):
+    return [Bits(0, w), Bits(1, w), Bits((1 << w) - 1, w)]
+
+
+def chunk_counts_at_level_boundaries():
+    """Live chunk counts u: every u from 1 to two groups past the base
+    depth, and every u from one group before to two groups past the start
+    of the next level.  A group is the 2**levels chunks of one final lane."""
+    group = 1 << _MIN_LEVELS
+    start, next_group = _FINAL_LANES << _MIN_LEVELS, group << 1
+    return [*range(1, 3 * group + 1), *range(start - next_group, start + 2 * next_group + 1)]
+
+
+@pytest.mark.parametrize("w", BOUNDARY_WIDTHS)
+def test_poly_hash_headroom_at_level_boundaries(w):
+    # All-ones chunks and the key 2**w - 1 give the largest value every
+    # lane can hold, so a lane one bit narrower than its bound shows here.
+    fp = find_field_params(w)
+    keys = extreme_keys(w)
+    for u in chunk_counts_at_level_boundaries():
+        for n in (u * w - 1, (u - 1) * w):  # all chunks full; pad bit alone in chunk u
+            m = Bits((1 << n) - 1, n)
+            assert multi_poly_hash(m, keys, fp, n) == \
+                reference_multi_poly_hash(m, keys, fp, n), (u, n)
+    for mu in (w, 40 * w + 3):
+        empty = Bits(0, 0)
+        assert multi_poly_hash(empty, keys, fp, mu) == reference_multi_poly_hash(empty, keys, fp, mu)
+
+
+@pytest.mark.parametrize("w", (2, 31, 63))
+def test_poly_hash_headroom_on_a_full_megabit(w):
+    mu = 10**6
+    fp = find_field_params(w)
+    m = Bits((1 << mu) - 1, mu)
+    keys = extreme_keys(w)
+    assert multi_poly_hash(m, keys, fp, mu) == reference_multi_poly_hash(m, keys, fp, mu)
 
 
 def test_multi_poly_hash_errors():

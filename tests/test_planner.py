@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,33 @@ def test_stinson_matches_oracle_small_grid():
                     continue
                 assert stinson_bound(eps, msg_bits, tag_bits) == \
                     oracle_stinson(eps, msg_bits, tag_bits), (msg_bits, tag_bits, eps)
+
+
+def integer_stinson(eps, msg_bits, tag_bits):
+    """The bound from num and den formed in full, or None where den <= 0."""
+    a, b = eps.numerator, eps.denominator
+    M, T = 1 << msg_bits, 1 << tag_bits
+    num, den = b * M * (T - 1), a * T * (M - 1) + b * (T - M)
+    return (-(-num // den) - 1).bit_length() if den > 0 else None
+
+
+def test_stinson_matches_integer_formula_on_grid():
+    for eps in (as_fraction("1e-12"), as_fraction("1e-33"), Fraction(1, 16), Fraction(1, 2)):
+        for msg_bits in range(1, 301):
+            for tag_bits in range(1, 65):
+                expected = integer_stinson(eps, msg_bits, tag_bits)
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        stinson_bound(eps, msg_bits, tag_bits)
+                else:
+                    assert stinson_bound(eps, msg_bits, tag_bits) == expected, \
+                        (eps, msg_bits, tag_bits)
+
+
+def test_stinson_on_a_huge_message_space_is_fast():
+    t0 = time.perf_counter()
+    assert stinson_bound("1e-12", 2**28, 40) == 44
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_stinson_inapplicable_regime():

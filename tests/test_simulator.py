@@ -54,6 +54,24 @@ def test_budget_validation():
         epsilon_budget(4, eps_pred=-1e-3)
     with pytest.raises(ValueError):
         epsilon_budget(-1)
+    with pytest.raises(ValueError):
+        epsilon_budget(4, eps_qkd=float("nan"))
+
+
+def test_budget_is_exact_where_the_float_sum_rounds():
+    b = epsilon_budget(2, eps_store="1e-9", eps_qkd="1e-9")
+    assert b.total == Fraction(3, 10**9)
+    assert float(b.total) == 3e-9
+    assert 1e-9 + 2 * 1e-9 == 3.0000000000000004e-9  # the float sum rounds up
+
+
+def test_ledger_prints_the_exact_budget():
+    led = run_session(2, PLAN, FP, eps_store="1e-9", eps_qkd="1e-9")
+    exact = Fraction(1, 10**9) + 2 * (PLAN.eps_achieved + Fraction(1, 10**9))
+    assert led.budget.total == exact and led.budget.eps_auth == PLAN.eps_achieved
+    assert float(exact) != 1e-9 + 2 * (float(PLAN.eps_achieved) + 1e-9)  # the old float sum
+    line = next(ln for ln in led.to_text().splitlines() if ln.startswith("budget"))
+    assert line.endswith(f"eps_qkd=1e-09 n_max=2 total={float(exact)!r}")
 
 
 # -- sessions ----------------------------------------------------------------------
