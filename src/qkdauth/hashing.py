@@ -22,7 +22,8 @@ with the message while the padding and the security bound are unchanged.
 The polynomial is evaluated lane-parallel on the padded message as one big
 integer: neighbouring lanes are folded pairwise, level by level, with a
 few big-integer operations over the whole message per level, and only the
-last few hundred lanes take a Python Horner step each (``_poly_sums``).
+final lanes of about 1024 bits take a Python Horner step each
+(``_poly_sums``).
 ``pad_and_chunk`` and ``chunk_count`` state the padding rule itself.
 """
 
@@ -103,11 +104,13 @@ def pad_and_chunk(m: Bits, w: int, mu: int) -> list[int]:
     return chunks
 
 
-# The polynomial kernel pairs neighbouring lanes level by level, so that the
-# Python loop at the end runs over at most _FINAL_LANES lanes.  At least
-# _MIN_LEVELS levels make a final lane of w * 2**levels bits whole bytes.
+# The polynomial kernel folds neighbouring lanes pairwise, level by level,
+# until the whole message is one lane or a lane is at least _LANE_BITS wide:
+# a fold costs the same for any lane width, and past about 1024 bits it
+# costs more than the Python Horner steps it saves.  At least _MIN_LEVELS
+# levels make a lane of w * 2**levels bits whole bytes.
 _MIN_LEVELS = 3
-_FINAL_LANES = 512
+_LANE_BITS = 1024
 
 
 def _pair_masks(w: int, levels: int, nbits: int) -> list[int]:
@@ -137,8 +140,8 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     lane u-1-i, so Horner's rule reads lanes from the low end.  Level 1
     folds each pair of w-bit lanes (lo, hi) into lo*k + hi, and level j
     folds pairs of (w << (j-1))-bit lanes with k**(2**(j-1)) mod p, each
-    as a few big-integer operations over the whole message.  The last
-    ``2**levels``-chunk lanes go through one Python Horner step each.
+    as a few big-integer operations over the whole message.  The final
+    lanes of ``2**levels`` chunks go through one Python Horner step each.
 
     Headroom: after level j a lane is below 2**(2w + (j-1)(w+1)) and has
     w * 2**j bits.  Level 1 is exact, (2**w-1)*k + 2**w-1 < 2**(2w) as
@@ -149,8 +152,8 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     """
     n = len(m)
     u = n // w + 1  # ceil((n + 1) / w)
-    levels = max(_MIN_LEVELS, (u // _FINAL_LANES).bit_length())
-    u = -(-u >> levels) << levels
+    levels = max(_MIN_LEVELS, min((u - 1).bit_length(), ((_LANE_BITS - 1) // w).bit_length()))
+    u = -(-u >> levels) << levels  # whole groups of 2**levels chunks
     v = ((m.value << 1) | 1) << (u * w - n - 1)
     masks = _pair_masks(w, levels, u * w)
     lo, hi = v & masks[0], (v >> w) & masks[0]

@@ -162,19 +162,14 @@ def plan(eps_auth: "Fraction | str | float", mu: int, w: int) -> Plan:
     )
 
 
-def _shift(v: int, s: int) -> int:
-    """v * 2**s, rounded down when s < 0."""
-    return v << s if s >= 0 else v >> -s
-
-
 def stinson_bound(eps: "Fraction | str | float", msg_bits: int, tag_bits: int) -> int:
     """Minimal key bits for an eps-almost-XOR-universal family, rounded up.
 
     Evaluates ceil(log2(|M|(|T|-1) / (|T| eps (|M|-1) + |T| - |M|))) with
     |M| = 2**msg_bits and |T| = 2**tag_bits exactly, without forming any
-    number of msg_bits bits.  With eps = a/b, the ratio is num/den with
+    number of msg_bits bits.  For eps = a/b the ratio is num/den with
     num = z*|M| and den = x*|M| + y, so 2**j * den - num = |M|*c_j + 2**j*y
-    with c_j = 2**j*x - z.  P*|M| + Q >= 0 holds iff P + (Q >> msg_bits) >= 0.
+    with c_j = 2**j*x - z, and P*|M| + Q >= 0 iff P + (Q >> msg_bits) >= 0.
     """
     e = as_fraction(eps)
     if e <= 0:
@@ -184,14 +179,15 @@ def stinson_bound(eps: "Fraction | str | float", msg_bits: int, tag_bits: int) -
     a, b = e.numerator, e.denominator
     T = 1 << tag_bits
     x, y, z = a * T - b, T * (b - a), b * (T - 1)
-    if x + _shift(y - 1, -msg_bits) < 0:
+    if x + ((y - 1) >> msg_bits) < 0:
         raise ValueError("bound inapplicable: denominator is not positive in this regime")
-    high = x + _shift(y, -msg_bits)  # den >> msg_bits
-    low = y - _shift(_shift(y, -msg_bits), msg_bits)  # den when high == 0
+    high = x + (y >> msg_bits)  # den >> msg_bits; den = y mod |M| when it is 0
+    low = y - (y >> msg_bits << msg_bits)
     den_bits = msg_bits + high.bit_length() if high else low.bit_length()
     # num/den lies within a factor 2 of 2**j, so its ceil(log2) is j or j + 1
     j = max(0, msg_bits + z.bit_length() - den_bits)
-    return j if (x << j) - z + _shift(y, j - msg_bits) >= 0 else j + 1
+    d = j - msg_bits
+    return j if (x << j) - z + (y << d if d >= 0 else y >> -d) >= 0 else j + 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -487,9 +488,10 @@ def test_simulate_budget_line_matches_formula(capsys):
     out = capsys.readouterr().out
     line = next(ln for ln in out.splitlines() if ln.startswith("budget"))
     fields = dict(kv.split("=") for kv in line.split()[1:])
-    expected = float(fields["eps_pred"]) + float(fields["eps_store"]) + \
-        int(fields["n_max"]) * (float(fields["eps_auth"]) + float(fields["eps_qkd"]))
-    assert float(fields["total"]) == expected
+    exact = Fraction(1, 10**10) + Fraction(2, 10**10) + \
+        4 * (plan("1e-12", 4096, 63).eps_achieved + Fraction(1, 10**12))
+    assert fields["total"] == repr(float(exact))  # the exact sum, rounded once
+    assert fields["eps_auth"] == repr(float(plan("1e-12", 4096, 63).eps_achieved))
 
 
 def test_simulate_bad_adversary(capsys):

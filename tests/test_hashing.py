@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
-from qkdauth.hashing import (_FINAL_LANES, _MIN_LEVELS, FieldParams, OtpKey,
+from qkdauth.hashing import (_LANE_BITS, _MIN_LEVELS, FieldParams, OtpKey,
                              OtpReuseError, RecycledKey, Tag, chunk_count, compose_tag,
                              find_field_params, multi_poly_hash, pad_and_chunk,
                              poly_hash, toeplitz_hash, verify_tag)
@@ -221,13 +221,12 @@ def extreme_keys(w):
     return [Bits(0, w), Bits(1, w), Bits((1 << w) - 1, w)]
 
 
-def chunk_counts_at_level_boundaries():
-    """Live chunk counts u: every u from 1 to two groups past the base
-    depth, and every u from one group before to two groups past the start
-    of the next level.  A group is the 2**levels chunks of one final lane."""
-    group = 1 << _MIN_LEVELS
-    start, next_group = _FINAL_LANES << _MIN_LEVELS, group << 1
-    return [*range(1, 3 * group + 1), *range(start - next_group, start + 2 * next_group + 1)]
+def chunk_counts_through_the_deepest_level(w):
+    """Every live chunk count u from 1 to two groups past the start of the
+    deepest level, where a group is the 2**levels chunks of a final lane."""
+    deepest = max(_MIN_LEVELS, ((_LANE_BITS - 1) // w).bit_length())
+    start = (1 << (deepest - 1)) + 1  # the smallest u folded `deepest` times
+    return range(1, start + (2 << deepest) + 1)
 
 
 @pytest.mark.parametrize("w", BOUNDARY_WIDTHS)
@@ -236,14 +235,15 @@ def test_poly_hash_headroom_at_level_boundaries(w):
     # lane can hold, so a lane one bit narrower than its bound shows here.
     fp = find_field_params(w)
     keys = extreme_keys(w)
-    for u in chunk_counts_at_level_boundaries():
+    for u in chunk_counts_through_the_deepest_level(w):
         for n in (u * w - 1, (u - 1) * w):  # all chunks full; pad bit alone in chunk u
             m = Bits((1 << n) - 1, n)
             assert multi_poly_hash(m, keys, fp, n) == \
                 reference_multi_poly_hash(m, keys, fp, n), (u, n)
     for mu in (w, 40 * w + 3):
         empty = Bits(0, 0)
-        assert multi_poly_hash(empty, keys, fp, mu) == reference_multi_poly_hash(empty, keys, fp, mu)
+        assert multi_poly_hash(empty, keys, fp, mu) == \
+            reference_multi_poly_hash(empty, keys, fp, mu)
 
 
 @pytest.mark.parametrize("w", (2, 31, 63))
