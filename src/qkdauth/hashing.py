@@ -22,8 +22,7 @@ with the message while the padding and the security bound are unchanged.
 The polynomial is evaluated lane-parallel on the padded message as one big
 integer: neighbouring lanes are folded pairwise, level by level, with a
 few big-integer operations over the whole message per level, and only the
-final lanes of about 1024 bits take a Python Horner step each
-(``_poly_sums``).
+final, wide lanes take a Python Horner step each (``_poly_sums``).
 ``pad_and_chunk`` and ``chunk_count`` state the padding rule itself.
 """
 
