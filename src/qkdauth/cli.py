@@ -117,9 +117,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     p = _build_plan_args(args)
     fp = find_field_params(p.w)
     ledger = run_session(args.rounds, p, fp, adversary=adversary, seed=args.seed,
-                         eps_pred=as_fraction(args.eps_pred),
-                         eps_store=as_fraction(args.eps_store),
-                         eps_qkd=as_fraction(args.eps_qkd))
+                         eps_pred=args.eps_pred, eps_store=args.eps_store,
+                         eps_qkd=args.eps_qkd)
     print(ledger.to_text())
     return 1 if ledger.terminated else 0
 
