@@ -7,12 +7,13 @@ session is terminated by attack detection, 2 on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .bits import Bits
 from .hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_tag
-from .planner import (CostInput, as_fraction, format_table, make_plan,
-                      plan as derive_plan, relative_cost, table_one)
+from .planner import (PUBLISHED_LREC_DEVIATIONS, CostInput, as_fraction, format_table,
+                      make_plan, plan as derive_plan, relative_cost, table_one)
 from .poolfile import new_pool, round_mask, save_pool
 from .simulator import (ATTACK_STRATEGIES, collision_census, forgery_experiment,
                         parse_adversary, run_session, strong_uniformity_census,
@@ -55,9 +56,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     else:
         print(f"tau={p.tau} lambda={p.lam} l_rec={p.l_rec} l_otp={p.l_otp} "
               f"eps_achieved={float(p.eps_achieved):.6e}")
-        rows = table_one(args.eps_auth, [p.mu], [p.w])
-        if rows[0].published_l_rec not in (None, p.l_rec):
-            print(f"note: published tables list l_rec={rows[0].published_l_rec} for this "
+        published = PUBLISHED_LREC_DEVIATIONS.get((p.w, p.mu))
+        if published not in (None, p.l_rec):
+            print(f"note: published tables list l_rec={published} for this "
                   f"(w, mu); the key-length formula gives {p.l_rec}.")
     return 0
 
@@ -172,10 +173,20 @@ def _add_plan_source_flags(sp: argparse.ArgumentParser, mu_default: "str | None"
     sp.add_argument("--lam", type=int, default=1, help="parallel instances with --tau")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts with '-' or '-.' and a digit as a value,
+    so ``--eps-qkd -1e-9`` means ``--eps-qkd=-1e-9``; argparse alone takes
+    it for an option name unless it has the form -5 or -.5.  No option name
+    starts with a digit, and the subparsers share this class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qkdauth",
-                                 description="Recycled-key authentication for QKD "
-                                             "post-processing: planning, tagging, simulation.")
+    ap = _Parser(prog="qkdauth", description="Recycled-key authentication for QKD "
+                 "post-processing: planning, tagging, simulation.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("plan", help="derive scheme parameters")

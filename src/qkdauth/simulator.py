@@ -15,15 +15,16 @@ completed rounds survive and which side keeps the boundary round's keys.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator
 
 from .bits import Bits
 from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, compose_tag,
                       find_field_params, multi_poly_hash, toeplitz_hash, verify_tag)
-from .planner import Plan, as_fraction, collision_bound
+from .planner import Plan, as_fraction, collision_bound, make_plan
 from .protocol import (Direction, Flag, KeyPool, MessageKind, PartyState,
                        WireMessage, harvest_keys, tag_sender, tag_verifier)
 from .rng import BitGen
@@ -350,9 +351,10 @@ class TrialStats:
     wilson_hi: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z99) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials < 1:
         raise ValueError("at least one trial is required")
+    z = WILSON_Z99
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -412,21 +414,16 @@ def substitution_bound(plan: Plan) -> float:
 
 # -- exhaustive small-instance oracles ----------------------------------------
 
-def _all_messages(mu: int) -> list[Bits]:
-    """Every bit string of at most mu bits."""
-    return [Bits(v, n) for n in range(mu + 1) for v in range(1 << n)]
+def _all_bits(n: int) -> list[Bits]:
+    """Every bit string of exactly n bits."""
+    return [Bits(v, n) for v in range(1 << n)]
 
 
-def _all_poly_keys(w: int, lam: int) -> list[tuple[Bits, ...]]:
-    """Every tuple of lam w-bit polynomial subkeys."""
-    mask = (1 << w) - 1
-    return [tuple(Bits((kv >> (w * j)) & mask, w) for j in range(lam))
-            for kv in range(1 << (w * lam))]
-
-
-def _all_toeplitz_keys(bits: int) -> list[Bits]:
-    """Every Toeplitz key of ``bits`` bits."""
-    return [Bits(kv, bits) for kv in range(1 << bits)]
+def _pair_offsets(table: list[list[int]]) -> Iterator[Counter[int]]:
+    """For each pair of distinct inputs a < b of a key-by-input table, the
+    number of keys (rows) that give each offset row[a] ^ row[b]."""
+    for a, b in combinations(range(len(table[0])), 2):
+        yield Counter(row[a] ^ row[b] for row in table)
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,33 +437,20 @@ class CensusResult:
         return self.max_fraction <= self.bound
 
 
-def collision_census(w: int, mu: int, lam: int = 1,
-                     message_pairs: "Sequence[tuple[Bits, Bits]] | None" = None) -> CensusResult:
+def collision_census(w: int, mu: int, lam: int = 1) -> CensusResult:
     """Exact worst-case collision fraction of the multi-instance polynomial
-    family by full key enumeration, against ceil(mu/w)**lam * 2**(-lam*w).
+    family over every pair of distinct messages of at most mu bits, by full
+    key enumeration, against ceil(mu/w)**lam * 2**(-lam*w).
     """
     if w * lam > 16:
         raise ValueError("key space too large for exhaustive enumeration")
     fp = find_field_params(w)
-    if message_pairs is None:
-        msgs = _all_messages(mu)
-        pairs = list(combinations(range(len(msgs)), 2))
-    else:
-        msgs = []
-        pairs = []
-        for a, b in message_pairs:
-            if a.length == b.length and a.value == b.value:
-                raise ValueError("collision census needs distinct message pairs")
-            pairs.append((len(msgs), len(msgs) + 1))
-            msgs.extend((a, b))
-    key_tuples = _all_poly_keys(w, lam)
+    msgs = [m for n in range(mu + 1) for m in _all_bits(n)]
+    key_tuples = [tuple(k[j * w:(j + 1) * w] for j in range(lam)) for k in _all_bits(w * lam)]
     table = [[multi_poly_hash(m, kt, fp, mu).value for m in msgs] for kt in key_tuples]
-    nkeys = len(key_tuples)
-    worst = Fraction(0)
-    for ia, ib in pairs:
-        hits = sum(1 for row in table if row[ia] == row[ib])
-        worst = max(worst, Fraction(hits, nkeys))
-    return CensusResult(max_fraction=worst, bound=collision_bound(mu, w, lam), cases=len(pairs))
+    hits = [counts[0] for counts in _pair_offsets(table)]
+    return CensusResult(max_fraction=Fraction(max(hits, default=0), len(key_tuples)),
+                        bound=collision_bound(mu, w, lam), cases=len(hits))
 
 
 @dataclass(frozen=True, slots=True)
@@ -484,23 +468,15 @@ def toeplitz_xor_census(alpha: int, beta: int) -> XorCensusResult:
     keys with h(x) xor h(x') = c must equal 2**-beta exactly."""
     if alpha + beta - 1 > 22:
         raise ValueError("key space too large for exhaustive enumeration")
-    keys = _all_toeplitz_keys(alpha + beta - 1)
-    xs = [Bits(v, alpha) for v in range(1 << alpha)]
+    keys = _all_bits(alpha + beta - 1)
+    xs = _all_bits(alpha)
     table = [[toeplitz_hash(x, k).value for x in xs] for k in keys]
+    counts = [c[off] for c in _pair_offsets(table) for off in range(1 << beta)]
     expected = Fraction(1, 1 << beta)
-    lo, hi = Fraction(1), Fraction(0)
-    cases = 0
-    nkeys = len(keys)
-    for ia, ib in combinations(range(len(xs)), 2):
-        counts = [0] * (1 << beta)
-        for row in table:
-            counts[row[ia] ^ row[ib]] += 1
-        for c in counts:
-            f = Fraction(c, nkeys)
-            lo, hi = min(lo, f), max(hi, f)
-            cases += 1
+    lo = Fraction(min(counts, default=len(keys)), len(keys))
+    hi = Fraction(max(counts, default=0), len(keys))
     return XorCensusResult(exact=(lo == expected == hi), expected=expected,
-                           worst_low=lo, worst_high=hi, cases=cases)
+                           worst_low=lo, worst_high=hi, cases=len(counts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -518,47 +494,29 @@ class StrongUniformityResult:
 def strong_uniformity_census(w: int, lam: int, tau: int, mu: int) -> StrongUniformityResult:
     """Exhaustively check the OTP-lifted composed family.
 
-    Enumerates every (polynomial keys, Toeplitz key, OTP mask) triple and
-    verifies (a) the tag marginal is exactly uniform for every message and
-    (b) every joint probability Pr[tag(m)=t, tag(m')=t'] stays within
-    (eps1 + eps2) * 2**-tau, where eps1 = collision_bound(mu, w, lam)
-    and eps2 = 2**-tau.
+    Enumerates every (recycled key, OTP mask) pair and verifies (a) the tag
+    marginal is exactly uniform for every message and (b) every joint
+    probability Pr[tag(m)=t, tag(m')=t'] stays within the plan's
+    eps_achieved * 2**-tau, with eps_achieved = collision_bound(mu, w, lam)
+    + 2**-tau.
     """
-    fp = find_field_params(w)
-    alpha = lam * (w + 1)
-    tkey_bits = alpha + tau - 1
-    total_key_bits = w * lam + tkey_bits + tau
-    if total_key_bits > 20:
+    plan = make_plan(tau, lam, w, mu)
+    if plan.l_rec + tau > 20:
         raise ValueError("key space too large for exhaustive enumeration")
-    msgs = _all_messages(mu)
-    poly_tuples = _all_poly_keys(w, lam)
-    tkeys = _all_toeplitz_keys(tkey_bits)
-    # digest table before the OTP stage; the mask is applied per key triple
-    digest = [[toeplitz_hash(multi_poly_hash(m, pt, fp, mu), tk).value for m in msgs]
-              for pt, tk in product(poly_tuples, tkeys)]
-    nkeys = len(digest) << tau
-    expected = Fraction(1, 1 << tau)
-    marginal_exact = True
-    for im in range(len(msgs)):
-        counts = [0] * (1 << tau)
-        for row in digest:
-            for otp in range(1 << tau):
-                counts[row[im] ^ otp] += 1
-        if any(Fraction(c, nkeys) != expected for c in counts):
-            marginal_exact = False
-            break
-    pair_bound = (collision_bound(mu, w, lam) + expected) * expected
-    worst = Fraction(0)
-    cases = 0
-    for ia, ib in combinations(range(len(msgs)), 2):
-        # joint tags: (d_a ^ otp, d_b ^ otp) -> offset d_a ^ d_b fixes t' given t
-        offset_counts: dict[int, int] = {}
-        for row in digest:
-            off = row[ia] ^ row[ib]
-            offset_counts[off] = offset_counts.get(off, 0) + 1
-        # Pr[tag(m)=t, tag(m')=t'] = Pr[digest offset = t^t'] / 2**tau
-        for off, cnt in offset_counts.items():
-            worst = max(worst, Fraction(cnt, len(digest)) * expected)
-        cases += 1
-    return StrongUniformityResult(marginal_exact=marginal_exact, pair_bound=pair_bound,
-                                  worst_pair=worst, cases=cases)
+    fp = find_field_params(w)
+    msgs = [m for n in range(mu + 1) for m in _all_bits(n)]
+    rks = [RecycledKey.from_bits(k, lam, w, tau) for k in _all_bits(plan.l_rec)]
+    # digest table before the OTP stage; the masks are applied below
+    digest = [[toeplitz_hash(multi_poly_hash(m, rk.poly_keys, fp, mu), rk.toeplitz_key).value
+               for m in msgs] for rk in rks]
+    # Pr[tag = t] == 2**-tau: t must come from exactly one mask per digest row
+    uniform = Counter(dict.fromkeys(range(1 << tau), len(digest)))
+    marginal_exact = all(
+        Counter(row[im] ^ otp for row in digest for otp in range(1 << tau)) == uniform
+        for im in range(len(msgs)))
+    # Pr[tag(m)=t, tag(m')=t'] = Pr[digest offset = t ^ t'] * 2**-tau
+    worst = [max(counts.values()) for counts in _pair_offsets(digest)]
+    return StrongUniformityResult(marginal_exact=marginal_exact,
+                                  pair_bound=plan.eps_achieved / (1 << tau),
+                                  worst_pair=Fraction(max(worst, default=0), len(digest) << tau),
+                                  cases=len(worst))

@@ -1,6 +1,7 @@
 import contextlib
 import fcntl
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -36,6 +37,15 @@ def test_plan_single(capsys):
     assert main(["plan", "--eps-auth", "1e-12", "--mu", "1Mbit", "--w", "63"]) == 0
     out = capsys.readouterr().out
     assert "l_rec=166" in out and "l_otp=40" in out and "tau=40" in out
+
+
+def test_plan_notes_the_published_deviation(capsys):
+    assert main(["plan", "--eps-auth", "1e-12", "--mu", "1Mbit", "--w", "31"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "note: published tables list l_rec=229 for this (w, mu); "
+        "the key-length formula gives 228.")
+    assert main(["plan", "--eps-auth", "1e-12", "--mu", "1Mbit", "--w", "63"]) == 0
+    assert "note:" not in capsys.readouterr().out
 
 
 def test_plan_single_machine(capsys):
@@ -447,6 +457,10 @@ BAD_INPUTS = {
     "simulate-eps-qkd-inf": ["simulate", "--rounds", "2", "--eps-qkd", "inf"],
     "simulate-eps-store-text": ["simulate", "--rounds", "2", "--eps-store", "abc"],
     "simulate-eps-qkd-negative": ["simulate", "--rounds", "2", "--eps-qkd=-1e-9"],
+    "simulate-eps-qkd-negative-token": ["simulate", "--rounds", "2", "--eps-qkd", "-1e-9"],
+    "plan-eps-negative-token": ["plan", "--eps-auth", "-1e-3", "--mu", "4096", "--w", "63"],
+    "cost-eps-negative-token": ["cost", "--eps-auth", "-1e-3", "--l-sift", "1000",
+                                "--eta-pa", "0.1"],
     "attack-stats-no-trials": ["attack-stats", "--tau", "8", "--w", "15", "--mu", "512",
                                "--trials", "0"],
     "init-pool-no-rounds": ["init-pool", "--rounds", "0", "--seed", "1", "--out", "{pool}"],
@@ -468,6 +482,26 @@ def test_bad_input_fails_closed(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert os.listdir(tmp_path) == []  # no pool file, no temp file
+
+
+# a value token that argparse alone would take for an option name
+NEGATIVE_VALUE_TOKENS = {
+    "simulate-eps-qkd": ["simulate", "--rounds", "2", "--eps-qkd", "-1e-9"],
+    "plan-eps-auth": ["plan", "--eps-auth", "-1e-3", "--mu", "4096", "--w", "63"],
+    "cost-eta-pa": ["cost", "--eps-auth", "1e-3", "--l-sift", "1000", "--eta-pa", "-1e-1"],
+    "plan-mu": ["plan", "--mu", "-1Mbit", "--w", "63"],
+    "attack-stats-mu": ["attack-stats", "--tau", "8", "--w", "15", "--mu", "-5e2"],
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUE_TOKENS.values(), ids=NEGATIVE_VALUE_TOKENS.keys())
+def test_negative_value_token_reads_like_the_equals_form(argv, capsys):
+    i = next(i for i, a in enumerate(argv) if re.match(r"-\.?\d", a))
+    assert main(argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]) == 2
+    joined = capsys.readouterr()
+    assert joined.err.startswith("error: ") and joined.err.count("\n") == 1
+    assert main(argv) == 2
+    assert capsys.readouterr() == joined
 
 
 def test_simulate_clean_and_terminated(capsys):

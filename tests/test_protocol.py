@@ -12,7 +12,7 @@ from qkdauth.poolfile import (_HEADER, MAGIC, VERSION, PoolFormatError, TagPool,
                               dump_pool, load_pool, new_pool, parse_pool, save_pool)
 from qkdauth.protocol import (Direction, Flag, KeyPool, KeyState, MessageKind,
                               PartyState, ProtocolError, Transcript,
-                              TranscriptOverflowError, ack_transcript,
+                              TranscriptOverflowError, WireMessage, ack_transcript,
                               harvest_keys, tag_sender, tag_verifier)
 from qkdauth.rng import BitGen
 
@@ -381,6 +381,29 @@ def test_blocked_ack_leaves_peer_unverified():
     assert outcome.flag is Flag.BOT
     assert a.pool.external_state(n_max) == "verified"
     assert b.pool.external_state(n_max) == "unverified"
+
+
+def test_failed_ack_check_leaves_final_round_unverified():
+    n_max = 4
+    a, b = clean_session(n_max)
+    ack = a.final_acknowledgement(n_max)
+    forged = WireMessage(MessageKind.ACK, ack.round, ack.payload.flip(0))
+    outcome = b.receive_acknowledgement(n_max, forged)
+    assert outcome.flag is Flag.BOT and outcome.checked
+    assert outcome.promoted_rounds == frozenset()
+    assert b.pool.otp[n_max + 1].consumed
+    assert b.pool.state[n_max] is KeyState.UNVERIFIED
+    assert b.pool.external_state(n_max) == "unverified"
+
+
+def test_tag_message_in_ack_slot_is_rejected_unchecked():
+    n_max = 4
+    a, b = clean_session(n_max)
+    ack = a.final_acknowledgement(n_max)
+    with pytest.raises(ProtocolError):
+        b.receive_acknowledgement(n_max, WireMessage(MessageKind.TAG, ack.round, ack.payload))
+    assert not b.pool.otp[n_max + 1].consumed
+    assert b.pool.state[n_max] is KeyState.UNVERIFIED
 
 
 def test_ack_uses_quantum_recycled_key_and_correct_otp():

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from qkdauth.bits import Bits
 from qkdauth.hashing import find_field_params
 from qkdauth.planner import make_plan, plan
 from qkdauth.simulator import (AdversaryConfig, collision_census, epsilon_budget,
@@ -223,14 +222,6 @@ def test_collision_census_two_instances():
     assert res.bound == Fraction(1, 16)
     assert res.max_fraction <= res.bound
     assert res.max_fraction == Fraction(1, 64)
-
-
-def test_collision_census_explicit_pairs():
-    pair = (Bits.from01("10110"), Bits.from01("01"))
-    res = collision_census(w=3, mu=5, lam=1, message_pairs=[pair])
-    assert res.cases == 1
-    with pytest.raises(ValueError):
-        collision_census(w=3, mu=5, message_pairs=[(pair[0], pair[0])])
 
 
 def test_collision_census_feasibility_guard():
