@@ -177,10 +177,14 @@ class _Parser(argparse.ArgumentParser):
     """Reads every token that starts with '-' or '-.' and a digit as a value,
     so ``--eps-qkd -1e-9`` means ``--eps-qkd=-1e-9``; argparse alone takes
     it for an option name unless it has the form -5 or -.5.  No option name
-    starts with a digit, and the subparsers share this class."""
+    starts with a digit, and the subparsers share this class.
+
+    A flag value that argparse rejects (its ``type=`` fails, it is not one of
+    the ``choices``, it is missing) raises ``ArgumentError``, which ``main``
+    reports in one line."""
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, exit_on_error=False, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
@@ -260,11 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OtpReuseError, ValueError, OSError) as exc:
+    except (argparse.ArgumentError, OtpReuseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

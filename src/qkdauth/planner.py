@@ -217,8 +217,12 @@ class CostResult(NamedTuple):
 
 def relative_cost(ci: CostInput) -> CostResult:
     """Fraction of each round's secret key spent on the next tag's OTP mask:
-    c = tau / (l_sift * eta_pa)."""
+    c = tau / (l_sift * eta_pa).  A round whose secret key is shorter than
+    tau cannot supply the next mask, so c > 1 is rejected."""
     tau = tag_length(ci.eps_auth)
+    if ci.l_sec < tau:
+        raise ValueError(f"a round's secret key (l_sec={ci.l_sec!r} bits) is shorter "
+                         f"than the tag length tau={tau}, so it cannot supply the next mask")
     return CostResult(cost=tau / ci.l_sec, tau=tau, l_sec=ci.l_sec)
 
 

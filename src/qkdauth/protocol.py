@@ -76,7 +76,7 @@ def tag_verifier(round_: int) -> str:
 
 # -- transcripts -----------------------------------------------------------
 
-_LEN_FIELD = struct.Struct(">Q")
+_HEADER = struct.Struct(">BQ")  # direction byte, payload bit length
 
 
 class Transcript:
@@ -86,36 +86,48 @@ class Transcript:
     [direction byte] || [64-bit big-endian payload bit length] || [payload],
     in exchange order.  The framing is injective, so no re-segmentation of
     tampered traffic can reproduce an honest compound string.
+
+    Frames are written as bytes into one open run.  A ``Bits`` payload whose
+    length is not a multiple of 8 closes the run, and both become parts of
+    the compound string.
     """
 
     def __init__(self, mu: int):
         self.mu = mu
-        self._frames: list[Bits] = []
+        self._parts: list[Bits] = []  # closed runs and unaligned payloads
+        self._run = bytearray()
         self._bits = 0
+        self._count = 0
         self._compound: "Bits | None" = None  # cache, cleared by append
 
     def append(self, direction: Direction, payload: "Bits | bytes") -> "Transcript":
-        if isinstance(payload, bytes):
-            payload = Bits.from_bytes(payload)
-        frame = Bits(direction.value, 8) + Bits(len(payload), 64) + payload
-        if self._bits + len(frame) > self.mu:
+        raw = isinstance(payload, bytes)
+        n = 8 * len(payload) if raw else len(payload)
+        total = self._bits + _HEADER.size * 8 + n
+        if total > self.mu:
             raise TranscriptOverflowError(
-                f"compound string would reach {self._bits + len(frame)} bits, "
-                f"bound is {self.mu}"
-            )
-        self._frames.append(frame)
-        self._bits += len(frame)
+                f"compound string would reach {total} bits, bound is {self.mu}")
+        self._run += _HEADER.pack(direction.value, n)
+        if raw:
+            self._run += payload
+        elif n % 8 == 0:
+            self._run += payload.to_bytes()
+        else:
+            self._parts += (Bits.from_bytes(self._run), payload)
+            self._run = bytearray()
+        self._bits = total
+        self._count += 1
         self._compound = None
         return self
 
     def compound(self) -> Bits:
         """Concatenation of all frames, built once per change of the log.
 
-        Frames are joined pairwise in rounds, so each bit is copied about
-        log2(len(self)) times instead of once per later append.
+        Parts are joined pairwise in rounds, so each bit is copied about
+        log2(number of parts) times instead of once per later part.
         """
         if self._compound is None:
-            parts = self._frames or [Bits.zeros(0)]
+            parts = self._parts + [Bits.from_bytes(self._run)]
             while len(parts) > 1:
                 paired = [parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)]
                 parts = paired + parts[2 * len(paired):]
@@ -127,7 +139,7 @@ class Transcript:
         return self.compound().to_hex()
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return self._count
 
 
 def ack_transcript(n_max: int, mu: int) -> Transcript:

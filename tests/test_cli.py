@@ -87,6 +87,7 @@ def test_cost(capsys):
     out = capsys.readouterr().out
     assert "tau=110" in out
     assert f"cost={110 / 99532.8!r}" in out
+    assert out == "tau=110 l_sec=99532.8 cost=0.0011051633230452676\n"  # the README example
 
 
 def test_tag_verify_round_trip(tmp_path, capsys):
@@ -459,6 +460,8 @@ BAD_INPUTS = {
     "simulate-eps-qkd-negative": ["simulate", "--rounds", "2", "--eps-qkd=-1e-9"],
     "simulate-eps-qkd-negative-token": ["simulate", "--rounds", "2", "--eps-qkd", "-1e-9"],
     "plan-eps-negative-token": ["plan", "--eps-auth", "-1e-3", "--mu", "4096", "--w", "63"],
+    "cost-key-shorter-than-tag": ["cost", "--eps-auth", "1e-3", "--l-sift", "1000",
+                                  "--eta-pa", "1e-300"],
     "cost-eps-negative-token": ["cost", "--eps-auth", "-1e-3", "--l-sift", "1000",
                                 "--eta-pa", "0.1"],
     "attack-stats-no-trials": ["attack-stats", "--tau", "8", "--w", "15", "--mu", "512",
@@ -482,6 +485,33 @@ def test_bad_input_fails_closed(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert os.listdir(tmp_path) == []  # no pool file, no temp file
+
+
+# one text value for every flag that argparse converts with its own type=
+TYPED_FLAG_TEXT = {
+    "--w": ["plan", "--mu", "4096", "--w", "abc"],
+    "--tau": ["init-pool", "--tau", "abc", "--seed", "1", "--out", "{pool}"],
+    "--lam": ["attack-stats", "--tau", "8", "--w", "15", "--mu", "512", "--lam", "abc"],
+    "--rounds": ["simulate", "--rounds", "abc"],
+    "--seed": ["init-pool", "--seed", "abc", "--out", "{pool}"],
+    "--trials": ["attack-stats", "--tau", "8", "--w", "15", "--mu", "512", "--trials", "abc"],
+    "--l-sift": ["cost", "--eps-auth", "1e-3", "--l-sift", "abc", "--eta-pa", "0.1"],
+    "--eta-pa": ["cost", "--eps-auth", "1e-3", "--l-sift", "1000", "--eta-pa", "abc"],
+    "--round": ["tag", "--key-pool", "{pool}", "--round", "abc", "--message", "-"],
+    "--msg-bits": ["verify", "--key-pool", "{pool}", "--round", "1", "--message", "-",
+                   "--msg-bits", "abc", "--tag", "00"],
+}
+
+
+@pytest.mark.parametrize("flag", TYPED_FLAG_TEXT)
+def test_typed_flag_text_value_prints_one_error_line(flag, tmp_path, capsys):
+    argv = [a.format(pool=tmp_path / "p.pool") for a in TYPED_FLAG_TEXT[flag]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument {flag}: invalid " \
+        f"{'float' if flag == '--eta-pa' else 'int'} value: 'abc'\n"
+    assert os.listdir(tmp_path) == []
 
 
 # a value token that argparse alone would take for an option name

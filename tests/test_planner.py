@@ -246,6 +246,15 @@ def test_cost_inverse_in_eta():
     assert c2 == pytest.approx(c1 / 2, rel=1e-12)
 
 
+def test_cost_rejects_a_secret_key_shorter_than_the_tag():
+    # tau = 10 at eps 1e-3: a 10-bit key pays exactly for the next mask, 9.9 bits cannot
+    assert relative_cost(CostInput(as_fraction("1e-3"), 100, 0.1)).cost == 1.0
+    with pytest.raises(ValueError, match="shorter than the tag length tau=10"):
+        relative_cost(CostInput(as_fraction("1e-3"), 99, 0.1))
+    with pytest.raises(ValueError, match=r"l_sec=1e-297 bits"):
+        relative_cost(CostInput(as_fraction("1e-3"), 1000, 1e-300))
+
+
 def test_cost_input_validation():
     with pytest.raises(ValueError):
         CostInput(as_fraction("1e-12"), 0, 0.5)

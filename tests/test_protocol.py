@@ -1,4 +1,5 @@
 import os
+import random
 import struct
 
 import pytest
@@ -137,6 +138,66 @@ def test_transcript_compound_matches_left_fold(entries, mu):
             accepted += 1
         assert t.compound() == folded
     assert len(t) == accepted
+
+
+def reference_compound(entries):
+    """Test-only oracle: every frame built bit by bit and concatenated."""
+    out = Bits.zeros(0)
+    for direction, payload in entries:
+        if isinstance(payload, bytes):
+            payload = Bits.from_bytes(payload)
+        out = out + frame(direction, payload)
+    return out
+
+
+def random_payload(r, kind):
+    """b: bytes, a: byte-aligned Bits, u: unaligned Bits, e: a 0-bit payload."""
+    if kind == "b":
+        return r.randbytes(r.randint(1, 64))
+    if kind == "e":
+        return r.choice([b"", Bits.zeros(0)])
+    n = 8 * r.randint(1, 40) if kind == "a" else r.choice([n for n in range(1, 301) if n % 8])
+    return Bits(r.getrandbits(n), n)
+
+
+def random_log(r, kinds):
+    return [(r.choice(list(Direction)), random_payload(r, k)) for k in kinds]
+
+
+# unaligned payloads first, last, back to back and between the other kinds,
+# then seeded random mixes
+FRAMING_LAYOUTS = ["u", "ub", "bu", "uu", "buub", "uaub", "euue", "abeu", "bbabb", "uuuuu",
+                   "ebauaeu"] + ["".join(random.Random(i).choices("baue", k=16)) for i in range(8)]
+
+
+@pytest.mark.parametrize("kinds", FRAMING_LAYOUTS)
+def test_transcript_matches_reference_framing(kinds):
+    r = random.Random(kinds)
+    for _ in range(20):
+        entries = random_log(r, kinds)
+        t = Transcript(10**6)
+        for n, (direction, payload) in enumerate(entries, 1):
+            assert t.append(direction, payload) is t
+            assert len(t) == n
+            assert t.compound() == reference_compound(entries[:n])
+        assert t.compound_hex() == reference_compound(entries).to_hex()
+
+
+@pytest.mark.parametrize("kinds", ["b", "a", "u", "e", "ub", "bu", "uu", "aeu"])
+def test_transcript_overflows_at_mu_plus_one_bits(kinds):
+    entries = random_log(random.Random(kinds), kinds)
+    total = len(reference_compound(entries))
+    fits, short = Transcript(total), Transcript(total - 1)
+    for direction, payload in entries[:-1]:
+        fits.append(direction, payload)
+        short.append(direction, payload)
+    fits.append(*entries[-1])
+    assert fits.compound() == reference_compound(entries)
+    with pytest.raises(TranscriptOverflowError,
+                       match=f"^compound string would reach {total} bits, bound is {total - 1}$"):
+        short.append(*entries[-1])
+    assert len(short) == len(entries) - 1
+    assert short.compound() == reference_compound(entries[:-1])
 
 
 # -- harvesting ------------------------------------------------------------------
