@@ -3,7 +3,7 @@
 from .bits import Bits, constant_time_eq
 from .hashing import (FieldParams, OtpKey, OtpReuseError, RecycledKey, Tag,
                       compose_tag, find_field_params, multi_poly_hash,
-                      pad_and_chunk, poly_hash, toeplitz_hash, verify_tag)
+                      pad_and_chunk, toeplitz_hash, verify_tag)
 from .planner import (CostInput, Plan, PlanInfeasibleError, make_plan, plan,
                       relative_cost, stinson_bound, table_one, tag_length)
 from .protocol import (Direction, Flag, Harvest, KeyPool, KeyState, PartyState,
@@ -22,7 +22,7 @@ __all__ = [
     "TrialStats", "WireMessage", "collision_census",
     "compose_tag", "constant_time_eq", "epsilon_budget", "find_field_params",
     "forgery_experiment", "harvest_keys", "make_plan", "multi_poly_hash",
-    "pad_and_chunk", "plan", "poly_hash", "relative_cost", "run_session",
+    "pad_and_chunk", "plan", "relative_cost", "run_session",
     "stinson_bound", "strong_uniformity_census", "table_one", "tag_length",
     "tag_sender", "tag_verifier", "toeplitz_hash", "toeplitz_xor_census",
     "verify_tag",

@@ -17,7 +17,7 @@ from .planner import (PUBLISHED_LREC_DEVIATIONS, CostInput, as_fraction, format_
 from .poolfile import new_pool, round_mask, save_pool
 from .simulator import (ATTACK_STRATEGIES, collision_census, forgery_experiment,
                         parse_adversary, run_session, strong_uniformity_census,
-                        substitution_bound, toeplitz_xor_census)
+                        toeplitz_xor_census)
 
 TABLE_MU_MBITS = (1, 4, 16, 64, 256)
 TABLE_W = (31, 63)
@@ -132,7 +132,7 @@ def cmd_attack_stats(args: argparse.Namespace) -> int:
     fp = find_field_params(p.w)
     stats = forgery_experiment(p, fp, strategy=args.strategy,
                                trials=args.trials, seed=args.seed)
-    bound = substitution_bound(p) if args.strategy != "impersonate" else 2.0 ** -p.tau
+    bound = float(p.eps_achieved) if args.strategy != "impersonate" else 2.0 ** -p.tau
     print(f"strategy={args.strategy} trials={stats.trials} successes={stats.successes} "
           f"rate={stats.rate!r} wilson99=({stats.wilson_lo!r},{stats.wilson_hi!r}) "
           f"bound={bound!r}")

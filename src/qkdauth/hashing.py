@@ -171,11 +171,6 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     return sums
 
 
-def poly_hash(m: Bits, key: Bits, fp: FieldParams, mu: int) -> Bits:
-    """Polynomial hash of ``m`` at evaluation point ``key``: w+1 output bits."""
-    return multi_poly_hash(m, (key,), fp, mu)
-
-
 def multi_poly_hash(m: Bits, poly_keys: Sequence[Bits], fp: FieldParams, mu: int) -> Bits:
     """Concatenation of independent polynomial hashes, one per subkey.
 

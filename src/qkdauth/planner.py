@@ -103,15 +103,6 @@ class Plan:
     def l_otp(self) -> int:
         return self.tau
 
-    @property
-    def alpha(self) -> int:
-        """Toeplitz input width: lam parallel (w+1)-bit hashes."""
-        return self.lam * (self.w + 1)
-
-    @property
-    def toeplitz_key_bits(self) -> int:
-        return self.alpha + self.tau - 1
-
 
 def collision_bound(mu: int, w: int, lam: int) -> Fraction:
     """Collision probability of lam parallel polynomial hashes on distinct

@@ -87,56 +87,31 @@ class Transcript:
     in exchange order.  The framing is injective, so no re-segmentation of
     tampered traffic can reproduce an honest compound string.
 
-    Frames are written as bytes into one open run.  A ``Bits`` payload whose
-    length is not a multiple of 8 closes the run, and both become parts of
-    the compound string.
+    Payloads are bytes, as on the public channel; any other payload raises
+    TypeError before the log changes.  Each frame is written into one
+    buffer, and ``compound()`` reads that buffer as bits.
     """
 
     def __init__(self, mu: int):
         self.mu = mu
-        self._parts: list[Bits] = []  # closed runs and unaligned payloads
-        self._run = bytearray()
-        self._bits = 0
+        self._buf = bytearray()
         self._count = 0
-        self._compound: "Bits | None" = None  # cache, cleared by append
 
-    def append(self, direction: Direction, payload: "Bits | bytes") -> "Transcript":
-        raw = isinstance(payload, bytes)
-        n = 8 * len(payload) if raw else len(payload)
-        total = self._bits + _HEADER.size * 8 + n
+    def append(self, direction: Direction, payload: bytes) -> "Transcript":
+        if not isinstance(payload, bytes):
+            raise TypeError(f"a transcript payload is bytes, not {type(payload).__name__}")
+        frame = _HEADER.pack(direction.value, 8 * len(payload)) + payload
+        total = 8 * (len(self._buf) + len(frame))
         if total > self.mu:
             raise TranscriptOverflowError(
                 f"compound string would reach {total} bits, bound is {self.mu}")
-        self._run += _HEADER.pack(direction.value, n)
-        if raw:
-            self._run += payload
-        elif n % 8 == 0:
-            self._run += payload.to_bytes()
-        else:
-            self._parts += (Bits.from_bytes(self._run), payload)
-            self._run = bytearray()
-        self._bits = total
+        self._buf += frame
         self._count += 1
-        self._compound = None
         return self
 
     def compound(self) -> Bits:
-        """Concatenation of all frames, built once per change of the log.
-
-        Parts are joined pairwise in rounds, so each bit is copied about
-        log2(number of parts) times instead of once per later part.
-        """
-        if self._compound is None:
-            parts = self._parts + [Bits.from_bytes(self._run)]
-            while len(parts) > 1:
-                paired = [parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)]
-                parts = paired + parts[2 * len(paired):]
-            self._compound = parts[0]
-        return self._compound
-
-    def compound_hex(self) -> str:
-        """Canonical compound string, hex-encoded for export."""
-        return self.compound().to_hex()
+        """Concatenation of all frames, in exchange order."""
+        return Bits.from_bytes(self._buf)
 
     def __len__(self) -> int:
         return self._count
@@ -228,10 +203,6 @@ class KeyPool:
         self.state[round_] = KeyState.UNVERIFIED
         if len(h.external) > 0:
             self.external[round_] = h.external
-
-    def external_state(self, round_: int) -> str:
-        """State of the round's external key, or 'absent' if it has none."""
-        return self.state[round_].value if round_ in self.external else "absent"
 
     def _settle(self, rounds: "set[int]", to: KeyState) -> frozenset[int]:
         """Move the given rounds that are still UNVERIFIED to ``to``; returns

@@ -406,12 +406,6 @@ def forgery_experiment(plan: Plan, fp: FieldParams, strategy: str,
                       wilson_lo=lo, wilson_hi=hi)
 
 
-def substitution_bound(plan: Plan) -> float:
-    """Analytic acceptance bound for substitution forgeries:
-    2**-tau + ceil(mu/w)**lam * 2**(-lam*w), the plan's eps_achieved."""
-    return float(plan.eps_achieved)
-
-
 # -- exhaustive small-instance oracles ----------------------------------------
 
 def _all_bits(n: int) -> list[Bits]:

@@ -16,8 +16,8 @@ from qkdauth.planner import (CostInput, as_fraction, make_plan, plan,
                              relative_cost, stinson_bound, table_one)
 from qkdauth.simulator import (AdversaryConfig, epsilon_budget,
                                forgery_experiment, run_session,
-                               strong_uniformity_census, substitution_bound,
-                               toeplitz_xor_census, collision_census)
+                               strong_uniformity_census, toeplitz_xor_census,
+                               collision_census)
 
 TABLE_MU = [m * 10**6 for m in (1, 4, 16, 64, 256)]
 
@@ -131,7 +131,7 @@ def test_statistical_forgery_bounds():
         sub = forgery_experiment(p, fp, "random", trials=trials, seed=2)
         imp = forgery_experiment(p, fp, "impersonate", trials=trials, seed=3)
     assert t.seconds < 60.0
-    sub_limit = substitution_bound(p)
+    sub_limit = float(p.eps_achieved)
     assert sub_limit == 2**-8 + math.ceil(2048 / 15) * 2**-15
     assert sub.wilson_hi <= sub_limit
     p0 = 2**-8

@@ -9,7 +9,7 @@ from qkdauth.bits import Bits
 from qkdauth.hashing import (_LANE_BITS, _MIN_LEVELS, FieldParams, OtpKey,
                              OtpReuseError, RecycledKey, Tag, chunk_count, compose_tag,
                              find_field_params, multi_poly_hash, pad_and_chunk,
-                             poly_hash, toeplitz_hash, verify_tag)
+                             toeplitz_hash, verify_tag)
 from qkdauth.planner import make_plan
 from qkdauth.rng import BitGen
 
@@ -107,14 +107,14 @@ def test_chunks_reassemble_to_padded_string(s, w, mu):
 def test_poly_hash_zero_key_keeps_first_chunk():
     fp = find_field_params(3)
     m = Bits.from01("1010")  # chunks [5, 2]
-    out = poly_hash(m, Bits.zeros(3), fp, 5)
+    out = multi_poly_hash(m, (Bits.zeros(3),), fp, 5)
     assert out == Bits(5 % fp.p, 4)
 
 
 def test_poly_hash_hand_example():
     # chunks [5, 2] at evaluation point 3 over GF(11): 5 + 2*3 = 11 = 0
     fp = find_field_params(3)
-    out = poly_hash(Bits.from01("1010"), Bits.from01("011"), fp, 5)
+    out = multi_poly_hash(Bits.from01("1010"), (Bits.from01("011"),), fp, 5)
     assert out.to01() == "0000"
 
 
@@ -127,12 +127,12 @@ def test_poly_hash_brute_force_oracle():
         chunks = pad_and_chunk(m, 4, mu)
         for kv in range(16):
             expected = sum(c * kv**i for i, c in enumerate(chunks)) % fp.p
-            assert poly_hash(m, Bits(kv, 4), fp, mu).value == expected
+            assert multi_poly_hash(m, (Bits(kv, 4),), fp, mu).value == expected
 
 
 def test_poly_hash_output_width_and_range():
     fp = find_field_params(5)
-    out = poly_hash(Bits.from01("11011"), Bits.from01("10101"), fp, 12)
+    out = multi_poly_hash(Bits.from01("11011"), (Bits.from01("10101"),), fp, 12)
     assert len(out) == 6
     assert out.value < fp.p
 
@@ -140,17 +140,17 @@ def test_poly_hash_output_width_and_range():
 def test_poly_hash_argument_errors():
     fp = find_field_params(3)
     with pytest.raises(ValueError):
-        poly_hash(Bits.from01("1"), Bits.from01("1011"), fp, 5)  # key width
+        multi_poly_hash(Bits.from01("1"), (Bits.from01("1011"),), fp, 5)  # key width
     with pytest.raises(ValueError):
-        poly_hash(Bits.from01("111111"), Bits.from01("101"), fp, 5)  # oversize
+        multi_poly_hash(Bits.from01("111111"), (Bits.from01("101"),), fp, 5)  # oversize
 
 
 def test_poly_collision_bound_fixed_pair():
     # exhaustive over all 8 keys for one message pair, bound ceil(5/3)/8
     fp = find_field_params(3)
     m1, m2 = Bits.from01("10110"), Bits.from01("01"),
-    hits = sum(poly_hash(m1, Bits(k, 3), fp, 5) == poly_hash(m2, Bits(k, 3), fp, 5)
-               for k in range(8))
+    hits = sum(multi_poly_hash(m1, (k,), fp, 5) == multi_poly_hash(m2, (k,), fp, 5)
+               for k in (Bits(v, 3) for v in range(8)))
     assert Fraction(hits, 8) <= Fraction(2, 8)
 
 
@@ -158,8 +158,9 @@ def test_multi_poly_hash_degenerate_and_duplicate():
     fp = find_field_params(3)
     m = Bits.from01("1011")
     k = Bits.from01("110")
-    single = poly_hash(m, k, fp, 5)
-    assert multi_poly_hash(m, [k], fp, 5) == single
+    # chunks [5, 6] at evaluation point 6 over GF(11): 5 + 6*6 = 41 = 8
+    single = multi_poly_hash(m, [k], fp, 5)
+    assert single == Bits(8, 4)
     doubled = multi_poly_hash(m, [k, k], fp, 5)
     assert doubled == single + single
 
@@ -200,7 +201,7 @@ def test_poly_hash_matches_fully_padded_reference(case):
     # the fast path stops at the pad bit's chunk; the tags must not change
     m, keys, fp, mu = case
     assert multi_poly_hash(m, keys, fp, mu) == reference_multi_poly_hash(m, keys, fp, mu)
-    assert poly_hash(m, keys[0], fp, mu) == reference_multi_poly_hash(m, keys[:1], fp, mu)
+    assert multi_poly_hash(m, keys[:1], fp, mu) == reference_multi_poly_hash(m, keys[:1], fp, mu)
 
 
 def test_poly_hash_matches_reference_on_long_messages():

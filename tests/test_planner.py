@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdauth.bits import Bits
+from qkdauth.hashing import RecycledKey
 from qkdauth.planner import (MAX_DECIMAL_EXPONENT, CostInput, PlanInfeasibleError,
                              _floor_log2, as_fraction, collision_bound, format_table, make_plan, plan, relative_cost,
                              stinson_bound, table_one, tag_length)
@@ -144,8 +146,10 @@ def test_make_plan_rejects_out_of_range_before_arithmetic():
 def test_make_plan_explicit():
     p = make_plan(tau=8, lam=1, w=15, mu=2048)
     assert p.l_rec == 2 * 15 + 1 + 8 - 1
-    assert p.alpha == 16
-    assert p.toeplitz_key_bits == 23
+    rk = RecycledKey.from_bits(Bits.zeros(p.l_rec), p.lam, p.w, p.tau)
+    assert [len(k) for k in rk.poly_keys] == [15]
+    assert len(rk.toeplitz_key) == 23
+    assert len(rk.toeplitz_key) - p.tau + 1 == 16  # Toeplitz input: lam (w+1)-bit hashes
 
 
 # -- Stinson bound ---------------------------------------------------------------

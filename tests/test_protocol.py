@@ -1,3 +1,4 @@
+import array
 import os
 import random
 import struct
@@ -36,6 +37,11 @@ def fresh_pair(seed=0):
     return fresh_party("A", seed), fresh_party("B", seed)
 
 
+def external_state(pool, round_):
+    """State of the round's external key, or 'absent' if it has none."""
+    return pool.state[round_].value if round_ in pool.external else "absent"
+
+
 # -- schedule -----------------------------------------------------------------
 
 def test_direction_alternation():
@@ -63,15 +69,16 @@ def test_transcript_framing_layout():
 def test_transcript_hex_export():
     t = Transcript(1000)
     t.append(Direction.A2B, b"\xff")
-    assert t.compound_hex() == Bits.from_hex(t.compound_hex(), len(t.compound())).to_hex()
-    assert t.compound_hex().startswith("00")  # direction byte first
+    hex_ = t.compound().to_hex()
+    assert Bits.from_hex(hex_, len(t.compound())) == t.compound()
+    assert hex_ == "00" + "0000000000000008" + "ff"  # direction byte first
 
 
 def test_transcript_same_entries_same_compound():
     t1, t2 = Transcript(4096), Transcript(4096)
     for t in (t1, t2):
         t.append(Direction.A2B, b"sift indices")
-        t.append(Direction.B2A, Bits.from01("10111"))
+        t.append(Direction.B2A, b"\x17")
     assert t1.compound() == t2.compound()
 
 
@@ -79,7 +86,7 @@ def test_transcript_flipped_bit_differs():
     t1, t2 = Transcript(4096), Transcript(4096)
     payload = b"parity block"
     t1.append(Direction.A2B, payload)
-    t2.append(Direction.A2B, Bits.from_bytes(payload).flip(13))
+    t2.append(Direction.A2B, Bits.from_bytes(payload).flip(13).to_bytes())
     assert t1.compound() != t2.compound()
 
 
@@ -112,18 +119,14 @@ def test_transcript_deterministic_across_sides(payloads):
 
 
 def frame(direction, payload):
-    return Bits(direction.value, 8) + Bits(len(payload), 64) + payload
-
-
-bit_strings = st.integers(min_value=0, max_value=300).flatmap(
-    lambda n: st.integers(min_value=0, max_value=(1 << n) - 1).map(lambda v: Bits(v, n)))
+    bits = Bits.from_bytes(payload)
+    return Bits(direction.value, 8) + Bits(len(bits), 64) + bits
 
 
 @settings(max_examples=100)
-@given(st.lists(st.tuples(st.sampled_from(Direction), bit_strings), max_size=12),
+@given(st.lists(st.tuples(st.sampled_from(Direction), st.binary(max_size=40)), max_size=12),
        st.integers(min_value=0, max_value=2000))
 def test_transcript_compound_matches_left_fold(entries, mu):
-    # compound() is read after every append, so a stale cache would show
     t = Transcript(mu)
     folded = Bits.zeros(0)
     accepted = 0
@@ -144,28 +147,23 @@ def reference_compound(entries):
     """Test-only oracle: every frame built bit by bit and concatenated."""
     out = Bits.zeros(0)
     for direction, payload in entries:
-        if isinstance(payload, bytes):
-            payload = Bits.from_bytes(payload)
         out = out + frame(direction, payload)
     return out
 
 
 def random_payload(r, kind):
-    """b: bytes, a: byte-aligned Bits, u: unaligned Bits, e: a 0-bit payload."""
-    if kind == "b":
-        return r.randbytes(r.randint(1, 64))
-    if kind == "e":
-        return r.choice([b"", Bits.zeros(0)])
-    n = 8 * r.randint(1, 40) if kind == "a" else r.choice([n for n in range(1, 301) if n % 8])
-    return Bits(r.getrandbits(n), n)
+    """e: empty, u: one byte, b: 2-300 bytes, a: a payload of a few KB."""
+    n = {"e": 0, "u": 1, "b": r.randint(2, 300), "a": r.randint(1024, 4096)}[kind]
+    return r.randbytes(n)
 
 
 def random_log(r, kinds):
     return [(r.choice(list(Direction)), random_payload(r, k)) for k in kinds]
 
 
-# unaligned payloads first, last, back to back and between the other kinds,
-# then seeded random mixes
+# one-byte payloads first, last, back to back and between the other kinds,
+# empty ones first and last (euue); then seeded random mixes, four of which
+# hold empty payloads back to back
 FRAMING_LAYOUTS = ["u", "ub", "bu", "uu", "buub", "uaub", "euue", "abeu", "bbabb", "uuuuu",
                    "ebauaeu"] + ["".join(random.Random(i).choices("baue", k=16)) for i in range(8)]
 
@@ -180,7 +178,6 @@ def test_transcript_matches_reference_framing(kinds):
             assert t.append(direction, payload) is t
             assert len(t) == n
             assert t.compound() == reference_compound(entries[:n])
-        assert t.compound_hex() == reference_compound(entries).to_hex()
 
 
 @pytest.mark.parametrize("kinds", ["b", "a", "u", "e", "ub", "bu", "uu", "aeu"])
@@ -198,6 +195,23 @@ def test_transcript_overflows_at_mu_plus_one_bits(kinds):
         short.append(*entries[-1])
     assert len(short) == len(entries) - 1
     assert short.compound() == reference_compound(entries[:-1])
+
+
+@pytest.mark.parametrize("payload", [
+    Bits.from_bytes(b"ab"), Bits.from01("10111"), Bits.zeros(0), bytearray(b"ab"),
+    memoryview(array.array("H", [1, 2])),  # len() counts 2-byte items, not bytes
+], ids=["aligned-bits", "unaligned-bits", "empty-bits", "bytearray", "memoryview"])
+def test_transcript_rejects_payloads_that_are_not_bytes(payload):
+    entries = [(Direction.A2B, b"sift"), (Direction.B2A, b"")]
+    t = Transcript(10**6)
+    for entry in entries:
+        t.append(*entry)
+    with pytest.raises(TypeError):
+        t.append(Direction.A2B, payload)
+    assert len(t) == 2
+    assert t.compound() == reference_compound(entries)
+    t.append(Direction.A2B, b"x")  # the log is still usable
+    assert t.compound() == reference_compound(entries + [(Direction.A2B, b"x")])
 
 
 # -- harvesting ------------------------------------------------------------------
@@ -247,16 +261,16 @@ def test_pool_promote_and_discard_states():
     for r in (1, 2, 3):
         a.pool.absorb_harvest(r, harvest_keys(
             gen.take(PLAN.l_rec + PLAN.l_otp + 16), r, PLAN))
-    assert a.pool.external_state(1) == "unverified"
+    assert external_state(a.pool, 1) == "unverified"
     moved = a.pool.promote_rounds({1, 2})
     assert moved == frozenset({1, 2})
-    assert a.pool.external_state(1) == "verified"
+    assert external_state(a.pool, 1) == "verified"
     assert a.pool.state[1] is KeyState.VERIFIED  # carries the recycled key
     a.pool.discard_rounds({3})
-    assert a.pool.external_state(3) == "discarded"
+    assert external_state(a.pool, 3) == "discarded"
     assert a.pool.state[3] is KeyState.DISCARDED  # carries the mask for round 5
     assert a.pool.final_block()["otp_surplus"] == "1,2,3,4"
-    assert a.pool.external_state(7) == "absent"
+    assert external_state(a.pool, 7) == "absent"
 
 
 def test_pool_terminal_states_do_not_move():
@@ -269,8 +283,8 @@ def test_pool_terminal_states_do_not_move():
     assert a.pool.promote_rounds({1}) == frozenset()
     a.pool.discard_rounds({2})
     assert a.pool.state == {1: KeyState.DISCARDED, 2: KeyState.VERIFIED}
-    assert a.pool.external_state(1) == "discarded"
-    assert a.pool.external_state(2) == "verified"
+    assert external_state(a.pool, 1) == "discarded"
+    assert external_state(a.pool, 2) == "verified"
     final = a.pool.final_block()
     assert final["recycled_qkd"] == "discarded"
     assert final["otp_surplus"] == "1,2,4"  # round 1's mask for round 3 went with it
@@ -285,7 +299,7 @@ def test_pool_exact_fit_round_moves_keys_without_external():
     assert a.pool.promote_rounds({1}) == frozenset()  # no external key moved
     a.pool.discard_rounds({2})
     assert a.pool.state == {1: KeyState.VERIFIED, 2: KeyState.DISCARDED}
-    assert a.pool.external_state(1) == a.pool.external_state(2) == "absent"
+    assert external_state(a.pool, 1) == external_state(a.pool, 2) == "absent"
     final = a.pool.final_block()
     assert final["verified"] == final["unverified"] == final["discarded"] == ""
     assert final["recycled_qkd"] == "verified"
@@ -299,7 +313,7 @@ def test_pool_unabsorbed_rounds_stay_absent():
     a.pool.discard_rounds({-1, 0, 4})
     assert a.pool.state == {1: KeyState.UNVERIFIED}
     for r in (-1, 0, 2, 3, 4):
-        assert a.pool.external_state(r) == "absent"
+        assert external_state(a.pool, r) == "absent"
     assert a.pool.final_block()["otp_surplus"] == "1,2,3"
 
 
@@ -347,8 +361,8 @@ def test_round_one_uses_predistributed_keys():
     assert outcome.flag is Flag.ACC
     assert outcome.promoted_rounds == frozenset({1})
     assert a.pool.otp[1].consumed and b.pool.otp[1].consumed
-    assert b.pool.external_state(1) == "verified"
-    assert a.pool.external_state(1) == "unverified"  # Alice confirms in round 2
+    assert external_state(b.pool, 1) == "verified"
+    assert external_state(a.pool, 1) == "unverified"  # Alice confirms in round 2
     assert b.pool.state[1] is KeyState.VERIFIED
 
 
@@ -374,13 +388,13 @@ def test_tampered_round_discards_both_recent_rounds():
     assert verifier is a
     assert outcome.flag is Flag.BOT
     assert outcome.checked
-    assert a.pool.external_state(1) == "discarded"
-    assert a.pool.external_state(2) == "discarded"
+    assert external_state(a.pool, 1) == "discarded"
+    assert external_state(a.pool, 2) == "discarded"
     assert a.pool.state[1] is KeyState.DISCARDED
     assert a.terminated
     # Bob still holds round 1 verified, round 2 unverified until his timeout
-    assert b.pool.external_state(1) == "verified"
-    assert b.pool.external_state(2) == "unverified"
+    assert external_state(b.pool, 1) == "verified"
+    assert external_state(b.pool, 2) == "unverified"
 
 
 def test_timeout_discards_and_silences():
@@ -390,7 +404,7 @@ def test_timeout_discards_and_silences():
         p.pool.absorb_harvest(1, harvest_keys(qkd.take(PLAN.l_rec + PLAN.l_otp + 24), 1, PLAN))
     _, _, outcome = run_round(a, b, 1, [b"blocked round"], drop_tag=True)
     assert outcome.flag is Flag.BOT and not outcome.checked
-    assert b.pool.external_state(1) == "discarded"
+    assert external_state(b.pool, 1) == "discarded"
     assert b.terminated
     # Bob is the round-2 sender and must now stay silent
     assert b.finalize_sender(2) is None
@@ -420,15 +434,15 @@ def clean_session(n_max, seed=21):
 def test_clean_session_with_ack_promotes_everything():
     n_max = 4
     a, b = clean_session(n_max)
-    assert b.pool.external_state(n_max) == "unverified"
+    assert external_state(b.pool, n_max) == "unverified"
     ack = a.final_acknowledgement(n_max)
     assert ack is not None and ack.kind is MessageKind.ACK
     outcome = b.receive_acknowledgement(n_max, ack)
     assert outcome.flag is Flag.ACC
     assert outcome.promoted_rounds == frozenset({n_max})
     for r in range(1, n_max + 1):
-        assert a.pool.external_state(r) == "verified"
-        assert b.pool.external_state(r) == "verified"
+        assert external_state(a.pool, r) == "verified"
+        assert external_state(b.pool, r) == "verified"
     # verified external keys agree bit for bit
     assert len(a.pool.external) == n_max
     assert a.pool.external == b.pool.external
@@ -440,8 +454,8 @@ def test_blocked_ack_leaves_peer_unverified():
     assert a.final_acknowledgement(n_max) is not None
     outcome = b.receive_acknowledgement(n_max, None)
     assert outcome.flag is Flag.BOT
-    assert a.pool.external_state(n_max) == "verified"
-    assert b.pool.external_state(n_max) == "unverified"
+    assert external_state(a.pool, n_max) == "verified"
+    assert external_state(b.pool, n_max) == "unverified"
 
 
 def test_failed_ack_check_leaves_final_round_unverified():
@@ -454,7 +468,7 @@ def test_failed_ack_check_leaves_final_round_unverified():
     assert outcome.promoted_rounds == frozenset()
     assert b.pool.otp[n_max + 1].consumed
     assert b.pool.state[n_max] is KeyState.UNVERIFIED
-    assert b.pool.external_state(n_max) == "unverified"
+    assert external_state(b.pool, n_max) == "unverified"
 
 
 def test_tag_message_in_ack_slot_is_rejected_unchecked():

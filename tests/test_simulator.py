@@ -6,8 +6,8 @@ from qkdauth.hashing import find_field_params
 from qkdauth.planner import make_plan, plan
 from qkdauth.simulator import (AdversaryConfig, collision_census, epsilon_budget,
                                forgery_experiment, parse_adversary, run_session,
-                               strong_uniformity_census, substitution_bound,
-                               toeplitz_xor_census, wilson_interval)
+                               strong_uniformity_census, toeplitz_xor_census,
+                               wilson_interval)
 
 PLAN = plan("1e-12", 4096, 63)
 FP = find_field_params(63)
@@ -181,13 +181,13 @@ def test_wilson_interval_basics():
 
 def test_forgery_random_substitution_below_bound():
     stats = forgery_experiment(SMALL_WIDE, SMALL_FP, "random", trials=20000, seed=2)
-    assert stats.wilson_hi <= substitution_bound(SMALL_WIDE)
+    assert stats.wilson_hi <= float(SMALL_WIDE.eps_achieved)
     assert stats.wilson_lo <= 2**-8 <= stats.wilson_hi
 
 
 def test_forgery_best_guess_below_bound():
     stats = forgery_experiment(SMALL_WIDE, SMALL_FP, "best-guess", trials=20000, seed=2)
-    assert stats.wilson_hi <= substitution_bound(SMALL_WIDE)
+    assert stats.wilson_hi <= float(SMALL_WIDE.eps_achieved)
 
 
 def test_forgery_replay_rate_near_otp_uniformity():
