@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .bits import Bits
 from .hashing import FieldParams, OtpKey, RecycledKey, Tag, compose_tag, verify_tag
 from .planner import Plan
+from .rng import StreamWindow
 
 class ProtocolError(RuntimeError):
     """A party was driven outside its contract (wrong role, missing key)."""
@@ -131,16 +132,16 @@ class Harvest(NamedTuple):
     recycled: "Bits | None"
     otp_bits: Bits
     otp_round: int
-    external: Bits
+    external: "Bits | StreamWindow"  # same type as the secret key, unread
 
 
-def harvest_keys(secret_key: Bits, round_: int, plan: Plan) -> Harvest:
+def harvest_keys(secret_key: "Bits | StreamWindow", round_: int, plan: Plan) -> Harvest:
     """Slice a round's distilled secret key, front-first.
 
     Round 1 takes the L_rec-bit recycled key first, then the OTP mask for
     round 3; every later round i takes only the OTP mask for round i+2.
-    The rest is external key material.  An exact fit (empty external part)
-    is legal.
+    Those keys are read as ``Bits``; the rest is external key material,
+    sliced but not read.  An exact fit (empty external part) is legal.
     """
     need = plan.l_rec + plan.l_otp if round_ == 1 else plan.l_otp
     if len(secret_key) < need:
@@ -150,9 +151,9 @@ def harvest_keys(secret_key: Bits, round_: int, plan: Plan) -> Harvest:
     pos = 0
     recycled = None
     if round_ == 1:
-        recycled = secret_key[:plan.l_rec]
+        recycled = Bits(int(secret_key[:plan.l_rec]), plan.l_rec)
         pos = plan.l_rec
-    otp_bits = secret_key[pos:pos + plan.l_otp]
+    otp_bits = Bits(int(secret_key[pos:pos + plan.l_otp]), plan.l_otp)
     return Harvest(recycled=recycled, otp_bits=otp_bits, otp_round=round_ + 2,
                    external=secret_key[pos + plan.l_otp:])
 
@@ -182,7 +183,7 @@ class KeyPool:
     recycled_qkd: "RecycledKey | None" = None
     otp: dict[int, OtpKey] = field(default_factory=dict)
     state: dict[int, KeyState] = field(default_factory=dict)
-    external: dict[int, Bits] = field(default_factory=dict)  # non-empty parts only
+    external: "dict[int, Bits | StreamWindow]" = field(default_factory=dict)  # non-empty only
 
     @property
     def pre_distributed_bits(self) -> int:

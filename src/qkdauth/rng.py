@@ -5,10 +5,13 @@ cryptographic quality, unlike a Mersenne Twister stream.  Child generators
 derived with ``derive()`` are statistically independent, which lets trials
 of a statistical experiment be generated out of order or in parallel.
 
-Block i of the stream is SHA-256(key || i as 8 big-endian bytes).  ``take``
-costs one SHA-256 per 256 bits drawn, linear in ``nbits``: it hashes every
-block a draw still needs in one pass and joins them with a single shift of
-the leftover bits.
+Block i of the stream is SHA-256(key || i as 8 big-endian bytes), so any
+bit range can be computed from the blocks it covers alone.  ``take`` costs
+one SHA-256 per 256 bits drawn, linear in ``nbits``: it hashes every block
+a draw still needs in one pass and joins them with a single shift of the
+leftover bits.  ``window`` advances the stream as ``take`` does but hashes
+at most one block; the ``StreamWindow`` it returns is hashed only where it
+is read, one SHA-256 per block that the read range covers.
 """
 
 from __future__ import annotations
@@ -36,24 +39,44 @@ class BitGen:
         """Independent child stream addressed by ``label``."""
         return BitGen(self._key + b"/" + str(label).encode())
 
+    def _blocks(self, first: int, count: int) -> int:
+        """Blocks ``first`` to ``first + count - 1`` of the stream, joined
+        into one integer."""
+        digests = []
+        for i in range(first, first + count):
+            h = self._keyed.copy()
+            h.update(i.to_bytes(8, "big"))
+            digests.append(h.digest())
+        return int.from_bytes(b"".join(digests), "big")
+
     def take(self, nbits: int) -> Bits:
         """Next ``nbits`` bits of the stream."""
         if nbits < 0:
             raise ValueError("negative bit count")
         if nbits > self._buf_bits:
             nblocks = (nbits - self._buf_bits + 255) // 256
-            blocks = []
-            for i in range(self._counter, self._counter + nblocks):
-                h = self._keyed.copy()
-                h.update(i.to_bytes(8, "big"))
-                blocks.append(h.digest())
+            self._buf = (self._buf << (256 * nblocks)) | self._blocks(self._counter, nblocks)
             self._counter += nblocks
-            self._buf = (self._buf << (256 * nblocks)) | int.from_bytes(b"".join(blocks), "big")
             self._buf_bits += 256 * nblocks
         self._buf_bits -= nbits
         out = self._buf >> self._buf_bits
         self._buf &= (1 << self._buf_bits) - 1
         return Bits(out, nbits)
+
+    def window(self, nbits: int) -> "StreamWindow":
+        """The bits that ``take(nbits)`` would return, unread.  The generator
+        ends in the same state as after ``take(nbits)``."""
+        if nbits < 0:
+            raise ValueError("negative bit count")
+        start = 256 * self._counter - self._buf_bits
+        end = start + nbits
+        counter = -(-end // 256)
+        rest = 256 * counter - end  # bits of block counter - 1 left for the next draw
+        if counter > self._counter and rest:
+            self._buf = self._blocks(counter - 1, 1)
+        self._counter, self._buf_bits = counter, rest
+        self._buf &= (1 << rest) - 1
+        return StreamWindow(self, start, nbits)
 
     def take_bytes(self, nbytes: int) -> bytes:
         return self.take(8 * nbytes).to_bytes()
@@ -67,3 +90,34 @@ class BitGen:
             v = self.take(nbits).value
             if v < upper:
                 return v
+
+
+class StreamWindow:
+    """``length`` bits of ``gen``'s stream from bit ``start`` on.
+
+    Like ``Bits`` it has ``len()``, contiguous slices and ``int()``, MSB
+    first.  A slice is again a window and costs no hashing; ``int()`` hashes
+    only the blocks the window covers.
+    """
+
+    __slots__ = ("gen", "start", "length")
+
+    def __init__(self, gen: BitGen, start: int, length: int):
+        self.gen, self.start, self.length = gen, start, length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, key: slice) -> "StreamWindow":
+        start, stop, step = key.indices(self.length)
+        if step != 1:
+            raise ValueError("only contiguous slices are supported")
+        return StreamWindow(self.gen, self.start + start, max(0, stop - start))
+
+    def __int__(self) -> int:
+        if not self.length:
+            return 0
+        first, end = self.start // 256, self.start + self.length
+        last = (end - 1) // 256
+        return (self.gen._blocks(first, last - first + 1) >> (256 * (last + 1) - end)
+                & ((1 << self.length) - 1))

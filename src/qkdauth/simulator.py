@@ -27,7 +27,7 @@ from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, compose_tag,
 from .planner import Plan, as_fraction, collision_bound, make_plan
 from .protocol import (Direction, Flag, KeyPool, MessageKind, PartyState,
                        WireMessage, harvest_keys, tag_sender, tag_verifier)
-from .rng import BitGen
+from .rng import BitGen, StreamWindow
 
 ATTACK_KINDS = ("none", "quantum", "tamper", "substitute", "block", "impersonate")
 SUBSTITUTE_STRATEGIES = ("random", "best-guess")
@@ -101,14 +101,15 @@ def parse_adversary(spec: str) -> AdversaryConfig:
 class MockQkdRound:
     round: int
     success: bool
-    secret_bits: "Bits | None"
+    secret_bits: "StreamWindow | None"  # unread until sliced and read
     classical_messages: tuple[tuple[Direction, bytes], ...]
 
 
 class MockQkdSource:
     """Deterministic stand-in for sifting/reconciliation/amplification:
     per round, scripted classical traffic plus (on success) one shared
-    secret bit block."""
+    secret bit block, a window on the round's stream that follows the
+    messages' bits and is hashed only where it is read."""
 
     def __init__(self, gen: BitGen, secret_bits: int):
         self._gen = gen
@@ -120,7 +121,7 @@ class MockQkdSource:
         for j in range(MESSAGES_PER_ROUND):
             direction = Direction.A2B if j % 2 == 0 else Direction.B2A
             msgs.append((direction, g.take_bytes(MESSAGE_BYTES)))
-        secret = g.take(self.secret_bits) if success else None
+        secret = g.window(self.secret_bits) if success else None
         return MockQkdRound(round=round_, success=success, secret_bits=secret,
                             classical_messages=tuple(msgs))
 
@@ -245,6 +246,11 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         limit = n_max + 1 if adversary.kind == "block" else n_max
         if adversary.round > limit:
             raise ValueError(f"attack round {adversary.round} is outside the session")
+    if secret_bits is None:
+        secret_bits = plan.l_rec + plan.l_otp + 64
+    if secret_bits < plan.l_rec + plan.l_otp:
+        raise ValueError(f"round 1 needs at least {plan.l_rec + plan.l_otp} "
+                         f"secret bits, got {secret_bits}")
     budget = epsilon_budget(n_max, eps_pred=eps_pred, eps_store=eps_store,
                             eps_auth=plan.eps_achieved, eps_qkd=eps_qkd)
 
@@ -263,8 +269,6 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         )
         parties[role] = PartyState(role=role, plan=plan, fp=fp, pool=pool)
 
-    if secret_bits is None:
-        secret_bits = plan.l_rec + plan.l_otp + 64
     source = MockQkdSource(master.derive("qkd"), secret_bits=secret_bits)
 
     ledger = SessionLedger(

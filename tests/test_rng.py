@@ -1,5 +1,6 @@
-"""The BitGen stream: known answers, a one-block-at-a-time oracle, seed range
-and a guard against draws that cost more than linear time.
+"""The BitGen stream: known answers, a one-block-at-a-time oracle, seed range,
+a guard against draws that cost more than linear time, and the stream window
+checked bit for bit against ``take`` and the oracle.
 
 The known-answer digests were recorded from the first, one-block-at-a-time
 BitGen. Every key, pool file and mock secret in the package is drawn from
@@ -18,7 +19,7 @@ from qkdauth.bits import Bits
 from qkdauth.cli import main
 from qkdauth.planner import plan
 from qkdauth.poolfile import dump_pool, new_pool
-from qkdauth.rng import BitGen
+from qkdauth.rng import BitGen, StreamWindow
 
 DRAWS = [0, 1, 7, 255, 256, 257, 3, 1000, 99_532, 5, 511, 0, 64]
 
@@ -147,6 +148,89 @@ def test_long_draw_is_linear():
     seconds = time.perf_counter() - t0
     assert len(bits) == 4_000_000
     assert seconds < 0.5
+
+
+def read(window: StreamWindow) -> Bits:
+    return Bits(int(window), len(window))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.integers(0, 600), st.integers(0, 2000), st.data())
+def test_window_matches_take_and_reference(seed, skip, nbits, data):
+    gen, twin, ref = BitGen(seed), BitGen(seed), ReferenceBitGen(seed)
+    for g in (gen, twin, ref):
+        g.take(skip)  # the window starts anywhere in a block
+    view, taken, want = gen.window(nbits), twin.take(nbits), ref.take(nbits)
+    assert read(view) == taken == want
+    for _ in range(data.draw(st.integers(1, 3))):  # slices of slices
+        a = data.draw(st.integers(0, len(view)))
+        b = data.draw(st.integers(a, len(view)))
+        view, want = view[a:b], want[a:b]
+        assert read(view) == want
+    # the window left the generator where take leaves it
+    assert gen.take(300) == twin.take(300) == ref.take(300)
+    assert gen.randint(10**6) == twin.randint(10**6) == ref.randint(10**6)
+
+
+def test_window_edges():
+    gen, ref = BitGen(3), ReferenceBitGen(3)
+    gen.take(77)
+    ref.take(77)
+    window, whole = gen.window(1000), ref.take(1000)
+    boundary = 256 - 77  # window bit 179 is stream bit 256, the start of block 1
+    for a, b in [(0, 1000), (0, 0), (500, 500), (700, 300), (999, 1000),
+                 (boundary - 1, boundary + 1), (boundary, boundary + 256),
+                 (boundary - 5, boundary + 300), (3, 997)]:
+        assert read(window[a:b]) == whole[a:b]
+    assert read(window[-1:]) == whole[-1:] == Bits(whole.bit(999), 1)
+    assert read(window[:]) == whole
+    assert read(window[100:900][50:700][1:-1][::1]) == whole[100:900][50:700][1:-1]
+    assert len(window[100:900][850:]) == 0 and int(window[5:5]) == 0
+    for step in (2, 3, -1):
+        with pytest.raises(ValueError, match="contiguous"):
+            window[::step]
+    with pytest.raises(ValueError, match="negative"):
+        BitGen(3).window(-1)
+
+
+def test_window_of_nothing_and_of_whole_blocks():
+    for skip, nbits in [(0, 0), (0, 256), (100, 156), (100, 0), (256, 512), (255, 1)]:
+        gen, ref = BitGen("w"), ReferenceBitGen("w")
+        gen.take(skip)
+        ref.take(skip)
+        assert read(gen.window(nbits)) == ref.take(nbits)
+        assert gen.take(257) == ref.take(257)
+
+
+def test_window_hashes_only_the_blocks_it_reads(monkeypatch):
+    # A window over 2**30 bits is 2**22 blocks; only those under a read are
+    # hashed.  The expected bits come straight from SHA-256 in counter mode.
+    hashed = []
+    blocks = BitGen._blocks
+
+    def counting(self, first, count):
+        hashed.append(count)
+        return blocks(self, first, count)
+
+    monkeypatch.setattr(BitGen, "_blocks", counting)
+    gen = BitGen(1)
+    gen.take(576)
+    hashed.clear()
+    window = gen.window(2**30)
+    assert sum(hashed) <= 1  # the block the next draw starts in
+    hashed.clear()
+    tau, start = 40, 2**30 - 45
+    tail = window[start:][:tau]
+    assert sum(hashed) == 0
+    got = read(tail)
+    assert sum(hashed) <= 2
+
+    pos = 576 + start  # stream bit of the slice's first bit
+    key = hashlib.sha256((1).to_bytes(16, "big")).digest()
+    stream = "".join(
+        format(int.from_bytes(hashlib.sha256(key + struct.pack(">Q", i)).digest(), "big"),
+               "0256b") for i in range(pos // 256, (pos + tau - 1) // 256 + 1))
+    assert got.to01() == stream[pos % 256:pos % 256 + tau]
 
 
 def test_seed_range():

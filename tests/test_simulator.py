@@ -1,13 +1,15 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from qkdauth.hashing import find_field_params
 from qkdauth.planner import make_plan, plan
-from qkdauth.simulator import (AdversaryConfig, collision_census, epsilon_budget,
-                               forgery_experiment, parse_adversary, run_session,
-                               strong_uniformity_census, toeplitz_xor_census,
-                               wilson_interval)
+from qkdauth.rng import BitGen
+from qkdauth.simulator import (AdversaryConfig, MockQkdSource, collision_census,
+                               epsilon_budget, forgery_experiment, parse_adversary,
+                               run_session, strong_uniformity_census,
+                               toeplitz_xor_census, wilson_interval)
 
 PLAN = plan("1e-12", 4096, 63)
 FP = find_field_params(63)
@@ -73,6 +75,36 @@ def test_ledger_prints_the_exact_budget():
     assert line.endswith(f"eps_qkd=1e-09 n_max=2 total={float(exact)!r}")
 
 
+# -- mock QKD source ---------------------------------------------------------------
+
+# Recorded from the source that drew every secret bit with take().  Every
+# session's keys come from this stream, so no change may move these digests.
+KAT_MOCK = {
+    (0, "fit"): "548c16948d48c155e6c6d121c6c2e01cfd7e3f20a32d2ab0fcfcacf8132cc887",
+    (0, "paper"): "8c2ec11d358fccc901d635156040fcdafa8c208c401a820d581ce6647bbc3143",
+    (7, "fit"): "fcd1ff161f0370ba2cb96bc2097c15a60043654f40db7b279947049f0d9015ed",
+    (7, "paper"): "6d32772c56ef89c6d467fafa676859b34c4826f3b71a1d67523d705bae77e834",
+    (11, "fit"): "12596011a00943db70c5dde58aaae014968e5f67dacdc7a1a418fcd2060bcf40",
+    (11, "paper"): "fcafb01701a2b8ead0bbaf491a2a212259dad4dfde257d7a85dcf2fd8501a374",
+}
+# run_session's default fit, and 99,532 secret bits per round as in the paper
+SECRET_BITS = {"fit": PLAN.l_rec + PLAN.l_otp + 64, "paper": 99_532}
+
+
+@pytest.mark.parametrize("seed, fit", list(KAT_MOCK))
+def test_mock_source_known_answers(seed, fit):
+    source = MockQkdSource(BitGen(seed).derive("qkd"), SECRET_BITS[fit])
+    h = hashlib.sha256()
+    for r in (1, 2, 5):
+        mock = source.round(r, True)
+        for direction, payload in mock.classical_messages:
+            h.update(f"{direction.value}:{payload.hex()};".encode())
+        secret = mock.secret_bits
+        h.update(f"{len(secret)}:{int(secret):x};".encode())  # reads every bit
+        assert source.round(r, False).secret_bits is None
+    assert h.hexdigest() == KAT_MOCK[seed, fit]
+
+
 # -- sessions ----------------------------------------------------------------------
 
 def test_session_requires_even_rounds():
@@ -86,6 +118,14 @@ def test_session_attack_round_in_range():
         run_session(4, PLAN, FP, AdversaryConfig(kind="tamper", round=6), seed=1)
     with pytest.raises(ValueError):
         run_session(4, PLAN, FP, AdversaryConfig(kind="quantum", round=5), seed=1)
+
+
+@pytest.mark.parametrize("spec", ["none", "quantum:1", "block:1"])
+@pytest.mark.parametrize("secret_bits", [-1, 0, PLAN.l_otp, PLAN.l_rec + PLAN.l_otp - 1])
+def test_session_rejects_short_secret_before_drawing(monkeypatch, spec, secret_bits):
+    monkeypatch.setattr(BitGen, "_blocks", lambda *a: pytest.fail("a key was drawn"))
+    with pytest.raises(ValueError, match="secret bits"):
+        run_session(4, PLAN, FP, parse_adversary(spec), seed=1, secret_bits=secret_bits)
 
 
 def test_clean_sessions_never_reject():
