@@ -7,6 +7,7 @@ session is terminated by attack detection, 2 on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -40,7 +41,22 @@ def _read_message(path: str, msg_bits: "int | None") -> Bits:
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    return Bits.from_bytes(data, msg_bits)
+    try:
+        return Bits.from_bytes(data, msg_bits)
+    except ValueError:  # only a given --msg-bits can fail
+        lo, hi = max(8 * len(data) - 7, 0), 8 * len(data)
+        why = (f"must be in {lo}..{hi} for a {len(data)}-byte message" if not lo <= msg_bits <= hi
+               else f"{msg_bits} cuts set bits off the message's last byte")
+        raise ValueError(f"--msg-bits {why}") from None
+
+
+def _parse_tag(text: str, tau: int) -> Tag:
+    try:
+        return Tag(Bits.from_hex(text, tau))
+    except ValueError:
+        pad = f" with the last {-tau % 8} bits zero" if tau % 8 else ""
+        raise ValueError(f"--tag must be {(tau + 7) // 8 * 2} hex digits{pad} "
+                         f"for tau={tau}") from None
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -107,7 +123,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     with round_mask(args.key_pool, args.round) as pool:
         m = _read_message(args.message, args.msg_bits)
-        ok = verify_tag(m, Tag(Bits.from_hex(args.tag, pool.plan.tau)), pool.recycled_key(),
+        ok = verify_tag(m, _parse_tag(args.tag, pool.plan.tau), pool.recycled_key(),
                         pool.otp[args.round], pool.plan, find_field_params(pool.plan.w))
     print("ok" if ok else "FAIL")
     return 0 if ok else 1
@@ -188,7 +204,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  ``main`` parses
+    every argv against it, so no command may change it after it is built."""
     ap = _Parser(prog="qkdauth", description="Recycled-key authentication for QKD "
                  "post-processing: planning, tagging, simulation.")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -28,6 +28,7 @@ final, wide lanes take a Python Horner step each (``_poly_sums``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -54,11 +55,14 @@ class FieldParams:
     p: int
 
 
+@functools.cache
 def find_field_params(w: int) -> FieldParams:
     """Smallest delta making 2**w + delta prime, for 2 <= w <= 63.
 
     2**w is even for every supported w, so only odd offsets are candidates.
-    Deterministic: the Miller-Rabin witness set covers all n < 2**64.
+    Deterministic: the Miller-Rabin witness set covers all n < 2**64.  Each
+    width is searched once per process; a width out of range raises on
+    every call, as the cache keeps no exceptions.
     """
     if not MIN_CHUNK_WIDTH <= w <= MAX_CHUNK_WIDTH:
         raise ValueError(f"chunk width must be in [{MIN_CHUNK_WIDTH}, {MAX_CHUNK_WIDTH}], got {w}")

@@ -11,17 +11,20 @@ no single bit error brings a consumed mask back.
 The 18-byte header fixes every other offset.  ``_check_layout`` is the one
 validator: it range-checks the header before any arithmetic on it, then
 every field and pad bit after it, so ``parse_pool`` and ``round_mask``
-accept the same files.  ``round_mask`` reads round r at its own offset and
-consumes it in place with one ``pwrite`` of the flag byte and an ``fsync``,
-under an exclusive ``flock`` held until the write is durable.  ``save_pool``
-writes whole pools through a temp file, an atomic rename and an fsync of
-the directory.
+accept the same files.  The expected round-id column is memoised for the
+last round count only, and only once the file length has borne that count
+out, so it is never larger than the file that asked for it.  ``round_mask``
+reads round r at its own offset and consumes it in place with one ``pwrite``
+of the flag byte and an ``fsync``, under an exclusive ``flock`` held until
+the write is durable.  ``save_pool`` writes whole pools through a temp file,
+an atomic rename and an fsync of the directory.
 """
 
 from __future__ import annotations
 
 import contextlib
 import fcntl
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -91,6 +94,13 @@ def _zero_pad(nbits: int) -> bytes:
     return bytes(range(0, 256, 1 << (-nbits % 8)))
 
 
+@functools.lru_cache(maxsize=1)
+def _round_id_columns(rounds: int) -> tuple[bytes, ...]:
+    """Byte j of the big-endian ids 1..rounds, for each j in 0..3."""
+    ids = struct.pack(f">{rounds}I", *range(1, rounds + 1))
+    return tuple(ids[j::4] for j in range(4))
+
+
 def _check_layout(data: bytes) -> tuple[TagPool, range]:
     """Validate a whole pool file.  Return its pool with no OTP entries
     decoded and the offset of each entry, round r's at index r - 1."""
@@ -129,10 +139,9 @@ def _check_layout(data: bytes) -> tuple[TagPool, range]:
     # is read at its own offset and no other entry can claim it.  Each byte
     # column of the round and bit-count fields, and the last mask byte, is
     # checked at once; the entries are walked only to name the first bad one.
-    ids = struct.pack(f">{rounds}I", *range(1, rounds + 1))
     tau_bits = _U32.pack(tau)
     pad_ok = _zero_pad(tau)
-    if (any(data[start + j::size] != ids[j::4] for j in range(4))
+    if (any(data[start + j::size] != ids for j, ids in enumerate(_round_id_columns(rounds)))
             or any(data[start + _FLAG + 1 + j::size] != tau_bits[j:j + 1] * rounds
                    for j in range(4))
             or data[start + size - 1::size].translate(None, pad_ok)):

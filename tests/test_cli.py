@@ -1,5 +1,6 @@
 import contextlib
 import fcntl
+import io
 import os
 import re
 import struct
@@ -580,3 +581,188 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+# -- per-process constants: one parser, one field search, one id column ------
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call; an
+    argparse usage error exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+# Every command, with failing argvs between them, so that a parse that
+# failed half-way is followed by one that must succeed.
+PARSER_REUSE_SEQUENCE = [
+    ["plan", "--eps-auth", "1e-12", "--mu", "1Mbit", "--w", "31"],
+    ["plan", "--no-such-flag"],
+    ["primes", "--w-min", "2", "--w-max", "5"],
+    ["primes", "--w-min", "abc", "--w-max", "5"],
+    ["cost", "--eps-auth", "1e-33", "--l-sift", "995328", "--eta-pa", "0.1"],
+    ["init-pool", "--out", "alice.pool", "--rounds", "4"] + KAT_POOL_ARGS,
+    ["tag", "--round", "1", "--message", "m.bin"],
+    ["init-pool", "--out", "bob.pool", "--rounds", "4"] + KAT_POOL_ARGS,
+    ["tag", "--key-pool", "alice.pool", "--round", "1", "--message", "m.bin"],
+    ["simulate", "--rounds", "2", "--eps-qkd", "-1e-9"],
+    ["verify", "--key-pool", "bob.pool", "--round", "1", "--message", "m.bin",
+     "--tag", KAT_TAG_HEX],
+    [],
+    ["verify", "--key-pool", "bob.pool", "--round", "2", "--message", "m.bin",
+     "--msg-bits", "200", "--tag", KAT_TAG_HEX],
+    ["simulate", "--rounds", "4", "--adversary", "tamper:3", "--seed", "7"],
+    ["attack-stats", "--tau", "8", "--w", "15", "--mu", "512", "--trials", "200"],
+    ["plan", "--table", "--machine"],
+    ["selftest"],
+    ["tag", "--key-pool", "alice.pool", "--round", "1", "--message", "m.bin"],
+]
+
+
+def test_shared_parser_gives_what_a_fresh_parser_gives(tmp_path, monkeypatch):
+    from qkdauth.cli import build_parser
+
+    runs = []
+    for fresh in (False, True):
+        (tmp_path / str(fresh)).mkdir()
+        monkeypatch.chdir(tmp_path / str(fresh))
+        Path("m.bin").write_bytes(KAT_MESSAGE)
+        results = []
+        for argv in PARSER_REUSE_SEQUENCE:
+            if fresh:
+                build_parser.cache_clear()
+            results.append(run_main(argv))
+        runs.append(results)
+    assert runs[0] == runs[1]
+    assert {rc for rc, _, _ in runs[0]} == {0, 1, 2}
+    assert [out for _, out, _ in runs[0]].count(KAT_TAG_HEX + "\n") == 1
+    assert build_parser() is build_parser()
+
+
+def test_tag_and_verify_build_per_process_constants_once(tmp_path, capsys, monkeypatch):
+    """50 tag/verify calls build the parser once, search for the field
+    prime once and build the round-id column once: counted, not timed."""
+    from qkdauth import cli, hashing, poolfile
+
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    alice = make_pool(tmp_path, capsys, "alice.pool", rounds=25)
+    bob = make_pool(tmp_path, capsys, "bob.pool", rounds=25)
+    parsers, prime_tests = [], []
+    parser_init, is_prime = cli._Parser.__init__, hashing.is_prime_u64
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        parser_init(self, *args, **kwargs)
+
+    def counting_is_prime(n):
+        prime_tests.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(hashing, "is_prime_u64", counting_is_prime)
+    for cached in (cli.build_parser, hashing.find_field_params, poolfile._round_id_columns):
+        cached.cache_clear()
+    for r in range(1, 26):
+        assert main(["tag", "--key-pool", alice, "--round", str(r), "--message", str(msg)]) == 0
+        tag_hex = capsys.readouterr().out.strip()
+        assert main(["verify", "--key-pool", bob, "--round", str(r), "--message", str(msg),
+                     "--tag", tag_hex]) == 0
+        assert capsys.readouterr().out == "ok\n"
+    assert parsers.count("qkdauth") == 1  # the subparsers are named "qkdauth <command>"
+    assert len(prime_tests) == (find_field_params(63).delta + 1) // 2
+    assert poolfile._round_id_columns.cache_info().misses == 1
+
+
+# Validates one pool file in a fresh interpreter and prints what it says.
+COLD_CHECK = """
+import sys
+from qkdauth.cli import main
+from qkdauth.poolfile import PoolFormatError, parse_pool
+mode, path, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+if mode == "parse":
+    try:
+        parse_pool(open(path, "rb").read())
+    except PoolFormatError as exc:
+        print(exc)
+else:
+    sys.stderr = sys.stdout
+    main(argv + [path])
+"""
+
+
+def test_round_id_memo_never_carries_acceptance(tmp_path, capsys):
+    """After a well-formed 2048-round pool is accepted, each malformed pool
+    is still rejected in full, with the message a cold process gives."""
+    pool = new_pool(plan("1e-12", 4096, 63), rounds=2048, seed=42)
+    good = dump_pool(pool)
+    head = len(dump_pool(TagPool(pool.plan, pool.recycled, {})))
+    size = (len(good) - head) // 2048
+    wrong_id = bytearray(good)
+    struct.pack_into(">I", wrong_id, head + 999 * size, 7)
+    wrong_bits = bytearray(good)
+    struct.pack_into(">I", wrong_bits, head + 1500 * size + 5, 39)
+    short = dump_pool(new_pool(plan("1e-12", 4096, 63), rounds=2047, seed=42))[:-2]
+    bad = {
+        "wrong-id": (bytes(wrong_id), "OTP entry 1000 holds round 7, rounds must increase"),
+        "wrong-bit-count": (bytes(wrong_bits), "OTP entry for round 1501 is 39 bits, expected 40"),
+        "other-count-truncated": (short, "truncated pool file: 2047 OTP entries end at byte"),
+    }
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    tag_argv = ["tag", "--round", "2", "--message", str(msg), "--key-pool"]
+    (tmp_path / "good.pool").write_bytes(good)
+    assert parse_pool(good).otp.keys() == set(range(1, 2049))
+    assert main(tag_argv + [str(tmp_path / "good.pool")]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qkdauth.__file__)))
+    for name, (blob, reason) in bad.items():
+        path = tmp_path / f"{name}.pool"
+        path.write_bytes(blob)
+        with pytest.raises(PoolFormatError) as exc:
+            parse_pool(blob)
+        assert main(tag_argv + [str(path)]) == 2
+        warm = (str(exc.value), capsys.readouterr().err)
+        assert reason in warm[0] and warm[1] == f"error: {warm[0]}\n"
+        cold = [subprocess.run([sys.executable, "-c", COLD_CHECK, mode, str(path), *tag_argv],
+                               capture_output=True, text=True, env=env, timeout=60).stdout
+                for mode in ("parse", "tag")]
+        assert cold == [warm[0] + "\n", warm[1]], name
+        assert path.read_bytes() == blob
+
+
+
+
+
+# --tag and --msg-bits values that do not fit the pool or the message
+BAD_TAG_AND_MSG_BITS = {
+    "tag-too-long": (["verify", "--tag", "123456789012345678"],
+                     "--tag must be 10 hex digits for tau=40"),
+    "tag-odd-digits": (["verify", "--tag", "00000000000"],
+                       "--tag must be 10 hex digits for tau=40"),
+    "tag-msg-bits-above": (["tag", "--msg-bits", "41"],
+                           "--msg-bits must be in 33..40 for a 5-byte message"),
+    "verify-msg-bits-below": (["verify", "--msg-bits", "32", "--tag", "0" * 10],
+                              "--msg-bits must be in 33..40 for a 5-byte message"),
+    "tag-msg-bits-cuts-set-bits": (["tag", "--msg-bits", "33"],
+                                   "--msg-bits 33 cuts set bits off the message's last byte"),
+}
+
+
+@pytest.mark.parametrize("args, line", BAD_TAG_AND_MSG_BITS.values(),
+                         ids=BAD_TAG_AND_MSG_BITS.keys())
+def test_bad_tag_or_msg_bits_names_the_flag_and_keeps_the_mask(args, line, tmp_path, capsys):
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"hello")
+    pool = make_pool(tmp_path, capsys, "p.pool")
+    before = Path(pool).read_bytes()
+    flag = first_entry_offset(pool) + 4
+    argv = args[:1] + ["--key-pool", pool, "--round", "1", "--message", str(msg)] + args[1:]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    after = Path(pool).read_bytes()
+    assert after[flag] == 0 and after == before  # no mask consumed

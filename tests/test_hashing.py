@@ -1,16 +1,17 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
-from qkdauth.hashing import (_LANE_BITS, _MIN_LEVELS, FieldParams, OtpKey,
-                             OtpReuseError, RecycledKey, Tag, chunk_count, compose_tag,
-                             find_field_params, multi_poly_hash, pad_and_chunk,
+from qkdauth.hashing import (_LANE_BITS, _MIN_LEVELS, MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH,
+                             FieldParams, OtpKey, OtpReuseError, RecycledKey, Tag, chunk_count,
+                             compose_tag, find_field_params, multi_poly_hash, pad_and_chunk,
                              toeplitz_hash, verify_tag)
 from qkdauth.planner import make_plan
+from qkdauth.primes import is_prime_u64
 from qkdauth.rng import BitGen
 
 
@@ -44,10 +45,20 @@ def test_field_params_delta_is_minimal():
             assert not trial_division((1 << w) + smaller)
 
 
+def test_field_params_match_a_linear_search_on_every_width():
+    """The cached search agrees, call after call, with a plain scan over
+    every offset, even and odd."""
+    for w in range(MIN_CHUNK_WIDTH, MAX_CHUNK_WIDTH + 1):
+        delta = next(d for d in count(1) if is_prime_u64((1 << w) + d))
+        want = FieldParams(w, delta, (1 << w) + delta)
+        assert [find_field_params(w) for _ in range(3)] == [want] * 3, w
+
+
 def test_field_params_range():
     for w in (0, 1, 64, 100):
-        with pytest.raises(ValueError):
-            find_field_params(w)
+        for _ in range(2):  # no cached answer stands in for the error
+            with pytest.raises(ValueError):
+                find_field_params(w)
 
 
 # -- padding and chunking ----------------------------------------------------
