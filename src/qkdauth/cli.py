@@ -141,10 +141,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack_stats(args: argparse.Namespace) -> int:
+    p = make_plan(tau=args.tau, lam=args.lam, w=args.w, mu=_parse_mu(args.mu))
     if 0 < args.trials < 10**4:  # forgery_experiment rejects trials < 1
         print(f"attack-stats: {args.trials} trials resolve rates only down to "
               f"~{10 / args.trials:.1e}; consider at least 10000", file=sys.stderr)
-    p = make_plan(tau=args.tau, lam=args.lam, w=args.w, mu=_parse_mu(args.mu))
     fp = find_field_params(p.w)
     stats = forgery_experiment(p, fp, strategy=args.strategy,
                                trials=args.trials, seed=args.seed)

@@ -22,8 +22,14 @@ with the message while the padding and the security bound are unchanged.
 The polynomial is evaluated lane-parallel on the padded message as one big
 integer: neighbouring lanes are folded pairwise, level by level, with a
 few big-integer operations over the whole message per level, and only the
-final, wide lanes take a Python Horner step each (``_poly_sums``).
+final, wide lanes take a Python Horner step each (``_poly_sums``).  The
+lane masks are built once per chunk width, level count and size class.
 ``pad_and_chunk`` and ``chunk_count`` state the padding rule itself.
+
+The Toeplitz product is read off one ordinary integer multiply: with every
+bit of the key and of the intermediate spread into its own byte slot, each
+slot of the product counts the key and input bit pairs of one output bit,
+and its low bit is that output bit (``toeplitz_hash``).
 """
 
 from __future__ import annotations
@@ -110,27 +116,53 @@ def pad_and_chunk(m: Bits, w: int, mu: int) -> list[int]:
 # The polynomial kernel folds neighbouring lanes pairwise, level by level,
 # until the whole message is one lane or a lane is at least _LANE_BITS wide:
 # a fold costs the same for any lane width, and past about 1024 bits it
-# costs more than the Python Horner steps it saves.  At least _MIN_LEVELS
-# levels make a lane of w * 2**levels bits whole bytes.
-_MIN_LEVELS = 3
+# costs more than the Python Horner steps it saves.  A message of several
+# final lanes has folded the deepest level, at least 5 for w <= 63, so its
+# lanes of w * 2**levels bits are whole bytes.
 _LANE_BITS = 1024
 
 
-def _pair_masks(w: int, levels: int, nbits: int) -> list[int]:
-    """``masks[j]`` keeps the low lane of each pair at level j: the low
-    ``w << j`` bits of every ``w << (j+1)``, over ``nbits`` bits.
-
-    Only the deepest mask is built from bytes; each shallower one follows
-    from the next with one shift and one XOR.
-    """
+# 32 entries hold every level count and size class that one chunk width
+# needs for messages of up to 2**24 bits; past that the least recently used
+# class is evicted.
+@functools.lru_cache(maxsize=32)
+def _class_masks(w: int, levels: int, groups: int) -> tuple[int, ...]:
+    """``_pair_masks`` over ``groups`` groups of ``w << levels`` bits, for a
+    power of two ``groups``: the deepest mask doubles its length once per
+    factor of two, and each shallower one follows from the next with one
+    shift and one XOR."""
     s = w << (levels - 1)
-    m = int.from_bytes(((1 << s) - 1).to_bytes(s // 4, "little") * (nbits // (2 * s)), "little")
+    m = (1 << s) - 1
+    span = 2 * s
+    while groups > 1:
+        m |= m << span
+        span <<= 1
+        groups >>= 1
     masks = [m]
     while s > w:
         s >>= 1
         m ^= m << s
         masks.append(m)
-    return masks[::-1]
+    return tuple(masks[::-1])
+
+
+def _pair_masks(w: int, levels: int, nbits: int) -> tuple[int, ...]:
+    """``masks[j]`` keeps the low lane of each pair at level j: the low
+    ``w << j`` bits of every ``w << (j+1)``, over ``nbits`` bits, a whole
+    number of groups of ``w << levels`` bits.
+
+    The masks are built once per size class, the next power of two of
+    groups, and cut to ``nbits`` with one AND each.  So the cache key
+    depends only on the message size, and a cached mask is less than twice
+    the message's padded size.
+    """
+    groups = nbits // (w << levels)
+    size = 1 << (groups - 1).bit_length()
+    masks = _class_masks(w, levels, size)
+    if size == groups:
+        return masks
+    cut = (1 << nbits) - 1
+    return tuple(m & cut for m in masks)
 
 
 def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
@@ -144,7 +176,8 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     folds each pair of w-bit lanes (lo, hi) into lo*k + hi, and level j
     folds pairs of (w << (j-1))-bit lanes with k**(2**(j-1)) mod p, each
     as a few big-integer operations over the whole message.  The final
-    lanes of ``2**levels`` chunks go through one Python Horner step each.
+    lanes of ``2**levels`` chunks go through one Python Horner step each;
+    a message folded into one lane is reduced mod p whole.
 
     Headroom: after level j a lane is below 2**(2w + (j-1)(w+1)) and has
     w * 2**j bits.  Level 1 is exact, (2**w-1)*k + 2**w-1 < 2**(2w) as
@@ -155,7 +188,7 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     """
     n = len(m)
     u = n // w + 1  # ceil((n + 1) / w)
-    levels = max(_MIN_LEVELS, min((u - 1).bit_length(), ((_LANE_BITS - 1) // w).bit_length()))
+    levels = max(1, min((u - 1).bit_length(), ((_LANE_BITS - 1) // w).bit_length()))
     u = -(-u >> levels) << levels  # whole groups of 2**levels chunks
     v = ((m.value << 1) | 1) << (u * w - n - 1)
     masks = _pair_masks(w, levels, u * w)
@@ -167,6 +200,9 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
         for j in range(1, levels):
             acc = (acc & masks[j]) * kk + ((acc >> (w << j)) & masks[j])
             kk = kk * kk % p
+        if u == 1 << levels:  # one final lane, the whole message
+            sums.append(acc % p)
+            continue
         data = acc.to_bytes(u * w // 8, "little")
         h = 0
         for i in range(0, len(data), lane_bytes):
@@ -196,29 +232,45 @@ def multi_poly_hash(m: Bits, poly_keys: Sequence[Bits], fp: FieldParams, mu: int
     return Bits(out, width * len(poly_keys))
 
 
+# Translation tables for the Toeplitz product: "0"/"1" text to byte slots
+# 0/1, and a byte slot's count to the "0"/"1" text of its parity.
+_SLOT = bytes(b & 1 for b in range(256))
+_PARITY = b"01" * 128
+_PIECE_BITS = 255  # the largest count a byte slot holds
+
+
 def toeplitz_hash(x: Bits, tk: Bits) -> Bits:
     """Multiply ``x`` by the Toeplitz matrix defined by key ``tk`` over GF(2).
 
     For input width alpha and output width beta the key holds
     alpha + beta - 1 bits k_1..k_{alpha+beta-1}, and row i (1-indexed from
     the top) of the matrix is T[i][j] = k_{beta+j-i}: the top-left entry is
-    k_beta, the bottom-left k_1, the top-right k_{beta+alpha-1}.  Row i is
-    therefore the contiguous key slice starting at k_{beta+1-i}, which lets
-    each output bit be computed as the parity of a mask-and-popcount.
+    k_beta, the bottom-left k_1, the top-right k_{beta+alpha-1}.
+
+    Output bit i is the parity of sum_j k_{beta-i+j} x_j: bits
+    alpha-1 .. alpha+beta-2 of the carry-less product of the key reversed
+    and x.  That product is formed as one ordinary integer multiply.  Each
+    bit is spread into a byte slot, the key from k_1 and x from x_alpha at
+    the low end, so slot s of the product counts the pairs k_e x_j with
+    (e-1) + (alpha-j) = s, and output bit i is the low bit of slot
+    alpha+beta-1-i.  A byte holds a count up to 255, so x is cut into
+    pieces of at most 255 columns and no slot carries into the next; the
+    product is linear in x, and the pieces' outputs are XORed.
     """
     alpha = len(x)
     beta = len(tk) + 1 - alpha
     if alpha < 1 or beta < 1:
         raise ValueError(f"key of {len(tk)} bits does not match input of {alpha} bits")
-    kv = tk.value
-    xv = x.value
-    klen = len(tk)
+    ks = format(tk.value, f"0{len(tk)}b").encode().translate(_SLOT)
+    xs = format(x.value, f"0{alpha}b").encode().translate(_SLOT)
+    step = -(-alpha // -(-alpha // _PIECE_BITS))  # equal pieces of at most 255 columns
     out = 0
-    for i in range(1, beta + 1):
-        # row i = key bits (beta - i) .. (beta - i + alpha), 0-indexed from the left
-        start = beta - i
-        row = (kv >> (klen - start - alpha)) & ((1 << alpha) - 1)
-        out = (out << 1) | ((row & xv).bit_count() & 1)
+    for c in range(0, alpha, step):
+        n = min(step, alpha - c)
+        # columns c+1 .. c+n: output bit i is the low bit of slot n-1+beta-i
+        prod = int.from_bytes(ks[c:c + n + beta - 1], "little") * \
+            int.from_bytes(xs[c:c + n], "big")
+        out ^= int(prod.to_bytes(2 * n + beta - 2, "big")[n - 1:n - 1 + beta].translate(_PARITY), 2)
     return Bits(out, beta)
 
 

@@ -467,6 +467,11 @@ BAD_INPUTS = {
                                 "--eta-pa", "0.1"],
     "attack-stats-no-trials": ["attack-stats", "--tau", "8", "--w", "15", "--mu", "512",
                                "--trials", "0"],
+    # a bad plan fails before the few-trials advisory is printed
+    "attack-stats-few-trials-mu-0": ["attack-stats", "--tau", "8", "--w", "15", "--mu", "0",
+                                     "--trials", "10"],
+    "attack-stats-few-trials-w-64": ["attack-stats", "--tau", "8", "--w", "64", "--mu", "512",
+                                     "--trials", "10"],
     "init-pool-no-rounds": ["init-pool", "--rounds", "0", "--seed", "1", "--out", "{pool}"],
     "init-pool-negative-rounds": ["init-pool", "--rounds", "-1", "--seed", "1",
                                   "--out", "{pool}"],

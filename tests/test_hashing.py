@@ -2,14 +2,14 @@ from fractions import Fraction
 from itertools import combinations, count, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
-from qkdauth.hashing import (_LANE_BITS, _MIN_LEVELS, MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH,
-                             FieldParams, OtpKey, OtpReuseError, RecycledKey, Tag, chunk_count,
-                             compose_tag, find_field_params, multi_poly_hash, pad_and_chunk,
-                             toeplitz_hash, verify_tag)
+from qkdauth.hashing import (_LANE_BITS, MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH, FieldParams,
+                             OtpKey, OtpReuseError, RecycledKey, Tag, _class_masks, _pair_masks,
+                             chunk_count, compose_tag, find_field_params, multi_poly_hash,
+                             pad_and_chunk, toeplitz_hash, verify_tag)
 from qkdauth.planner import make_plan
 from qkdauth.primes import is_prime_u64
 from qkdauth.rng import BitGen
@@ -236,7 +236,7 @@ def extreme_keys(w):
 def chunk_counts_through_the_deepest_level(w):
     """Every live chunk count u from 1 to two groups past the start of the
     deepest level, where a group is the 2**levels chunks of a final lane."""
-    deepest = max(_MIN_LEVELS, ((_LANE_BITS - 1) // w).bit_length())
+    deepest = ((_LANE_BITS - 1) // w).bit_length()
     start = (1 << (deepest - 1)) + 1  # the smallest u folded `deepest` times
     return range(1, start + (2 << deepest) + 1)
 
@@ -265,6 +265,47 @@ def test_poly_hash_headroom_on_a_full_megabit(w):
     m = Bits((1 << mu) - 1, mu)
     keys = extreme_keys(w)
     assert multi_poly_hash(m, keys, fp, mu) == reference_multi_poly_hash(m, keys, fp, mu)
+
+
+def fresh_pair_masks(w, levels, nbits):
+    """The masks written out: at level j, w << j zeros over w << j ones per pair."""
+    return tuple(int(("0" * (w << j) + "1" * (w << j)) * (nbits // (w << (j + 1))), 2)
+                 for j in range(levels))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=63), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=1, max_value=40))
+def test_cut_pair_masks_match_a_fresh_build(w, levels, groups):
+    nbits = groups * (w << levels)
+    assert _pair_masks(w, levels, nbits) == fresh_pair_masks(w, levels, nbits)
+
+
+def test_tags_stay_right_as_messages_grow_past_their_mask_class():
+    """A short message first fills the cache with one-group masks; each
+    longer one needs a larger size class, and a shorter one after it a cut."""
+    _class_masks.cache_clear()
+    plan = make_plan(tau=40, lam=2, w=31, mu=100_000)
+    fp = find_field_params(31)
+    gen = BitGen(15)
+    rk = RecycledKey.from_bits(gen.take(plan.l_rec), plan.lam, plan.w, plan.tau)
+    for n in (100, 1_000, 5_000, 20_000, 100_000, 3_000, 50_000, 0):
+        m, otp = gen.take(n), gen.take(plan.tau)
+        want = naive_toeplitz(reference_multi_poly_hash(m, rk.poly_keys, fp, plan.mu),
+                              rk.toeplitz_key) ^ otp
+        assert compose_tag(m, rk, OtpKey(otp), plan, fp).bits == want, n
+    assert _class_masks.cache_info().currsize > 1
+
+
+def test_mask_cache_is_bounded():
+    _class_masks.cache_clear()
+    maxsize = _class_masks.cache_info().maxsize
+    assert maxsize is not None
+    for w in range(MIN_CHUNK_WIDTH, MAX_CHUNK_WIDTH + 1):
+        for n in (0, 40 * w, 3_000):
+            multi_poly_hash(Bits(0, n), [Bits(1, w)], find_field_params(w), n)
+        assert _class_masks.cache_info().currsize <= maxsize
+    assert _class_masks.cache_info().currsize == maxsize
 
 
 def test_multi_poly_hash_errors():
@@ -306,14 +347,38 @@ def test_toeplitz_matrix_layout():
     assert toeplitz_hash(Bits.from01("001"), tk).to01() == "10"
 
 
-@settings(max_examples=300)
-@given(st.data())
-def test_toeplitz_matches_naive_oracle(data):
-    alpha = data.draw(st.integers(min_value=1, max_value=8))
-    beta = data.draw(st.integers(min_value=1, max_value=8))
-    tk = Bits(data.draw(st.integers(min_value=0, max_value=(1 << (alpha + beta - 1)) - 1)),
+# Widths on both sides of the product's column pieces (at most 255 columns
+# each), and the widest input the planner allows: lam = 64, w = 63.
+PIECE_EDGES = (254, 255, 256, 510, 511, 4096)
+
+
+def all_ones(alpha, beta):
+    """Every product slot at its largest count."""
+    return Bits((1 << alpha) - 1, alpha), Bits((1 << (alpha + beta - 1)) - 1, alpha + beta - 1)
+
+
+@st.composite
+def toeplitz_cases(draw):
+    alpha = draw(st.integers(min_value=1, max_value=8) | st.sampled_from(PIECE_EDGES)
+                 | st.integers(min_value=1, max_value=600))
+    beta = draw(st.integers(min_value=1, max_value=8) | st.integers(min_value=1, max_value=80))
+    if draw(st.booleans()):
+        return all_ones(alpha, beta)
+    tk = Bits(draw(st.integers(min_value=0, max_value=(1 << (alpha + beta - 1)) - 1)),
               alpha + beta - 1)
-    x = Bits(data.draw(st.integers(min_value=0, max_value=(1 << alpha) - 1)), alpha)
+    x = Bits(draw(st.integers(min_value=0, max_value=(1 << alpha) - 1)), alpha)
+    return x, tk
+
+
+@settings(max_examples=300, deadline=None)
+@given(toeplitz_cases())
+@example(all_ones(1, 1))
+@example(all_ones(255, 1))
+@example(all_ones(4096, 1))
+@example(all_ones(4096, 80))
+@example(all_ones(511, 80))
+def test_toeplitz_matches_naive_oracle(case):
+    x, tk = case
     assert toeplitz_hash(x, tk) == naive_toeplitz(x, tk)
 
 
