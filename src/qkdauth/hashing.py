@@ -20,9 +20,13 @@ Only the chunks up to the one holding the pad bit are evaluated: the rest
 are zero coefficients of the highest powers of the key, so tag time scales
 with the message while the padding and the security bound are unchanged.
 The polynomial is evaluated lane-parallel on the padded message as one big
-integer: neighbouring lanes are folded pairwise, level by level, with a
-few big-integer operations over the whole message per level, and only the
-final, wide lanes take a Python Horner step each (``_poly_sums``).  The
+integer (``_poly_sums``): neighbouring lanes are folded pairwise, level by
+level, with a few big-integer operations over the whole message per level.
+A short message folds into one lane.  A long one folds three levels and
+then halves its lane count per step, adding the low half times a power of
+the key onto the high half, with a lane-parallel reduction mod p before a
+halving that could overflow a lane; so each step works on half the
+integer of the step before, and no step loops over lanes in Python.  The
 lane masks are built once per chunk width, level count and size class.
 ``pad_and_chunk`` and ``chunk_count`` state the padding rule itself.
 
@@ -94,43 +98,27 @@ def pad_and_chunk(m: Bits, w: int, mu: int) -> list[int]:
     """
     if len(m) > mu:
         raise ValueError(f"message of {len(m)} bits exceeds the {mu}-bit bound")
-    l = chunk_count(mu, w)
-    padded = m + Bits(1, 1) + Bits.zeros(l * w - len(m) - 1)
-    data = padded.to_bytes()
-    mask = (1 << w) - 1
-    chunks: list[int] = []
-    acc = 0
-    nacc = 0
-    for byte in data:
-        acc = (acc << 8) | byte
-        nacc += 8
-        while nacc >= w:
-            nacc -= w
-            chunks.append((acc >> nacc) & mask)
-            acc &= (1 << nacc) - 1
-            if len(chunks) == l:
-                return chunks
-    return chunks
+    nbits = chunk_count(mu, w) * w
+    text = format(((m.value << 1) | 1) << (nbits - len(m) - 1), f"0{nbits}b")
+    return [int(text[i:i + w], 2) for i in range(0, nbits, w)]
 
 
-# The polynomial kernel folds neighbouring lanes pairwise, level by level,
-# until the whole message is one lane or a lane is at least _LANE_BITS wide:
-# a fold costs the same for any lane width, and past about 1024 bits it
-# costs more than the Python Horner steps it saves.  A message of several
-# final lanes has folded the deepest level, at least 5 for w <= 63, so its
-# lanes of w * 2**levels bits are whole bytes.
+# A message that folds into one lane of at most _LANE_BITS bits is folded
+# whole; a longer one folds _FOLDS levels, then halves its lane count.
 _LANE_BITS = 1024
+_FOLDS = 3
 
 
 # 32 entries hold every level count and size class that one chunk width
-# needs for messages of up to 2**24 bits; past that the least recently used
+# needs for messages of up to 2**28 bits; past that the least recently used
 # class is evicted.
 @functools.lru_cache(maxsize=32)
 def _class_masks(w: int, levels: int, groups: int) -> tuple[int, ...]:
-    """``_pair_masks`` over ``groups`` groups of ``w << levels`` bits, for a
-    power of two ``groups``: the deepest mask doubles its length once per
-    factor of two, and each shallower one follows from the next with one
-    shift and one XOR."""
+    """``masks[j]`` keeps the low ``w << j`` bits of every ``w << (j+1)``
+    over ``groups`` groups of ``w << levels`` bits, for a power of two
+    ``groups``: the deepest mask doubles its length once per factor of two,
+    and each shallower one follows from the next with one shift and one XOR.
+    A shorter message ANDs with them uncut, at the cost of its own length."""
     s = w << (levels - 1)
     m = (1 << s) - 1
     span = 2 * s
@@ -146,25 +134,6 @@ def _class_masks(w: int, levels: int, groups: int) -> tuple[int, ...]:
     return tuple(masks[::-1])
 
 
-def _pair_masks(w: int, levels: int, nbits: int) -> tuple[int, ...]:
-    """``masks[j]`` keeps the low lane of each pair at level j: the low
-    ``w << j`` bits of every ``w << (j+1)``, over ``nbits`` bits, a whole
-    number of groups of ``w << levels`` bits.
-
-    The masks are built once per size class, the next power of two of
-    groups, and cut to ``nbits`` with one AND each.  So the cache key
-    depends only on the message size, and a cached mask is less than twice
-    the message's padded size.
-    """
-    groups = nbits // (w << levels)
-    size = 1 << (groups - 1).bit_length()
-    masks = _class_masks(w, levels, size)
-    if size == groups:
-        return masks
-    cut = (1 << nbits) - 1
-    return tuple(m & cut for m in masks)
-
-
 def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     """Sum of c_i * k**i (mod p) over the chunks c_0, c_1, ... of the padded
     message, leftmost first, up to the chunk holding the pad bit, per key k.
@@ -172,42 +141,65 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     The chunks after the pad bit's are zero coefficients of higher powers,
     so leaving them out keeps the sum; zero chunks appended on the right
     for whole groups keep it too.  The padded value v holds chunk c_i in
-    lane u-1-i, so Horner's rule reads lanes from the low end.  Level 1
-    folds each pair of w-bit lanes (lo, hi) into lo*k + hi, and level j
-    folds pairs of (w << (j-1))-bit lanes with k**(2**(j-1)) mod p, each
-    as a few big-integer operations over the whole message.  The final
-    lanes of ``2**levels`` chunks go through one Python Horner step each;
-    a message folded into one lane is reduced mod p whole.
+    lane u-1-i.  Level 1 folds each pair of w-bit lanes (lo, hi) into
+    lo*k + hi, and level j folds pairs of (w << (j-1))-bit lanes with
+    k**(2**(j-1)) mod p, each as a few big-integer operations over the
+    whole message.  A message folded into one lane of at most _LANE_BITS
+    bits is reduced mod p whole.
 
-    Headroom: after level j a lane is below 2**(2w + (j-1)(w+1)) and has
-    w * 2**j bits.  Level 1 is exact, (2**w-1)*k + 2**w-1 < 2**(2w) as
-    k < 2**w; each later level multiplies by a value below p < 2**(w+1)
-    and adds one lane, so its bound grows by w+1 bits while the lane
-    doubles: 2w + (j-1)(w+1) <= w * 2**j for every j >= 1.  No lane ever
-    carries into the next, and no level needs a reduction mod p.
+    A longer one stops after _FOLDS = 3 levels, with g lanes of W = 8w bits
+    in K = k**8 mod p, and then halves: with h = g // 2 the low h lanes,
+    whose powers of K are h higher, are multiplied by K**h mod p and added
+    onto the top g - h, acc = (acc >> h*W) + (acc mod 2**(h*W)) * K**h.
+    For odd g the top lane has no partner.  The last lane is reduced mod p.
+
+    Headroom.  Let M bound every lane.  Level 1 gives M = (2**w-1) * 2**w,
+    as k < 2**w; each later level and each halving multiplies by a value
+    below p and adds one lane, so it turns M into M*p.  After level j,
+    M < 2**(2w + (j-1)(w+1)) <= 2**(w * 2**j), so no fold carries a lane
+    into the next.  Before a halving with M*p >= 2**W, every lane x is
+    reduced in parallel: with S = W/2 = 4w and c = 2**S mod p,
+    x = r + 2**S * q becomes r + c*q, the same mod p, and as r, q < 2**S
+    and c < p, M becomes 2**S - 1 + c*(M >> S) < p * 2**S.  The halving
+    after it stays below p**2 * 2**S < 2**(2w + 2 + S) <= 2**W, since
+    S = 4w >= 2w + 2 for every w in [2, 63].  M is tracked as an exact int,
+    so a reduction runs only before a halving that would overflow.
     """
     n = len(m)
     u = n // w + 1  # ceil((n + 1) / w)
-    levels = max(1, min((u - 1).bit_length(), ((_LANE_BITS - 1) // w).bit_length()))
+    levels = max(1, (u - 1).bit_length())
+    if levels > ((_LANE_BITS - 1) // w).bit_length():
+        levels = _FOLDS
     u = -(-u >> levels) << levels  # whole groups of 2**levels chunks
     v = ((m.value << 1) | 1) << (u * w - n - 1)
-    masks = _pair_masks(w, levels, u * w)
+    g = u >> levels
+    masks = _class_masks(w, levels, 1 << (g - 1).bit_length())
     lo, hi = v & masks[0], (v >> w) & masks[0]
-    lane_bytes = (w << levels) // 8
+    steps = []  # per halving: h, the low lanes' bits, whether to reduce first
+    if g > 1:
+        W = w << levels
+        S, c, red = W >> 1, pow(2, W >> 1, p), masks[-1]
+        bound = (((1 << w) - 1) << w) * p ** (levels - 1)
+        while g > 1:
+            reduce = bound * p >= 1 << W
+            if reduce:
+                bound = (1 << S) - 1 + c * (bound >> S)
+            h = g >> 1
+            steps.append((h, h * W, reduce))
+            bound *= p
+            g -= h
     sums = []
     for k in keys:
         acc, kk = lo * k + hi, k * k % p
         for j in range(1, levels):
             acc = (acc & masks[j]) * kk + ((acc >> (w << j)) & masks[j])
             kk = kk * kk % p
-        if u == 1 << levels:  # one final lane, the whole message
-            sums.append(acc % p)
-            continue
-        data = acc.to_bytes(u * w // 8, "little")
-        h = 0
-        for i in range(0, len(data), lane_bytes):
-            h = (h * kk + int.from_bytes(data[i:i + lane_bytes], "little")) % p
-        sums.append(h)
+        for h, hb, reduce in steps:
+            if reduce:
+                r = acc & red
+                acc = r + c * ((acc - r) >> S)
+            acc = (acc >> hb) + (acc & ((1 << hb) - 1)) * pow(kk, h, p)
+        sums.append(acc % p)
     return sums
 
 
@@ -256,6 +248,14 @@ def toeplitz_hash(x: Bits, tk: Bits) -> Bits:
     alpha+beta-1-i.  A byte holds a count up to 255, so x is cut into
     pieces of at most 255 columns and no slot carries into the next; the
     product is linear in x, and the pieces' outputs are XORed.
+
+    A piece of n columns multiplies n by n + beta - 1 slots to keep beta,
+    so past about 350 columns a row loop (one AND and popcount per row) is
+    faster: at beta = 40 on a 2-vCPU VM, 17-19 against 21 us at alpha = 255,
+    22 against 17 us at 511, 167 against 43 us at 4096 (64-column pieces:
+    188 us).  Plans at w = 63 have alpha <= 192; at w = 31 alpha reaches 448
+    (lam = 14 at eps = 1e-33, mu = 256 Mbit), where the few microseconds
+    lost sit beside ~40 us for 14 polynomial hashes of an 800-bit message.
     """
     alpha = len(x)
     beta = len(tk) + 1 - alpha

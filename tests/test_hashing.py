@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
-from qkdauth.hashing import (_LANE_BITS, MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH, FieldParams,
-                             OtpKey, OtpReuseError, RecycledKey, Tag, _class_masks, _pair_masks,
+from qkdauth.hashing import (_FOLDS, _LANE_BITS, MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH, FieldParams,
+                             OtpKey, OtpReuseError, RecycledKey, Tag, _class_masks,
                              chunk_count, compose_tag, find_field_params, multi_poly_hash,
                              pad_and_chunk, toeplitz_hash, verify_tag)
 from qkdauth.planner import make_plan
@@ -233,29 +233,58 @@ def extreme_keys(w):
     return [Bits(0, w), Bits(1, w), Bits((1 << w) - 1, w)]
 
 
-def chunk_counts_through_the_deepest_level(w):
-    """Every live chunk count u from 1 to two groups past the start of the
-    deepest level, where a group is the 2**levels chunks of a final lane."""
-    deepest = ((_LANE_BITS - 1) // w).bit_length()
-    start = (1 << (deepest - 1)) + 1  # the smallest u folded `deepest` times
-    return range(1, start + (2 << deepest) + 1)
+def last_one_lane_count(w):
+    """The largest live chunk count that folds into one lane of at most
+    _LANE_BITS bits; a longer message switches to halving."""
+    return 1 << ((_LANE_BITS - 1) // w).bit_length()
 
 
-@pytest.mark.parametrize("w", BOUNDARY_WIDTHS)
-def test_poly_hash_headroom_at_level_boundaries(w):
-    # All-ones chunks and the key 2**w - 1 give the largest value every
-    # lane can hold, so a lane one bit narrower than its bound shows here.
+def chunk_counts_through_the_switch_to_halving(w):
+    """Every live chunk count u from 1 to two lane groups past the switch
+    to halving, where a group is the 2**_FOLDS chunks of one lane."""
+    return range(1, last_one_lane_count(w) + (2 << _FOLDS) + 1)
+
+
+def assert_all_ones_headroom(w, chunk_counts):
+    # All-ones chunks make every lane as large as its key allows, and keys
+    # 0, 1 and 2**w - 1 are the edge keys.  Powers of one key reduced mod p
+    # are not all near p, so no input reaches the docstring's bound at every
+    # step: these cases catch a missing or misplaced reduction, while a
+    # bound loose by a bit or two rests on the proof.
     fp = find_field_params(w)
     keys = extreme_keys(w)
-    for u in chunk_counts_through_the_deepest_level(w):
+    for u in chunk_counts:
         for n in (u * w - 1, (u - 1) * w):  # all chunks full; pad bit alone in chunk u
             m = Bits((1 << n) - 1, n)
             assert multi_poly_hash(m, keys, fp, n) == \
                 reference_multi_poly_hash(m, keys, fp, n), (u, n)
+
+
+@pytest.mark.parametrize("w", BOUNDARY_WIDTHS)
+def test_poly_hash_headroom_at_level_boundaries(w):
+    assert_all_ones_headroom(w, chunk_counts_through_the_switch_to_halving(w))
+    fp = find_field_params(w)
+    keys = extreme_keys(w)
     for mu in (w, 40 * w + 3):
         empty = Bits(0, 0)
         assert multi_poly_hash(empty, keys, fp, mu) == \
             reference_multi_poly_hash(empty, keys, fp, mu)
+
+
+@pytest.mark.parametrize("w", range(MIN_CHUNK_WIDTH, MAX_CHUNK_WIDTH + 1))
+def test_poly_hash_headroom_through_the_halvings(w):
+    """Chunk counts from the last one-lane count through the switch to
+    halving, and lane counts 2**k - 1, 2**k and 2**k + 1 after the
+    neighbour folds, up to 129 lanes; every schedule passes 2 lanes and
+    most pass 3.  For every w the first lane-parallel reduction runs
+    before the fourth halving (9 lanes or more) and the second by the
+    seventh (65 lanes or more), so both are reached."""
+    group = 1 << _FOLDS
+    last = last_one_lane_count(w)
+    counts = set(range(last, last + 2 * group + 2))
+    for lanes in {(1 << k) + d for k in range(1, 8) for d in (-1, 0, 1)}:
+        counts |= {group * (lanes - 1) + 1, group * lanes}  # one live chunk in the low lane; all full
+    assert_all_ones_headroom(w, sorted(u for u in counts if u >= last))
 
 
 @pytest.mark.parametrize("w", (2, 31, 63))
@@ -267,18 +296,20 @@ def test_poly_hash_headroom_on_a_full_megabit(w):
     assert multi_poly_hash(m, keys, fp, mu) == reference_multi_poly_hash(m, keys, fp, mu)
 
 
-def fresh_pair_masks(w, levels, nbits):
-    """The masks written out: at level j, w << j zeros over w << j ones per pair."""
+def text_class_masks(w, levels, groups):
+    """The masks written out: at level j, w << j zeros over w << j ones per
+    pair, over ``groups`` groups of ``w << levels`` bits."""
+    nbits = groups * (w << levels)
     return tuple(int(("0" * (w << j) + "1" * (w << j)) * (nbits // (w << (j + 1))), 2)
                  for j in range(levels))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=2, max_value=63), st.integers(min_value=1, max_value=9),
-       st.integers(min_value=1, max_value=40))
-def test_cut_pair_masks_match_a_fresh_build(w, levels, groups):
-    nbits = groups * (w << levels)
-    assert _pair_masks(w, levels, nbits) == fresh_pair_masks(w, levels, nbits)
+       st.integers(min_value=0, max_value=6))
+def test_class_masks_match_a_text_build(w, levels, class_exponent):
+    groups = 1 << class_exponent
+    assert _class_masks(w, levels, groups) == text_class_masks(w, levels, groups)
 
 
 def test_tags_stay_right_as_messages_grow_past_their_mask_class():
