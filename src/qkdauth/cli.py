@@ -16,9 +16,9 @@ from .hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_
 from .planner import (PUBLISHED_LREC_DEVIATIONS, CostInput, as_fraction, format_table,
                       make_plan, plan as derive_plan, relative_cost, table_one)
 from .poolfile import new_pool, round_mask, save_pool
-from .simulator import (ATTACK_STRATEGIES, collision_census, forgery_experiment,
-                        parse_adversary, run_session, strong_uniformity_census,
-                        toeplitz_xor_census)
+from .simulator import (ATTACK_STRATEGIES, AdversaryConfig, collision_census,
+                        forgery_experiment, parse_adversary, run_session,
+                        strong_uniformity_census, toeplitz_xor_census)
 
 TABLE_MU_MBITS = (1, 4, 16, 64, 256)
 TABLE_W = (31, 63)
@@ -29,10 +29,18 @@ DEFAULT_MU = 4096
 
 
 def _parse_mu(text: str) -> int:
-    t = text.strip()
-    if t.lower().endswith("mbit"):
-        return int(t[:-4]) * 10**6
-    return int(t)
+    t = text.strip().lower()
+    try:
+        return int(t[:-4]) * 10**6 if t.endswith("mbit") else int(t)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a bit count or '<n>Mbit': {text!r}") from None
+
+
+def _parse_adversary(text: str) -> AdversaryConfig:
+    try:
+        return parse_adversary(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_message(path: str, msg_bits: "int | None") -> Bits:
@@ -66,7 +74,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return 0
     if args.mu is None or args.w is None:
         raise ValueError("plan: --mu and --w are required unless --table is given")
-    p = derive_plan(args.eps_auth, _parse_mu(args.mu), args.w)
+    p = derive_plan(args.eps_auth, args.mu, args.w)
     if args.machine:
         print(f"{p.mu},{p.w},{p.lam},{p.l_rec},{p.l_otp}")
     else:
@@ -97,8 +105,11 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 def _build_plan_args(args: argparse.Namespace):
     if args.tau is not None:
-        return make_plan(tau=args.tau, lam=args.lam, w=args.w, mu=_parse_mu(args.mu))
-    return derive_plan(args.eps_auth, _parse_mu(args.mu), args.w)
+        return make_plan(tau=args.tau, lam=1 if args.lam is None else args.lam, w=args.w,
+                         mu=args.mu)
+    if args.lam is not None:
+        raise ValueError("--lam needs --tau; without it --eps-auth sets lam")
+    return derive_plan(DEFAULT_EPS if args.eps_auth is None else args.eps_auth, args.mu, args.w)
 
 
 def cmd_init_pool(args: argparse.Namespace) -> int:
@@ -130,10 +141,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    adversary = parse_adversary(args.adversary)
     p = _build_plan_args(args)
     fp = find_field_params(p.w)
-    ledger = run_session(args.rounds, p, fp, adversary=adversary, seed=args.seed,
+    ledger = run_session(args.rounds, p, fp, adversary=args.adversary, seed=args.seed,
                          eps_pred=args.eps_pred, eps_store=args.eps_store,
                          eps_qkd=args.eps_qkd)
     print(ledger.to_text())
@@ -141,7 +151,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack_stats(args: argparse.Namespace) -> int:
-    p = make_plan(tau=args.tau, lam=args.lam, w=args.w, mu=_parse_mu(args.mu))
+    p = make_plan(tau=args.tau, lam=args.lam, w=args.w, mu=args.mu)
     if 0 < args.trials < 10**4:  # forgery_experiment rejects trials < 1
         print(f"attack-stats: {args.trials} trials resolve rates only down to "
               f"~{10 / args.trials:.1e}; consider at least 10000", file=sys.stderr)
@@ -179,14 +189,15 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _add_plan_source_flags(sp: argparse.ArgumentParser, mu_default: "str | None") -> None:
-    sp.add_argument("--eps-auth", default=DEFAULT_EPS,
-                    help="target failure probability (decimal, default %(default)s)")
-    sp.add_argument("--mu", default=mu_default, help="message bound in bits, or '<n>Mbit'")
+def _add_plan_source_flags(sp: argparse.ArgumentParser) -> None:
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--eps-auth",
+                        help=f"target failure probability (decimal, default {DEFAULT_EPS})")
+    sp.add_argument("--mu", type=_parse_mu, default=DEFAULT_MU,
+                    help="message bound in bits, or '<n>Mbit'")
     sp.add_argument("--w", type=int, default=DEFAULT_W, help="chunk width (default %(default)s)")
-    sp.add_argument("--tau", type=int, default=None,
-                    help="explicit tag length (bypasses eps-auth planning; needs --lam)")
-    sp.add_argument("--lam", type=int, default=1, help="parallel instances with --tau")
+    source.add_argument("--tau", type=int, help="tag length, instead of --eps-auth planning")
+    sp.add_argument("--lam", type=int, help="parallel instances (only with --tau, default 1)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("plan", help="derive scheme parameters")
     sp.add_argument("--eps-auth", default=DEFAULT_EPS)
-    sp.add_argument("--mu", default=None, help="message bound in bits, or '<n>Mbit'")
+    sp.add_argument("--mu", type=_parse_mu, help="message bound in bits, or '<n>Mbit'")
     sp.add_argument("--w", type=int, default=None)
     sp.add_argument("--table", action="store_true", help="print the full parameter grid")
     sp.add_argument("--machine", action="store_true", help="comma-separated output")
@@ -232,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_cost)
 
     sp = sub.add_parser("init-pool", help="write a fresh key-pool file")
-    _add_plan_source_flags(sp, mu_default=str(DEFAULT_MU))
+    _add_plan_source_flags(sp)
     sp.add_argument("--rounds", type=int, default=8)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True)
@@ -256,11 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run a key-growing session")
     sp.add_argument("--rounds", type=int, required=True)
-    sp.add_argument("--adversary", default="none",
+    sp.add_argument("--adversary", type=_parse_adversary, default="none",
                     help="none | quantum:K | tamper:K | block:K | "
                          "substitute:K[:random|best-guess] | impersonate:K")
     sp.add_argument("--seed", type=int, default=0)
-    _add_plan_source_flags(sp, mu_default=str(DEFAULT_MU))
+    _add_plan_source_flags(sp)
     sp.add_argument("--eps-pred", default="0")
     sp.add_argument("--eps-store", default="0")
     sp.add_argument("--eps-qkd", default="0")
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("attack-stats", help="statistical forgery experiment")
     sp.add_argument("--tau", type=int, required=True)
     sp.add_argument("--w", type=int, required=True)
-    sp.add_argument("--mu", required=True)
+    sp.add_argument("--mu", type=_parse_mu, required=True)
     sp.add_argument("--lam", type=int, default=1)
     sp.add_argument("--trials", type=int, default=10**5)
     sp.add_argument("--seed", type=int, default=0)

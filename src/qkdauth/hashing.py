@@ -20,14 +20,11 @@ Only the chunks up to the one holding the pad bit are evaluated: the rest
 are zero coefficients of the highest powers of the key, so tag time scales
 with the message while the padding and the security bound are unchanged.
 The polynomial is evaluated lane-parallel on the padded message as one big
-integer (``_poly_sums``): neighbouring lanes are folded pairwise, level by
-level, with a few big-integer operations over the whole message per level.
-A short message folds into one lane.  A long one folds three levels and
-then halves its lane count per step, adding the low half times a power of
-the key onto the high half, with a lane-parallel reduction mod p before a
-halving that could overflow a lane; so each step works on half the
-integer of the step before, and no step loops over lanes in Python.  The
-lane masks are built once per chunk width, level count and size class.
+integer (``_poly_sums``): three levels of neighbour folds make each group
+of 8 chunks one lane of 8w bits, then the lane count halves per step, with
+a lane-parallel reduction mod p before a halving that could overflow a
+lane.  No step loops over lanes in Python.  The lane masks are cached per
+chunk width and size class, the reduction schedule per chunk width.
 ``pad_and_chunk`` and ``chunk_count`` state the padding rule itself.
 
 The Toeplitz product is read off one ordinary integer multiply: with every
@@ -103,102 +100,93 @@ def pad_and_chunk(m: Bits, w: int, mu: int) -> list[int]:
     return [int(text[i:i + w], 2) for i in range(0, nbits, w)]
 
 
-# A message that folds into one lane of at most _LANE_BITS bits is folded
-# whole; a longer one folds _FOLDS levels, then halves its lane count.
-_LANE_BITS = 1024
-_FOLDS = 3
+_FOLDS = 3  # neighbour fold levels: each group of 8 chunks becomes one 8w-bit lane
 
 
-# 32 entries hold every level count and size class that one chunk width
-# needs for messages of up to 2**28 bits; past that the least recently used
-# class is evicted.
+# A size class is a power of two of 8w-bit lane groups, so 32 entries hold
+# every class of one chunk width for messages of up to 2**35 bits; past
+# that the least recently used class is evicted.
 @functools.lru_cache(maxsize=32)
-def _class_masks(w: int, levels: int, groups: int) -> tuple[int, ...]:
+def _class_masks(w: int, groups: int) -> tuple[int, ...]:
     """``masks[j]`` keeps the low ``w << j`` bits of every ``w << (j+1)``
-    over ``groups`` groups of ``w << levels`` bits, for a power of two
-    ``groups``: the deepest mask doubles its length once per factor of two,
-    and each shallower one follows from the next with one shift and one XOR.
-    A shorter message ANDs with them uncut, at the cost of its own length."""
-    s = w << (levels - 1)
-    m = (1 << s) - 1
-    span = 2 * s
-    while groups > 1:
-        m |= m << span
-        span <<= 1
-        groups >>= 1
-    masks = [m]
-    while s > w:
-        s >>= 1
-        m ^= m << s
-        masks.append(m)
-    return tuple(masks[::-1])
+    over ``groups`` groups of 8w bits: one w-byte pattern repeated.  A
+    shorter message ANDs with them uncut, at the cost of its own length."""
+    group = (1 << (w << _FOLDS)) - 1
+    masks = []
+    for b in (w << j for j in range(_FOLDS)):
+        # group // (2**(2b) - 1) has a 1 at the foot of every 2b bits
+        pattern = group // ((1 << 2 * b) - 1) * ((1 << b) - 1)
+        masks.append(int.from_bytes(pattern.to_bytes(w, "big") * groups, "big"))
+    return tuple(masks)
+
+
+@functools.cache
+def _reductions(w: int, p: int) -> tuple[int, tuple[bool, ...]]:
+    """c = 2**(4w) mod p and, for each of 64 halvings (up to 2**64 lanes),
+    whether the lanes are reduced before it, by the ``_poly_sums`` proof's
+    lane bound, which does not depend on the lane count."""
+    S = w << (_FOLDS - 1)
+    c = pow(2, S, p)
+    bound = (((1 << w) - 1) << w) * p ** (_FOLDS - 1)
+    flags = []
+    for _ in range(64):
+        flags.append(bound * p >= 1 << 2 * S)
+        if flags[-1]:
+            bound = (1 << S) - 1 + c * (bound >> S)
+        bound *= p
+    return c, tuple(flags)
 
 
 def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     """Sum of c_i * k**i (mod p) over the chunks c_0, c_1, ... of the padded
     message, leftmost first, up to the chunk holding the pad bit, per key k.
 
-    The chunks after the pad bit's are zero coefficients of higher powers,
-    so leaving them out keeps the sum; zero chunks appended on the right
-    for whole groups keep it too.  The padded value v holds chunk c_i in
-    lane u-1-i.  Level 1 folds each pair of w-bit lanes (lo, hi) into
-    lo*k + hi, and level j folds pairs of (w << (j-1))-bit lanes with
-    k**(2**(j-1)) mod p, each as a few big-integer operations over the
-    whole message.  A message folded into one lane of at most _LANE_BITS
-    bits is reduced mod p whole.
-
-    A longer one stops after _FOLDS = 3 levels, with g lanes of W = 8w bits
-    in K = k**8 mod p, and then halves: with h = g // 2 the low h lanes,
-    whose powers of K are h higher, are multiplied by K**h mod p and added
-    onto the top g - h, acc = (acc >> h*W) + (acc mod 2**(h*W)) * K**h.
-    For odd g the top lane has no partner.  The last lane is reduced mod p.
+    Later chunks, and zero chunks appended up to whole groups of 8, are
+    zero coefficients of higher powers and leave the sum as it is.  With
+    g groups the padded value v holds chunk c_i in w-bit lane 8g-1-i.  Fold
+    level j+1 turns each pair of (w << j)-bit lanes (lo, hi) into
+    lo * k**(2**j) mod p + hi over the whole message at once; three levels
+    leave g lanes of W = 8w bits in K = k**8 mod p.  While g > 1, the low
+    h = g // 2 lanes times K**h mod p are added onto the top g - h (the top
+    lane of an odd g has no partner).  The last lane is reduced mod p.
 
     Headroom.  Let M bound every lane.  Level 1 gives M = (2**w-1) * 2**w,
     as k < 2**w; each later level and each halving multiplies by a value
     below p and adds one lane, so it turns M into M*p.  After level j,
-    M < 2**(2w + (j-1)(w+1)) <= 2**(w * 2**j), so no fold carries a lane
-    into the next.  Before a halving with M*p >= 2**W, every lane x is
-    reduced in parallel: with S = W/2 = 4w and c = 2**S mod p,
+    M < 2**(2w + (j-1)(w+1)) <= 2**(w * 2**j) for j <= 3, so no fold
+    carries a lane into the next, and the folds end at
+    M = (2**w-1) * 2**w * p**2.  Before a halving with M*p >= 2**W, every
+    lane x is reduced in parallel: with S = W/2 = 4w and c = 2**S mod p,
     x = r + 2**S * q becomes r + c*q, the same mod p, and as r, q < 2**S
     and c < p, M becomes 2**S - 1 + c*(M >> S) < p * 2**S.  The halving
     after it stays below p**2 * 2**S < 2**(2w + 2 + S) <= 2**W, since
-    S = 4w >= 2w + 2 for every w in [2, 63].  M is tracked as an exact int,
-    so a reduction runs only before a halving that would overflow.
+    S = 4w >= 2w + 2 for every w >= 1.  M after i halvings depends on w
+    and i alone, so ``_reductions`` fixes the schedule once per width: a
+    halving reduces first exactly when it would otherwise overflow.
     """
     n = len(m)
-    u = n // w + 1  # ceil((n + 1) / w)
-    levels = max(1, (u - 1).bit_length())
-    if levels > ((_LANE_BITS - 1) // w).bit_length():
-        levels = _FOLDS
-    u = -(-u >> levels) << levels  # whole groups of 2**levels chunks
-    v = ((m.value << 1) | 1) << (u * w - n - 1)
-    g = u >> levels
-    masks = _class_masks(w, levels, 1 << (g - 1).bit_length())
+    groups = ((n // w) >> _FOLDS) + 1  # the n // w + 1 live chunks in groups of 8
+    W = w << _FOLDS
+    v = ((m.value << 1) | 1) << (groups * W - n - 1)
+    masks = _class_masks(w, 1 << (groups - 1).bit_length())
     lo, hi = v & masks[0], (v >> w) & masks[0]
-    steps = []  # per halving: h, the low lanes' bits, whether to reduce first
-    if g > 1:
-        W = w << levels
-        S, c, red = W >> 1, pow(2, W >> 1, p), masks[-1]
-        bound = (((1 << w) - 1) << w) * p ** (levels - 1)
-        while g > 1:
-            reduce = bound * p >= 1 << W
-            if reduce:
-                bound = (1 << S) - 1 + c * (bound >> S)
-            h = g >> 1
-            steps.append((h, h * W, reduce))
-            bound *= p
-            g -= h
+    S, red = W >> 1, masks[-1]
+    c, flags = _reductions(w, p)
+    flags = flags[:(groups - 1).bit_length()]  # one per halving down to one lane
     sums = []
     for k in keys:
         acc, kk = lo * k + hi, k * k % p
-        for j in range(1, levels):
+        for j in range(1, _FOLDS):
             acc = (acc & masks[j]) * kk + ((acc >> (w << j)) & masks[j])
             kk = kk * kk % p
-        for h, hb, reduce in steps:
+        g = groups
+        for reduce in flags:
             if reduce:
                 r = acc & red
                 acc = r + c * ((acc - r) >> S)
-            acc = (acc >> hb) + (acc & ((1 << hb) - 1)) * pow(kk, h, p)
+            h = g >> 1
+            acc = (acc >> h * W) + (acc & ((1 << h * W) - 1)) * pow(kk, h, p)
+            g -= h
         sums.append(acc % p)
     return sums
 

@@ -88,7 +88,7 @@ def parse_adversary(spec: str) -> AdversaryConfig:
         return AdversaryConfig()
     if kind not in ATTACK_KINDS:
         raise ValueError(f"unknown adversary kind {kind!r}")
-    if len(parts) < 2:
+    if len(parts) < 2 or not parts[1].isdecimal():
         raise ValueError(f"adversary {kind!r} needs a round number, e.g. {kind}:3")
     round_ = int(parts[1])
     strategy = parts[2] if len(parts) > 2 else "random"

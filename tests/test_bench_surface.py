@@ -1,16 +1,20 @@
-"""Every call that perfbench's traced run wraps still exists in the library.
+"""Every library name that perfbench uses still exists in the library.
 
 perfbench reports a traced name it cannot find as absent, and only its own
-tests fail on that.  This test makes such a removal fail here as well.  It
-reads ``TARGETS`` from the source of ``perfbench/layers.py``, so it neither
-imports nor runs anything under ``perfbench/``.
+tests fail on that; a name its workloads read fails only when the benchmark
+runs.  These tests make such a removal fail here as well.  They read
+``TARGETS`` from the source of ``perfbench/layers.py`` and the names read
+from ``self.q`` from the source of ``perfbench/workloads.py``, so they
+neither import nor run anything under ``perfbench/``.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def traced_targets():
@@ -33,4 +37,67 @@ def test_every_traced_target_resolves():
     targets = traced_targets()
     assert targets
     absent = [f"{m}.{q}" for m, q in targets if not resolves(m, q)]
+    assert absent == []
+
+
+def library_path(node, aliases):
+    """The names below ``self.q`` that an attribute chain reads, through a
+    local alias if it starts at one, e.g. ``("hashing", "RecycledKey",
+    "from_bits")``; None for a chain that does not read the library."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in aliases:
+        return aliases[node.id] + tuple(reversed(names))
+    if names and names[-1] == "q" and isinstance(node, ast.Name) and node.id == "self":
+        return tuple(reversed(names[:-1])) or None
+    return None
+
+
+def workload_reads():
+    """Every ``<module>.<name>[.<attr>]`` that a workload method reads from
+    ``self.q``, directly or through an alias such as ``H = self.q.hashing``
+    or ``P, H = self.q.protocol, self.q.hashing``."""
+    reads = set()
+    for func in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                         and isinstance(value, ast.Tuple) else [(target, value)])
+                for name, chain in pairs:
+                    path = library_path(chain, aliases)
+                    if isinstance(name, ast.Name) and path:
+                        aliases[name.id] = path
+                        reads.add(path)
+        inner = {id(n.value) for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and id(node) not in inner:
+                path = library_path(node, aliases)
+                if path:
+                    reads.add(path)
+    return reads
+
+
+def reads_from_the_library(path):
+    try:
+        obj = importlib.import_module(f"qkdauth.{path[0]}")
+    except ImportError:
+        return False
+    for name in path[1:]:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_every_name_a_workload_reads_resolves():
+    reads = workload_reads()
+    assert {("hashing", "RecycledKey", "from_bits"), ("protocol", "Direction", "A2B"),
+            ("poolfile", "load_pool"), ("hashing", "compose_tag"), ("bits", "Bits")} <= reads
+    absent = [".".join(p) for p in sorted(reads) if not reads_from_the_library(p)]
     assert absent == []

@@ -14,7 +14,7 @@ import pytest
 
 import qkdauth
 from qkdauth.bits import Bits
-from qkdauth.cli import main
+from qkdauth.cli import DEFAULT_EPS, DEFAULT_MU, main
 from qkdauth.hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_tag
 from qkdauth.planner import make_plan, plan
 from qkdauth.poolfile import (_HEADER, CONSUMED, MAGIC, VERSION, PoolFormatError, TagPool,
@@ -771,3 +771,51 @@ def test_bad_tag_or_msg_bits_names_the_flag_and_keeps_the_mask(args, line, tmp_p
     assert capsys.readouterr() == ("", f"error: {line}\n")
     after = Path(pool).read_bytes()
     assert after[flag] == 0 and after == before  # no mask consumed
+
+
+# plan flags that the plan source would ignore, and --mu and --adversary
+# values that are not what the flag takes: each names its flags
+LAM_ALONE = "--lam needs --tau; without it --eps-auth sets lam"
+MU_TEXT = "argument --mu: not a bit count or '<n>Mbit': "
+BAD_PLAN_FLAGS = {
+    "init-pool-lam-without-tau": (["init-pool", "--lam", "5", "--seed", "1",
+                                   "--out", "{pool}"], LAM_ALONE),
+    "simulate-lam-without-tau": (["simulate", "--rounds", "2", "--lam", "5"], LAM_ALONE),
+    "init-pool-eps-auth-with-tau": (["init-pool", "--tau", "20", "--eps-auth", "1e-30",
+                                     "--seed", "1", "--out", "{pool}"],
+                                    "argument --eps-auth: not allowed with argument --tau"),
+    "simulate-tau-after-eps-auth": (["simulate", "--rounds", "2", "--eps-auth", "1e-30",
+                                     "--tau", "20"],
+                                    "argument --tau: not allowed with argument --eps-auth"),
+    "plan-mu-text": (["plan", "--mu", "abc", "--w", "63"], MU_TEXT + "'abc'"),
+    "init-pool-mu-decimal-mbit": (["init-pool", "--mu", "1.5Mbit", "--seed", "1",
+                                   "--out", "{pool}"], MU_TEXT + "'1.5Mbit'"),
+    "simulate-mu-text": (["simulate", "--rounds", "2", "--mu", "4k"], MU_TEXT + "'4k'"),
+    "attack-stats-mu-decimal-mbit": (["attack-stats", "--tau", "8", "--w", "15",
+                                      "--mu", "1.5Mbit"], MU_TEXT + "'1.5Mbit'"),
+    "simulate-adversary-round-text": (
+        ["simulate", "--rounds", "2", "--adversary", "substitute:x"],
+        "argument --adversary: adversary 'substitute' needs a round number, e.g. substitute:3"),
+    "simulate-adversary-kind": (["simulate", "--rounds", "2", "--adversary", "gremlins:2"],
+                                "argument --adversary: unknown adversary kind 'gremlins'"),
+}
+
+
+@pytest.mark.parametrize("args, line", BAD_PLAN_FLAGS.values(), ids=BAD_PLAN_FLAGS.keys())
+def test_bad_plan_flags_name_the_flags_and_write_nothing(args, line, tmp_path, capsys):
+    assert main([a.format(pool=tmp_path / "p.pool") for a in args]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_plan_flags_that_stay_valid(tmp_path, capsys):
+    assert main(["simulate", "--rounds", "2", "--tau", "20"]) == 0  # lam defaults to 1
+    assert "plan w=63 tau=20 lam=1 " in capsys.readouterr().out
+    assert main(["simulate", "--rounds", "2", "--tau", "20", "--lam", "2"]) == 0
+    assert "plan w=63 tau=20 lam=2 " in capsys.readouterr().out
+    want = plan("1e-30", DEFAULT_MU, 63)
+    assert main(["simulate", "--rounds", "2", "--eps-auth", "1e-30"]) == 0
+    assert f"plan w=63 tau={want.tau} lam={want.lam} " in capsys.readouterr().out
+    assert main(["init-pool", "--seed", "1", "--out", str(tmp_path / "p.pool")]) == 0
+    got, want = load_pool(str(tmp_path / "p.pool")).plan, plan(DEFAULT_EPS, DEFAULT_MU, 63)
+    assert (got.tau, got.lam, got.w, got.mu) == (want.tau, want.lam, want.w, want.mu)

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
-from qkdauth.hashing import (_FOLDS, _LANE_BITS, MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH, FieldParams,
-                             OtpKey, OtpReuseError, RecycledKey, Tag, _class_masks,
+from qkdauth.hashing import (MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH, FieldParams, OtpKey,
+                             OtpReuseError, RecycledKey, Tag, _class_masks, _reductions,
                              chunk_count, compose_tag, find_field_params, multi_poly_hash,
                              pad_and_chunk, toeplitz_hash, verify_tag)
 from qkdauth.planner import make_plan
@@ -233,24 +233,21 @@ def extreme_keys(w):
     return [Bits(0, w), Bits(1, w), Bits((1 << w) - 1, w)]
 
 
-def last_one_lane_count(w):
-    """The largest live chunk count that folds into one lane of at most
-    _LANE_BITS bits; a longer message switches to halving."""
-    return 1 << ((_LANE_BITS - 1) // w).bit_length()
+GROUP = 8  # chunks per lane after the kernel's three neighbour folds
 
 
-def chunk_counts_through_the_switch_to_halving(w):
-    """Every live chunk count u from 1 to two lane groups past the switch
-    to halving, where a group is the 2**_FOLDS chunks of one lane."""
-    return range(1, last_one_lane_count(w) + (2 << _FOLDS) + 1)
+def chunk_counts_around_lane_counts(lanes):
+    """For each lane count g, the live chunk counts that give g lanes with
+    one live chunk in the low lane, and g full lanes."""
+    return sorted({u for g in lanes for u in (GROUP * (g - 1) + 1, GROUP * g)})
 
 
 def assert_all_ones_headroom(w, chunk_counts):
     # All-ones chunks make every lane as large as its key allows, and keys
     # 0, 1 and 2**w - 1 are the edge keys.  Powers of one key reduced mod p
-    # are not all near p, so no input reaches the docstring's bound at every
-    # step: these cases catch a missing or misplaced reduction, while a
-    # bound loose by a bit or two rests on the proof.
+    # are not all near p, so no input reaches the proof's bound at every
+    # step: these cases catch a missing or misplaced reduction, and
+    # test_reduction_schedule_follows_the_proof checks the bound itself.
     fp = find_field_params(w)
     keys = extreme_keys(w)
     for u in chunk_counts:
@@ -262,7 +259,9 @@ def assert_all_ones_headroom(w, chunk_counts):
 
 @pytest.mark.parametrize("w", BOUNDARY_WIDTHS)
 def test_poly_hash_headroom_at_level_boundaries(w):
-    assert_all_ones_headroom(w, chunk_counts_through_the_switch_to_halving(w))
+    """Every live chunk count through the fold levels of one, two and three
+    lanes and into the fourth."""
+    assert_all_ones_headroom(w, range(1, 3 * GROUP + 2))
     fp = find_field_params(w)
     keys = extreme_keys(w)
     for mu in (w, 40 * w + 3):
@@ -273,18 +272,37 @@ def test_poly_hash_headroom_at_level_boundaries(w):
 
 @pytest.mark.parametrize("w", range(MIN_CHUNK_WIDTH, MAX_CHUNK_WIDTH + 1))
 def test_poly_hash_headroom_through_the_halvings(w):
-    """Chunk counts from the last one-lane count through the switch to
-    halving, and lane counts 2**k - 1, 2**k and 2**k + 1 after the
-    neighbour folds, up to 129 lanes; every schedule passes 2 lanes and
-    most pass 3.  For every w the first lane-parallel reduction runs
-    before the fourth halving (9 lanes or more) and the second by the
-    seventh (65 lanes or more), so both are reached."""
-    group = 1 << _FOLDS
-    last = last_one_lane_count(w)
-    counts = set(range(last, last + 2 * group + 2))
-    for lanes in {(1 << k) + d for k in range(1, 8) for d in (-1, 0, 1)}:
-        counts |= {group * (lanes - 1) + 1, group * lanes}  # one live chunk in the low lane; all full
-    assert_all_ones_headroom(w, sorted(u for u in counts if u >= last))
+    """Lane counts 1, 2, 3 and 2**k - 1, 2**k, 2**k + 1 up to 129, and the
+    lane counts around the first two halvings that reduce first (the
+    fourth and the seventh for most w, so 9 and 65 lanes)."""
+    _, flags = _reductions(w, find_field_params(w).p)
+    first, second = [i for i, reduce in enumerate(flags) if reduce][:2]
+    lanes = {1, 2, 3} | {(1 << k) + d for k in range(1, 8) for d in (-1, 0, 1)}
+    lanes |= {(1 << i) + d for i in (first, second) for d in (0, 1, 2)}
+    assert_all_ones_headroom(w, chunk_counts_around_lane_counts(lanes))
+
+
+@pytest.mark.parametrize("w", range(MIN_CHUNK_WIDTH, MAX_CHUNK_WIDTH + 1))
+def test_reduction_schedule_follows_the_proof(w):
+    """The ``_poly_sums`` headroom proof, followed with its exact lane bound M
+    through all 64 halvings: three folds into lanes of W = 8w bits, and a
+    reduction at S = 4w before exactly those halvings that would overflow."""
+    p = find_field_params(w).p
+    W, S = 8 * w, 4 * w
+    c, flags = _reductions(w, p)
+    assert c == pow(2, S, p)
+    assert len(flags) == 64
+    M = ((1 << w) - 1) << w  # level 1
+    for lane_bits in (2 * w, 4 * w):
+        assert M < 1 << lane_bits  # the lanes before the next fold fit their bits
+        M *= p
+    assert M == ((1 << w) - 1) * (1 << w) * p ** 2 < 1 << W
+    for i, reduce in enumerate(flags):
+        assert reduce == (M * p >= 1 << W), i
+        if reduce:
+            M = (1 << S) - 1 + c * (M >> S)
+        M *= p
+        assert M < 1 << W, i
 
 
 @pytest.mark.parametrize("w", (2, 31, 63))
@@ -296,20 +314,19 @@ def test_poly_hash_headroom_on_a_full_megabit(w):
     assert multi_poly_hash(m, keys, fp, mu) == reference_multi_poly_hash(m, keys, fp, mu)
 
 
-def text_class_masks(w, levels, groups):
+def text_class_masks(w, groups):
     """The masks written out: at level j, w << j zeros over w << j ones per
-    pair, over ``groups`` groups of ``w << levels`` bits."""
-    nbits = groups * (w << levels)
+    pair, over ``groups`` groups of 8w bits."""
+    nbits = groups * 8 * w
     return tuple(int(("0" * (w << j) + "1" * (w << j)) * (nbits // (w << (j + 1))), 2)
-                 for j in range(levels))
+                 for j in range(3))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=63), st.integers(min_value=1, max_value=9),
-       st.integers(min_value=0, max_value=6))
-def test_class_masks_match_a_text_build(w, levels, class_exponent):
+@given(st.integers(min_value=2, max_value=63), st.integers(min_value=0, max_value=9))
+def test_class_masks_match_a_text_build(w, class_exponent):
     groups = 1 << class_exponent
-    assert _class_masks(w, levels, groups) == text_class_masks(w, levels, groups)
+    assert _class_masks(w, groups) == text_class_masks(w, groups)
 
 
 def test_tags_stay_right_as_messages_grow_past_their_mask_class():
