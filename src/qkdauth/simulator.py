@@ -61,10 +61,15 @@ class AdversaryConfig:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        if self.kind != "none" and (self.round is None or self.round < 1):
+        if self.kind == "none":
+            if self.round is not None:
+                raise ValueError("adversary 'none' takes no round")
+        elif self.round is None or self.round < 1:
             raise ValueError("attack round must be a positive integer")
-        if self.kind == "substitute" and self.strategy not in SUBSTITUTE_STRATEGIES:
-            raise ValueError(f"unknown substitution strategy {self.strategy!r}")
+        # describe() prints a strategy only for substitution
+        if self.strategy not in (SUBSTITUTE_STRATEGIES if self.kind == "substitute"
+                                 else ("random",)):
+            raise ValueError(f"strategy {self.strategy!r} does not apply to {self.kind!r}")
 
     @property
     def classical(self) -> bool:

@@ -13,6 +13,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from qkdauth.hashing import find_field_params
 from qkdauth.planner import plan
 from qkdauth.simulator import parse_adversary, run_session
@@ -82,3 +84,11 @@ def test_more_ledgers_match_recorded_digests():
     assert sorted(got) == sorted(want)
     changed = [k for k in got if got[k] != want[k]]
     assert not changed, f"ledgers differ from the recorded bytes: {changed}"
+
+
+@pytest.mark.parametrize("spec", sorted(set(adversary_specs()) | set(adversary_specs(2))))
+def test_adversary_spec_round_trip(spec):
+    # a ledger header names its adversary by describe(), so the spec is exact
+    cfg = parse_adversary(spec)
+    assert cfg.describe() == spec
+    assert parse_adversary(cfg.describe()) == cfg

@@ -32,6 +32,19 @@ def test_parse_adversary():
             parse_adversary(bad)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "none", "round": 5},
+    {"kind": "none", "strategy": "best-guess"},
+    {"kind": "tamper", "round": 3, "strategy": "best-guess"},
+    {"kind": "impersonate", "round": 3, "strategy": "bogus"},
+    {"kind": "substitute", "round": 3, "strategy": "bogus"},
+])
+def test_adversary_has_one_spelling(kwargs):
+    # each of these would describe() as a config it does not equal
+    with pytest.raises(ValueError):
+        AdversaryConfig(**kwargs)
+
+
 # -- epsilon budget --------------------------------------------------------------
 
 def test_budget_zero():
