@@ -222,23 +222,14 @@ class KeyPool:
         """Drop the still-unverified harvest of the given rounds."""
         self._settle(rounds, KeyState.DISCARDED)
 
-    def final_block(self) -> dict[str, str]:
-        """The session ledger's settlement of this pool: the rounds whose
-        external key is in each state, the quantum recycled key's state and
-        the unconsumed OTP masks that are still usable."""
-        def rounds(s: KeyState) -> str:
-            return ",".join(str(r) for r in sorted(self.external) if self.state[r] is s)
+    def otp_surplus(self) -> list[int]:
+        """The rounds whose OTP mask is unconsumed and still usable, in order.
 
-        # the mask for round r was harvested in round r-2 and shares its fate
-        surplus = [r for r in sorted(self.otp) if not self.otp[r].consumed
-                   and self.state.get(r - 2) is not KeyState.DISCARDED]
-        return {
-            "verified": rounds(KeyState.VERIFIED),
-            "unverified": rounds(KeyState.UNVERIFIED),
-            "discarded": rounds(KeyState.DISCARDED),
-            "recycled_qkd": self.state[1].value if 1 in self.state else "absent",
-            "otp_surplus": ",".join(str(r) for r in surplus) or "-",
-        }
+        The mask for round r was harvested in round r-2 and shares its fate,
+        so a mask of a discarded round is not surplus.
+        """
+        return [r for r in sorted(self.otp) if not self.otp[r].consumed
+                and self.state.get(r - 2) is not KeyState.DISCARDED]
 
 
 # -- party state machine ----------------------------------------------------

@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bits import Bits
 from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, compose_tag,
                       find_field_params, multi_poly_hash, toeplitz_hash, verify_tag)
 from .planner import Plan, as_fraction, collision_bound, make_plan
-from .protocol import (Direction, Flag, KeyPool, MessageKind, PartyState,
-                       WireMessage, harvest_keys, tag_sender, tag_verifier)
+from .protocol import (Direction, Flag, KeyPool, KeyState, MessageKind, PartyState,
+                       RoundOutcome, WireMessage, harvest_keys, tag_sender,
+                       tag_verifier)
 from .rng import BitGen, StreamWindow
 
 ATTACK_KINDS = ("none", "quantum", "tamper", "substitute", "block", "impersonate")
@@ -163,67 +164,74 @@ def epsilon_budget(n_max: int, eps_pred: "Fraction | str | float" = 0,
 
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
-    round: int
-    sender: str
+    """One round as it happened; its sender and verifier follow from the round."""
+
     qkd_success: bool
     harvested_rec: int
     harvested_otp: int
     harvested_ext: int
     tag_status: str  # sent | silent | blocked | substituted
-    flag_owner: str
-    flag: str
-    promoted: tuple[int, ...]
-    checked: bool
+    outcome: RoundOutcome  # the verifier's
+
+    @property
+    def round(self) -> int:
+        return self.outcome.round
 
 
-@dataclass
+def _rounds(rounds: "Iterable[int]") -> str:
+    return ",".join(map(str, sorted(rounds))) or "-"
+
+
+@dataclass(frozen=True, slots=True)
 class SessionLedger:
-    n_max: int
+    """What one session did; ``to_text`` is its byte-stable rendering."""
+
     seed: int
-    adversary: str
+    adversary: AdversaryConfig
     plan: Plan
-    pre_distributed_bits: int
-    records: list[RoundRecord] = field(default_factory=list)
-    ack_status: str = "none"
-    ack_flag: str = Flag.BOT.value
-    ack_promoted: tuple[int, ...] = ()
-    final: dict[str, dict[str, str]] = field(default_factory=dict)
-    budget: "EpsilonBudget | None" = None
-    terminated: bool = False
-    forgery_slipped: bool = False
+    records: tuple[RoundRecord, ...]
+    ack_status: str  # sent | silent | blocked
+    ack: RoundOutcome
+    pools: dict[str, KeyPool]
+    budget: EpsilonBudget
+    terminated: bool
+    forgery_slipped: bool
 
     def to_text(self) -> str:
         p = self.plan
         lines = [
-            f"session n_max={self.n_max} seed={self.seed} adversary={self.adversary}",
+            f"session n_max={len(self.records)} seed={self.seed} "
+            f"adversary={self.adversary.describe()}",
             f"plan w={p.w} tau={p.tau} lam={p.lam} l_rec={p.l_rec} l_otp={p.l_otp} mu={p.mu}",
-            f"pre_distributed_bits={self.pre_distributed_bits}",
+            f"pre_distributed_bits={self.pools['A'].pre_distributed_bits}",
         ]
         for r in self.records:
-            promoted = ",".join(str(x) for x in r.promoted) or "-"
+            o = r.outcome
             lines.append(
-                f"round={r.round} sender={r.sender} qkd={'ok' if r.qkd_success else 'fail'} "
+                f"round={r.round} sender={tag_sender(r.round)} "
+                f"qkd={'ok' if r.qkd_success else 'fail'} "
                 f"harvest_rec={r.harvested_rec} harvest_otp={r.harvested_otp} "
                 f"harvest_ext={r.harvested_ext} tag={r.tag_status} "
-                f"flag_owner={r.flag_owner} flag={r.flag} promoted={promoted} "
-                f"checked={'yes' if r.checked else 'no'}"
+                f"flag_owner={tag_verifier(r.round)} flag={o.flag.value} "
+                f"promoted={_rounds(o.promoted_rounds)} checked={'yes' if o.checked else 'no'}"
             )
-        ack_promoted = ",".join(str(x) for x in self.ack_promoted) or "-"
-        lines.append(f"ack status={self.ack_status} flag={self.ack_flag} promoted={ack_promoted}")
+        lines.append(f"ack status={self.ack_status} flag={self.ack.flag.value} "
+                     f"promoted={_rounds(self.ack.promoted_rounds)}")
         for role in ("A", "B"):
-            f = self.final[role]
-            lines.append(
-                f"final {role} verified={f['verified'] or '-'} "
-                f"unverified={f['unverified'] or '-'} discarded={f['discarded'] or '-'} "
-                f"recycled_qkd={f['recycled_qkd']} otp_surplus={f['otp_surplus']}"
-            )
-        if self.budget is not None:
-            b = self.budget
-            lines.append(
-                f"budget eps_pred={float(b.eps_pred)!r} eps_store={float(b.eps_store)!r} "
-                f"eps_auth={float(b.eps_auth)!r} eps_qkd={float(b.eps_qkd)!r} "
-                f"n_max={b.n_max} total={float(b.total)!r}"
-            )
+            pool = self.pools[role]
+            # the buckets list the rounds whose external key is in each state
+            buckets = " ".join(
+                f"{s.value}={_rounds(r for r in pool.external if pool.state[r] is s)}"
+                for s in (KeyState.VERIFIED, KeyState.UNVERIFIED, KeyState.DISCARDED))
+            recycled = pool.state[1].value if 1 in pool.state else "absent"
+            lines.append(f"final {role} {buckets} recycled_qkd={recycled} "
+                         f"otp_surplus={_rounds(pool.otp_surplus())}")
+        b = self.budget
+        lines.append(
+            f"budget eps_pred={float(b.eps_pred)!r} eps_store={float(b.eps_store)!r} "
+            f"eps_auth={float(b.eps_auth)!r} eps_qkd={float(b.eps_qkd)!r} "
+            f"n_max={b.n_max} total={float(b.total)!r}"
+        )
         lines.append(
             f"terminated={'yes' if self.terminated else 'no'} "
             f"forgery_slipped={'yes' if self.forgery_slipped else 'no'}"
@@ -276,22 +284,18 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
 
     source = MockQkdSource(master.derive("qkd"), secret_bits=secret_bits)
 
-    ledger = SessionLedger(
-        n_max=n_max, seed=seed, adversary=adversary.describe(), plan=plan,
-        pre_distributed_bits=parties["A"].pool.pre_distributed_bits, budget=budget,
-    )
-
+    records = []
+    forgery_slipped = False
     for i in range(1, n_max + 1):
         sender = parties[tag_sender(i)]
         verifier = parties[tag_verifier(i)]
-        attacked_here = adversary.kind != "none" and adversary.round == i
+        attacked_here = adversary.round == i  # None for no attack
         quantum_fail = attacked_here and adversary.kind == "quantum"
         classical_attack = attacked_here and adversary.classical
 
-        both_active = not sender.terminated and not verifier.terminated
         harvested = (0, 0, 0)
         qkd_success = False
-        if both_active:
+        if not sender.terminated and not verifier.terminated:
             mock = source.round(i, success=not quantum_fail)
             qkd_success = mock.success
             tampered = classical_attack and adversary.kind in ("tamper", "substitute")
@@ -322,31 +326,25 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
             # tamper and best-guess substitution leave the tag bits alone
 
         outcome = verifier.finalize_verifier(i, delivered)
-        if classical_attack and outcome.flag is Flag.ACC:
-            ledger.forgery_slipped = True
-        ledger.records.append(RoundRecord(
-            round=i, sender=sender.role, qkd_success=qkd_success,
-            harvested_rec=harvested[0], harvested_otp=harvested[1],
-            harvested_ext=harvested[2], tag_status=tag_status,
-            flag_owner=verifier.role, flag=outcome.flag.value,
-            promoted=tuple(sorted(outcome.promoted_rounds)), checked=outcome.checked,
-        ))
+        forgery_slipped |= classical_attack and outcome.flag is Flag.ACC
+        records.append(RoundRecord(qkd_success, *harvested, tag_status, outcome))
 
     # fictitious acknowledgement round
     ack_sender = parties[tag_verifier(n_max)]
     ack_receiver = parties[tag_sender(n_max)]
     ack_msg = ack_sender.final_acknowledgement(n_max)
-    ledger.ack_status = "sent" if ack_msg is not None else "silent"
+    ack_status = "sent" if ack_msg is not None else "silent"
     if ack_msg is not None and adversary.kind == "block" and adversary.round == n_max + 1:
-        ack_msg, ledger.ack_status = None, "blocked"
-    ack_outcome = ack_receiver.receive_acknowledgement(n_max, ack_msg)
-    ledger.ack_flag = ack_outcome.flag.value
-    ledger.ack_promoted = tuple(sorted(ack_outcome.promoted_rounds))
+        ack_msg, ack_status = None, "blocked"
+    ack = ack_receiver.receive_acknowledgement(n_max, ack_msg)
 
-    for role, party in parties.items():
-        ledger.final[role] = party.pool.final_block()
-    ledger.terminated = any(p.terminated for p in parties.values())
-    return ledger
+    return SessionLedger(
+        seed=seed, adversary=adversary, plan=plan, records=tuple(records),
+        ack_status=ack_status, ack=ack,
+        pools={role: party.pool for role, party in parties.items()}, budget=budget,
+        terminated=any(p.terminated for p in parties.values()),
+        forgery_slipped=forgery_slipped,
+    )
 
 
 # -- statistical forgery experiments -----------------------------------------

@@ -15,7 +15,7 @@ from qkdauth.hashing import find_field_params
 from qkdauth.planner import (CostInput, as_fraction, make_plan, plan,
                              relative_cost, stinson_bound, table_one)
 from qkdauth.simulator import (AdversaryConfig, epsilon_budget,
-                               forgery_experiment, run_session,
+                               forgery_experiment, parse_adversary, run_session,
                                strong_uniformity_census, toeplitz_xor_census,
                                collision_census)
 
@@ -159,9 +159,10 @@ def expected_pattern(kind, k, n_max):
         # the round-k tag still verifies, so round k-1 survives on both sides
         pat = before + "G" + after
         return pat, pat, "verified", "verified"
-    # classical attack: the round-k verifier also discards round k-1,
-    # the sender keeps it; the sender's own round-k keys die at its timeout,
-    # except in the last round where they stay unverified (no acknowledgement)
+    # classical attack (tamper, substitute, block or impersonate): the round-k
+    # verifier also discards round k-1, the sender keeps it; the sender's own
+    # round-k keys die at its timeout, except in the last round where they
+    # stay unverified (no acknowledgement)
     sender_last = "U" if k == n_max else "G"
     sender_pat = before + sender_last + after
     verifier_pat = before[:-1] + "G" + "G" + after
@@ -174,10 +175,16 @@ def expected_pattern(kind, k, n_max):
     return out["A"], out["B"], recs["A"], recs["B"]
 
 
+def final_line(ledger, role):
+    """The fields of the ledger's ``final <role>`` line, as text."""
+    line = next(x for x in ledger.to_text().splitlines() if x.startswith(f"final {role} "))
+    return dict(w.split("=", 1) for w in line.split()[2:])
+
+
 def observed_pattern(ledger, role, n_max):
-    f = ledger.final[role]
-    verified = set(f["verified"].split(",")) if f["verified"] else set()
-    unverified = set(f["unverified"].split(",")) if f["unverified"] else set()
+    f = final_line(ledger, role)
+    verified = set(f["verified"].split(","))
+    unverified = set(f["unverified"].split(","))
     out = []
     for r in map(str, range(1, n_max + 1)):
         out.append("V" if r in verified else "U" if r in unverified else "G")
@@ -188,31 +195,35 @@ def test_attack_case_matrix():
     n_max = 6
     p = plan("1e-12", 4096, 63)
     fp = find_field_params(63)
-    scenarios = [("none", None)]
-    scenarios += [(kind, k) for kind in ("quantum", "tamper", "block")
+    scenarios = ["none"]
+    scenarios += [f"{kind}:{k}" for kind in ("quantum", "tamper", "block", "impersonate")
                   for k in range(1, n_max + 1)]
-    assert len(scenarios) == 19
+    scenarios += [f"substitute:{k}:{s}" for s in ("random", "best-guess")
+                  for k in range(1, n_max + 1)]
+    assert len(scenarios) == 37
     with timer() as t:
-        for kind, k in scenarios:
-            adv = AdversaryConfig() if kind == "none" else AdversaryConfig(kind=kind, round=k)
+        for spec in scenarios:
+            adv = parse_adversary(spec)
+            kind, k = adv.kind, adv.round
             led = run_session(n_max, p, fp, adv, seed=7)
             led_again = run_session(n_max, p, fp, adv, seed=7)
             assert led.to_text() == led_again.to_text()  # byte-reproducible
             exp_a, exp_b, rec_a, rec_b = expected_pattern(kind, k, n_max)
-            assert observed_pattern(led, "A", n_max) == exp_a, (kind, k)
-            assert observed_pattern(led, "B", n_max) == exp_b, (kind, k)
+            assert observed_pattern(led, "A", n_max) == exp_a, spec
+            assert observed_pattern(led, "B", n_max) == exp_b, spec
             if kind == "quantum" and k == 1:
-                assert led.final["A"]["recycled_qkd"] == "absent"
-                assert led.final["B"]["recycled_qkd"] == "absent"
+                assert final_line(led, "A")["recycled_qkd"] == "absent"
+                assert final_line(led, "B")["recycled_qkd"] == "absent"
             else:
-                assert led.final["A"]["recycled_qkd"] == rec_a, (kind, k)
-                assert led.final["B"]["recycled_qkd"] == rec_b, (kind, k)
+                assert final_line(led, "A")["recycled_qkd"] == rec_a, spec
+                assert final_line(led, "B")["recycled_qkd"] == rec_b, spec
             assert not led.forgery_slipped
         # clean run detail: the final round flips to verified only via the ack
         led = run_session(n_max, p, fp, AdversaryConfig(), seed=7)
-        assert led.ack_promoted == (n_max,)
+        assert led.ack.promoted_rounds == {n_max}
     assert t.seconds < 5.0
-    report("attack case matrix: 19 scenarios match the termination case analysis", t)
+    report(f"attack case matrix: {len(scenarios)} scenarios match the termination "
+           "case analysis", t)
 
 
 def test_key_accounting_clean_ten_rounds():
@@ -221,7 +232,7 @@ def test_key_accounting_clean_ten_rounds():
     fp = find_field_params(63)
     led = run_session(n_max, p, fp, seed=11)
     assert not led.terminated
-    assert led.pre_distributed_bits == p.l_rec + 2 * p.l_otp
+    assert led.pools["A"].pre_distributed_bits == p.l_rec + 2 * p.l_otp
     for rec in led.records:
         assert rec.harvested_otp == p.l_otp, rec.round
         assert rec.harvested_rec == (p.l_rec if rec.round == 1 else 0), rec.round

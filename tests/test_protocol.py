@@ -269,7 +269,7 @@ def test_pool_promote_and_discard_states():
     a.pool.discard_rounds({3})
     assert external_state(a.pool, 3) == "discarded"
     assert a.pool.state[3] is KeyState.DISCARDED  # carries the mask for round 5
-    assert a.pool.final_block()["otp_surplus"] == "1,2,3,4"
+    assert a.pool.otp_surplus() == [1, 2, 3, 4]
     assert external_state(a.pool, 7) == "absent"
 
 
@@ -285,9 +285,8 @@ def test_pool_terminal_states_do_not_move():
     assert a.pool.state == {1: KeyState.DISCARDED, 2: KeyState.VERIFIED}
     assert external_state(a.pool, 1) == "discarded"
     assert external_state(a.pool, 2) == "verified"
-    final = a.pool.final_block()
-    assert final["recycled_qkd"] == "discarded"
-    assert final["otp_surplus"] == "1,2,4"  # round 1's mask for round 3 went with it
+    assert a.pool.state[1] is KeyState.DISCARDED  # carries the recycled key
+    assert a.pool.otp_surplus() == [1, 2, 4]  # round 1's mask for round 3 went with it
 
 
 def test_pool_exact_fit_round_moves_keys_without_external():
@@ -300,10 +299,8 @@ def test_pool_exact_fit_round_moves_keys_without_external():
     a.pool.discard_rounds({2})
     assert a.pool.state == {1: KeyState.VERIFIED, 2: KeyState.DISCARDED}
     assert external_state(a.pool, 1) == external_state(a.pool, 2) == "absent"
-    final = a.pool.final_block()
-    assert final["verified"] == final["unverified"] == final["discarded"] == ""
-    assert final["recycled_qkd"] == "verified"
-    assert final["otp_surplus"] == "1,2,3"  # round 2's mask for round 4 went with it
+    assert a.pool.external == {}  # no round's external key is in any bucket
+    assert a.pool.otp_surplus() == [1, 2, 3]  # round 2's mask for round 4 went with it
 
 
 def test_pool_unabsorbed_rounds_stay_absent():
@@ -314,7 +311,7 @@ def test_pool_unabsorbed_rounds_stay_absent():
     assert a.pool.state == {1: KeyState.UNVERIFIED}
     for r in (-1, 0, 2, 3, 4):
         assert external_state(a.pool, r) == "absent"
-    assert a.pool.final_block()["otp_surplus"] == "1,2,3"
+    assert a.pool.otp_surplus() == [1, 2, 3]
 
 
 def test_pool_active_recycled_routing():

@@ -5,6 +5,7 @@ import pytest
 
 from qkdauth.hashing import find_field_params
 from qkdauth.planner import make_plan, plan
+from qkdauth.protocol import Flag
 from qkdauth.rng import BitGen
 from qkdauth.simulator import (AdversaryConfig, MockQkdSource, collision_census,
                                epsilon_budget, forgery_experiment, parse_adversary,
@@ -13,6 +14,12 @@ from qkdauth.simulator import (AdversaryConfig, MockQkdSource, collision_census,
 
 PLAN = plan("1e-12", 4096, 63)
 FP = find_field_params(63)
+
+
+def final_line(led, role):
+    """The fields of the ledger's ``final <role>`` line, as text."""
+    line = next(x for x in led.to_text().splitlines() if x.startswith(f"final {role} "))
+    return dict(w.split("=", 1) for w in line.split()[2:])
 
 SMALL = make_plan(tau=8, lam=1, w=15, mu=512)
 # wider message bound: more collision budget, so CI-vs-bound tests have slack
@@ -146,8 +153,8 @@ def test_clean_sessions_never_reject():
         led = run_session(4, PLAN, FP, seed=seed)
         assert not led.terminated
         assert not led.forgery_slipped
-        assert all(r.flag == "acc" for r in led.records)
-        assert led.ack_flag == "acc"
+        assert all(r.outcome.flag is Flag.ACC for r in led.records)
+        assert led.ack.flag is Flag.ACC
 
 
 def test_session_reproducible_byte_for_byte():
@@ -161,30 +168,42 @@ def test_session_reproducible_byte_for_byte():
 
 def test_clean_session_verified_keys_match():
     led = run_session(6, PLAN, FP, seed=3)
-    assert led.final["A"]["verified"] == "1,2,3,4,5,6"
-    assert led.final["B"]["verified"] == "1,2,3,4,5,6"
-    assert led.final["A"]["recycled_qkd"] == "verified"
+    assert final_line(led, "A")["verified"] == "1,2,3,4,5,6"
+    assert final_line(led, "B")["verified"] == "1,2,3,4,5,6"
+    assert final_line(led, "A")["recycled_qkd"] == "verified"
     # one surplus OTP mask (round n+2); the ack consumed round n+1
-    assert led.final["A"]["otp_surplus"] == "8"
+    assert final_line(led, "A")["otp_surplus"] == "8"
+    assert led.pools["A"].otp_surplus() == [8]
+
+
+def test_exact_fit_round_one_lists_no_external_key():
+    # round 1's key is all recycled key and mask: it settles, but in no bucket
+    led = run_session(4, PLAN, FP, seed=3, secret_bits=PLAN.l_rec + PLAN.l_otp)
+    for role in ("A", "B"):
+        assert 1 not in led.pools[role].external
+        f = final_line(led, role)
+        assert (f["verified"], f["unverified"], f["discarded"]) == ("2,3,4", "-", "-")
+        assert f["recycled_qkd"] == "verified"
 
 
 def test_quantum_attack_promotes_previous_round():
     led = run_session(6, PLAN, FP, AdversaryConfig(kind="quantum", round=3), seed=5)
     assert led.terminated
-    assert led.final["A"]["verified"] == "1,2"
-    assert led.final["B"]["verified"] == "1,2"
-    assert led.final["A"]["discarded"] == ""
+    assert final_line(led, "A")["verified"] == "1,2"
+    assert final_line(led, "B")["verified"] == "1,2"
+    assert final_line(led, "A")["discarded"] == "-"
     rec3 = next(r for r in led.records if r.round == 3)
-    assert rec3.qkd_success is False and rec3.checked and rec3.flag == "bot"
-    assert rec3.promoted == (2,)
+    assert rec3.qkd_success is False and rec3.outcome.checked
+    assert rec3.outcome.flag is Flag.BOT
+    assert rec3.outcome.promoted_rounds == {2}
 
 
 def test_classical_attack_boundary_asymmetry():
     led = run_session(6, PLAN, FP, AdversaryConfig(kind="tamper", round=3), seed=5)
-    assert led.final["A"]["verified"] == "1,2"
-    assert led.final["A"]["discarded"] == "3"
-    assert led.final["B"]["verified"] == "1"
-    assert led.final["B"]["discarded"] == "2,3"
+    assert final_line(led, "A")["verified"] == "1,2"
+    assert final_line(led, "A")["discarded"] == "3"
+    assert final_line(led, "B")["verified"] == "1"
+    assert final_line(led, "B")["discarded"] == "2,3"
     assert not led.forgery_slipped
 
 
@@ -192,22 +211,23 @@ def test_first_round_attack_kills_everything():
     for kind in ("quantum", "tamper", "block"):
         led = run_session(4, PLAN, FP, AdversaryConfig(kind=kind, round=1), seed=5)
         for role in ("A", "B"):
-            assert led.final[role]["verified"] == ""
-            assert led.final[role]["unverified"] == ""
+            assert final_line(led, role)["verified"] == "-"
+            assert final_line(led, role)["unverified"] == "-"
 
 
 def test_blocked_ack_one_sided_final_round():
     led = run_session(4, PLAN, FP, AdversaryConfig(kind="block", round=5), seed=5)
     assert led.ack_status == "blocked"
-    assert led.final["A"]["verified"] == "1,2,3,4"
-    assert led.final["B"]["verified"] == "1,2,3"
-    assert led.final["B"]["unverified"] == "4"
+    assert final_line(led, "A")["verified"] == "1,2,3,4"
+    assert final_line(led, "B")["verified"] == "1,2,3"
+    assert final_line(led, "B")["unverified"] == "4"
 
 
 def test_key_accounting_clean_session():
     n = 10
     led = run_session(n, PLAN, FP, seed=8)
-    assert led.pre_distributed_bits == PLAN.l_rec + 2 * PLAN.l_otp
+    assert led.pools["A"].pre_distributed_bits == PLAN.l_rec + 2 * PLAN.l_otp
+    assert f"\npre_distributed_bits={PLAN.l_rec + 2 * PLAN.l_otp}\n" in led.to_text()
     for rec in led.records:
         assert rec.harvested_otp == PLAN.l_otp
         assert rec.harvested_rec == (PLAN.l_rec if rec.round == 1 else 0)
@@ -217,7 +237,7 @@ def test_substitution_attack_in_session_detected():
     led = run_session(6, PLAN, FP, AdversaryConfig(kind="substitute", round=4), seed=5)
     rec4 = next(r for r in led.records if r.round == 4)
     assert rec4.tag_status == "substituted"
-    assert rec4.flag == "bot"
+    assert rec4.outcome.flag is Flag.BOT
     assert led.terminated and not led.forgery_slipped
 
 
