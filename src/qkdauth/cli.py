@@ -166,27 +166,17 @@ def cmd_attack_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    failures = 0
-
-    xu = toeplitz_xor_census(alpha=4, beta=2)
-    ok = xu.exact
-    failures += not ok
-    print(f"xor-universality alpha=4 beta=2: observed [{xu.worst_low}, {xu.worst_high}] "
-          f"expected {xu.expected} -> {'ok' if ok else 'VIOLATION'}")
-
-    for lam in (1, 2):
-        cc = collision_census(w=3, mu=5, lam=lam)
-        failures += not cc.ok
-        print(f"poly collision census w=3 mu=5 lam={lam}: max {cc.max_fraction} "
-              f"bound {cc.bound} over {cc.cases} pairs -> {'ok' if cc.ok else 'VIOLATION'}")
-
-    su = strong_uniformity_census(w=2, lam=1, tau=2, mu=3)
-    failures += not su.ok
-    print(f"strong-uniformity census w=2 lam=1 tau=2: marginal "
-          f"{'uniform' if su.marginal_exact else 'NON-UNIFORM'}, worst pair "
-          f"{su.worst_pair} bound {su.pair_bound} -> {'ok' if su.ok else 'VIOLATION'}")
-
-    return 1 if failures else 0
+    results = {
+        "xor-universality alpha=4 beta=2": toeplitz_xor_census(alpha=4, beta=2),
+        "poly collision census w=3 mu=5 lam=1": collision_census(w=3, mu=5, lam=1),
+        "poly collision census w=3 mu=5 lam=2": collision_census(w=3, mu=5, lam=2),
+        "strong-uniformity census w=2 lam=1 tau=2 mu=3":
+            strong_uniformity_census(w=2, lam=1, tau=2, mu=3),
+    }
+    for name, res in results.items():
+        print(f"{name}: worst {res.worst} bound {res.bound} over {res.cases} pairs "
+              f"-> {'ok' if res.ok else 'VIOLATION'}")
+    return 0 if all(res.ok for res in results.values()) else 1
 
 
 def _add_plan_source_flags(sp: argparse.ArgumentParser) -> None:

@@ -17,7 +17,8 @@ out, so it is never larger than the file that asked for it.  ``round_mask``
 reads round r at its own offset and consumes it in place with one ``pwrite``
 of the flag byte and an ``fsync``, under an exclusive ``flock`` held until
 the write is durable.  ``save_pool`` writes whole pools through a temp file,
-an atomic rename and an fsync of the directory.
+an atomic rename and an fsync of the directory, and ``dump_pool`` refuses,
+before anything is written, a pool that ``parse_pool`` would reject.
 """
 
 from __future__ import annotations
@@ -74,16 +75,29 @@ def new_pool(plan: Plan, rounds: int, seed: int) -> TagPool:
 
 
 def dump_pool(pool: TagPool) -> bytes:
+    """The file bytes of ``pool``.  A pool that ``parse_pool`` would reject
+    raises ``ValueError`` instead: its masks must be those of rounds 1..R,
+    each tau bits, and its recycled key l_rec bits."""
     plan = pool.plan
     # w and lam fit their fields whenever the planner accepted them
     if plan.tau >= 1 << 16 or plan.mu >= 1 << 64:
         raise ValueError(f"a pool file holds tau < 2**16 and mu < 2**64, "
                          f"got tau={plan.tau} mu={plan.mu}")
+    if len(pool.recycled) != plan.l_rec:
+        raise ValueError(f"recycled key is {len(pool.recycled)} bits, expected {plan.l_rec}")
     parts = [MAGIC, bytes([VERSION]),
              _HEADER.pack(plan.w, plan.lam, plan.tau, plan.mu),
              _U32.pack(len(pool.recycled)), pool.recycled.to_bytes(),
              _U32.pack(len(pool.otp))]
-    for round_, key in sorted(pool.otp.items()):
+    # R masks that include rounds 1..R are exactly rounds 1..R
+    for round_ in range(1, len(pool.otp) + 1):
+        key = pool.otp.get(round_)
+        if key is None:
+            raise ValueError(f"a pool file holds rounds 1..R; this pool has "
+                             f"{len(pool.otp)} OTP masks and none for round {round_}")
+        if len(key.bits) != plan.tau:
+            raise ValueError(f"OTP mask for round {round_} is {len(key.bits)} bits, "
+                             f"expected {plan.tau}")
         parts.append(_ENTRY.pack(round_, CONSUMED if key.consumed else 0, len(key.bits)))
         parts.append(key.bits.to_bytes())
     return b"".join(parts)

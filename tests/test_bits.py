@@ -44,6 +44,12 @@ def test_non_byte_aligned_bytes():
         Bits.from_bytes(bytes([0b10110001]), 5)  # nonzero pad
     with pytest.raises(ValueError):
         Bits.from_bytes(bytes([0xFF]), 17)
+    with pytest.raises(ValueError, match="inconsistent"):
+        Bits.from_bytes(b"\x00", 9)
+    with pytest.raises(ValueError, match="inconsistent"):
+        Bits.from_bytes(b"", 9)
+    with pytest.raises(ValueError, match="0s and 1s"):
+        Bits.from01("012")
 
 
 @given(bit_strings)
@@ -67,6 +73,10 @@ def test_concat_and_slice():
     assert c[3:5] == b
     assert c[5:5] == Bits.zeros(0)
     assert c.bit(0) == 1 and c.bit(1) == 0
+    with pytest.raises(IndexError):
+        Bits(5, 3).bit(3)
+    with pytest.raises(ValueError, match="contiguous"):
+        Bits(5, 3)[::2]
 
 
 @given(bit_strings, bit_strings)

@@ -104,6 +104,13 @@ def test_tag_verify_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "ok"
 
 
+def test_tag_reads_the_message_from_stdin(tmp_path, capsys, monkeypatch):
+    alice = make_pool(tmp_path, capsys, "alice.pool")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(KAT_MESSAGE)))
+    assert main(["tag", "--key-pool", alice, "--round", "1", "--message", "-"]) == 0
+    assert capsys.readouterr().out.strip() == KAT_TAG_HEX
+
+
 def test_tag_round_is_single_use(tmp_path, capsys):
     msg = tmp_path / "m.bin"
     msg.write_bytes(KAT_MESSAGE)
@@ -184,14 +191,15 @@ def malformed_pools():
         struct.pack_into(">I", out, offset, value)
         return bytes(out)
 
-    gap = {r: pool.otp[r] for r in (1, 2, 4)}
+    # the pool's rounds 1, 2 and 4: entry 3 holds round 4
+    gap = (blob[:head - 4] + struct.pack(">I", 3) + blob[head:head + 2 * size]
+           + blob[head + 3 * size:])
     key_pad = bytearray(blob)
     key_pad[head - 5] |= 1  # l_rec = 166: the recycled key's last byte has 2 pad bits
     short = bytearray(dump_pool(new_pool(make_plan(tau=6, lam=1, w=7, mu=256), 3, seed=42)))
     short[-1] |= 1  # tau = 6: round 3's mask ends the file with 2 pad bits
     return {
-        "rounds-1-2-4": (dump_pool(TagPool(pool.plan, pool.recycled, gap)),
-                         "OTP entry 3 holds round 4, rounds must be 1..3 in order"),
+        "rounds-1-2-4": (gap, "OTP entry 3 holds round 4, rounds must be 1..3 in order"),
         "count-above-size": (patched(head - 4, 5), "truncated pool file"),
         "count-below-size": (patched(head - 4, 3), f"{size} trailing bytes"),
         "cut-inside-entry": (blob[:-3], "truncated pool file"),
@@ -578,8 +586,13 @@ def test_attack_stats_output_and_warning(capsys):
 
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok") >= 4 and "VIOLATION" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        "xor-universality alpha=4 beta=2: worst 1/4 bound 1/4 over 120 pairs -> ok",
+        "poly collision census w=3 mu=5 lam=1: worst 1/8 bound 1/4 over 1953 pairs -> ok",
+        "poly collision census w=3 mu=5 lam=2: worst 1/64 bound 1/16 over 1953 pairs -> ok",
+        "strong-uniformity census w=2 lam=1 tau=2 mu=3: worst 7/64 bound 3/16 over 105 pairs "
+        "-> ok",
+    ]
 
 
 def test_usage_error_exit_code():

@@ -502,6 +502,14 @@ def test_compose_rejects_oversize_message():
     rk = tiny_keys(0b01, 0b0110)
     with pytest.raises(ValueError):
         compose_tag(Bits.from01("0101"), rk, OtpKey(Bits.from01("00")), TINY, TINY_FP)
+    m = Bits.from01("01")
+    with pytest.raises(ValueError, match="plan needs 1"):  # a key for lam = 2
+        compose_tag(m, tiny_keys(0b0110, 0b1, lam=2), OtpKey(Bits.zeros(2)), TINY, TINY_FP)
+    wide = RecycledKey(rk.poly_keys, rk.toeplitz_key + Bits.zeros(1))  # a 3-bit digest
+    with pytest.raises(ValueError, match="Toeplitz key width"):
+        compose_tag(m, wide, OtpKey(Bits.zeros(2)), TINY, TINY_FP)
+    with pytest.raises(ValueError, match="recycled key must be 6 bits"):
+        RecycledKey.from_bits(Bits.zeros(7), 1, 2, 2)
 
 
 def test_tag_marginal_uniform_exhaustive():

@@ -54,6 +54,8 @@ def test_as_fraction_rejects_non_decimals_and_huge_exponents():
                 f"1e-{MAX_DECIMAL_EXPONENT + 1}", "1e-999999999", "1e999999999"):
         with pytest.raises(ValueError):
             as_fraction(bad)
+    with pytest.raises(TypeError):
+        as_fraction(object())
 
 
 @settings(max_examples=300)
@@ -105,6 +107,8 @@ def test_plan_eps_achieved_below_target():
 def test_plan_infeasible_when_chunks_exceed_field():
     with pytest.raises(PlanInfeasibleError):
         plan("0.25", 16, 2)  # ceil(16/2) = 8 >= 2**2
+    with pytest.raises(PlanInfeasibleError, match="no instance count"):
+        plan("1e-300", 1, 2)  # each instance halves the bound: more than 64 needed
 
 
 def test_plan_domain_errors():
@@ -228,6 +232,10 @@ def test_stinson_on_a_huge_message_space_is_fast():
 def test_stinson_inapplicable_regime():
     with pytest.raises(ValueError):
         stinson_bound("1e-9", 64, 4)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        stinson_bound(0, 8, 4)
+    with pytest.raises(ValueError, match="must be positive"):
+        stinson_bound("1e-3", 0, 4)
 
 
 # -- relative cost ----------------------------------------------------------------

@@ -11,7 +11,8 @@ from qkdauth.bits import Bits
 from qkdauth.hashing import OtpKey, RecycledKey, find_field_params
 from qkdauth.planner import make_plan
 from qkdauth.poolfile import (_HEADER, MAGIC, VERSION, PoolFormatError, TagPool,
-                              dump_pool, load_pool, new_pool, parse_pool, save_pool)
+                              dump_pool, load_pool, new_pool, parse_pool, round_mask,
+                              save_pool)
 from qkdauth.protocol import (Direction, Flag, KeyPool, KeyState, MessageKind,
                               PartyState, ProtocolError, Transcript,
                               TranscriptOverflowError, WireMessage, ack_transcript,
@@ -367,6 +368,13 @@ def test_wrong_role_raises():
         b.finalize_sender(1)
     with pytest.raises(ProtocolError):
         a.finalize_verifier(1, None)
+    with pytest.raises(ProtocolError, match="did not verify round 4"):
+        b.final_acknowledgement(4)
+    with pytest.raises(ProtocolError, match="does not expect the acknowledgement"):
+        a.receive_acknowledgement(4, None)
+    del a.pool.otp[1]
+    with pytest.raises(ProtocolError, match="no OTP key designated for round 1"):
+        a.finalize_sender(1)
 
 
 def test_tampered_round_discards_both_recent_rounds():
@@ -526,6 +534,8 @@ def test_pool_format_errors():
         parse_pool(blob[:4] + bytes([9]) + blob[5:])
     with pytest.raises(PoolFormatError):
         parse_pool(blob[:-3])
+    with pytest.raises(PoolFormatError, match="truncated pool file"):
+        parse_pool(MAGIC + bytes([VERSION]) + bytes(5))  # cut inside the header
 
 
 def relabel_otp_entry(pool, index, round_):
@@ -576,6 +586,28 @@ def test_save_pool_failure_leaves_no_temp_file(tmp_path, monkeypatch):
         save_pool(str(path), pool)
     assert os.listdir(tmp_path) == ["keys.pool"]
     assert path.read_bytes() == before
+
+
+def test_save_pool_refuses_a_pool_it_could_not_read_back(tmp_path):
+    plan = make_plan(tau=16, lam=1, w=15, mu=2048)
+    path = tmp_path / "keys.pool"
+    save_pool(str(path), new_pool(plan, 4, seed=1))
+    before = path.read_bytes()
+    full = load_pool(str(path))
+    otp = dict(full.otp)
+    otp[2] = OtpKey(Bits.zeros(plan.tau - 1))
+    bad = {
+        "none for round 3": TagPool(plan, full.recycled, {r: full.otp[r] for r in (1, 2, 4)}),
+        "is 15 bits, expected 16": TagPool(plan, full.recycled, otp),
+        "recycled key is": TagPool(plan, full.recycled[1:], full.otp),
+    }
+    with round_mask(str(path), 3) as one_round:  # holds round 3's mask alone
+        bad["none for round 1"] = one_round
+        for why, pool in bad.items():
+            with pytest.raises(ValueError, match=why):
+                save_pool(str(path), pool)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["keys.pool"]
 
 
 def test_pool_rejects_trailing_bytes():

@@ -191,6 +191,10 @@ def test_window_edges():
             window[::step]
     with pytest.raises(ValueError, match="negative"):
         BitGen(3).window(-1)
+    with pytest.raises(ValueError, match="negative"):
+        BitGen(1).take(-1)
+    with pytest.raises(ValueError, match="positive"):
+        BitGen(1).randint(0)
 
 
 def test_window_of_nothing_and_of_whole_blocks():

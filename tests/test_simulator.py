@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qkdauth.hashing import find_field_params
+from qkdauth import simulator
+from qkdauth.bits import Bits
+from qkdauth.hashing import Tag, find_field_params
 from qkdauth.planner import make_plan, plan
 from qkdauth.protocol import Flag
 from qkdauth.rng import BitGen
@@ -45,9 +47,11 @@ def test_parse_adversary():
     {"kind": "tamper", "round": 3, "strategy": "best-guess"},
     {"kind": "impersonate", "round": 3, "strategy": "bogus"},
     {"kind": "substitute", "round": 3, "strategy": "bogus"},
+    {"kind": "bogus", "round": 1},
 ])
 def test_adversary_has_one_spelling(kwargs):
-    # each of these would describe() as a config it does not equal
+    # each of these would describe() as a config it does not equal, or as
+    # one that parse_adversary rejects
     with pytest.raises(ValueError):
         AdversaryConfig(**kwargs)
 
@@ -284,16 +288,16 @@ def test_forgery_experiment_validation():
 def test_collision_census_small():
     res = collision_census(w=3, mu=5, lam=1)
     assert res.bound == Fraction(2, 8)
-    assert res.max_fraction <= res.bound
-    assert res.max_fraction == Fraction(1, 8)  # degree-1 difference: one root max
+    assert res.worst <= res.bound
+    assert res.worst == Fraction(1, 8)  # degree-1 difference: one root max
     assert res.cases == 63 * 62 // 2
 
 
 def test_collision_census_two_instances():
     res = collision_census(w=3, mu=5, lam=2)
     assert res.bound == Fraction(1, 16)
-    assert res.max_fraction <= res.bound
-    assert res.max_fraction == Fraction(1, 64)
+    assert res.worst <= res.bound
+    assert res.worst == Fraction(1, 64)
 
 
 def test_collision_census_feasibility_guard():
@@ -303,16 +307,49 @@ def test_collision_census_feasibility_guard():
 
 def test_toeplitz_xor_census_exact():
     res = toeplitz_xor_census(alpha=4, beta=2)
-    assert res.exact
-    assert res.worst_low == res.worst_high == Fraction(1, 4)
-    assert res.cases == (16 * 15 // 2) * 4
+    assert res.ok
+    assert res.worst == res.bound == Fraction(1, 4)
+    assert res.cases == 16 * 15 // 2
     res = toeplitz_xor_census(alpha=6, beta=3)
-    assert res.exact and res.expected == Fraction(1, 8)
+    assert res.ok and res.worst == res.bound == Fraction(1, 8)
+    with pytest.raises(ValueError, match="too large"):
+        toeplitz_xor_census(alpha=20, beta=4)
 
 
 def test_strong_uniformity_census():
     res = strong_uniformity_census(w=2, lam=1, tau=2, mu=3)
-    assert res.marginal_exact
-    assert res.pair_bound == (Fraction(1, 2) + Fraction(1, 4)) / 4
-    assert res.worst_pair <= res.pair_bound
+    assert res.bound == (Fraction(1, 2) + Fraction(1, 4)) / 4
+    assert res.worst == Fraction(7, 64)
     assert res.ok
+    with pytest.raises(ValueError, match="too large"):
+        strong_uniformity_census(w=8, lam=1, tau=8, mu=4)
+
+
+def test_censuses_fail_on_broken_families(monkeypatch):
+    """Each census reads above its bound once the family it checks loses
+    its property, and within it again unpatched."""
+    poly, toeplitz = simulator.multi_poly_hash, simulator.toeplitz_hash
+
+    def keyless_poly(m, keys, fp, mu):  # every key acts as the zero key
+        return poly(m, tuple(Bits.zeros(len(k)) for k in keys), fp, mu)
+
+    def toeplitz_without_last_key_bit(x, k):
+        return toeplitz(x, Bits(k.value & ~1, len(k)))
+
+    def mask_only_tag(m, rk, otp, plan, fp):  # the digest is ignored
+        return Tag(otp.consume())
+
+    mutants = [
+        ("multi_poly_hash", keyless_poly,
+         lambda: collision_census(w=3, mu=5, lam=1), Fraction(1)),
+        ("toeplitz_hash", toeplitz_without_last_key_bit,
+         lambda: toeplitz_xor_census(alpha=4, beta=2), Fraction(1, 2)),
+        ("compose_tag", mask_only_tag,
+         lambda: strong_uniformity_census(w=2, lam=1, tau=2, mu=3), Fraction(1, 4)),
+    ]
+    for name, mutant, census, worst in mutants:
+        with monkeypatch.context() as mp:
+            mp.setattr(simulator, name, mutant)
+            res = census()
+        assert (res.ok, res.worst) == (False, worst), name
+    assert all(census().ok for _, _, census, _ in mutants)
