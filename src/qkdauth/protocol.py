@@ -101,12 +101,13 @@ class Transcript:
     def append(self, direction: Direction, payload: bytes) -> "Transcript":
         if not isinstance(payload, bytes):
             raise TypeError(f"a transcript payload is bytes, not {type(payload).__name__}")
-        frame = _HEADER.pack(direction.value, 8 * len(payload)) + payload
-        total = 8 * (len(self._buf) + len(frame))
+        buf = self._buf  # a bytearray: += extends it in place
+        total = 8 * (len(buf) + _HEADER.size + len(payload))
         if total > self.mu:
             raise TranscriptOverflowError(
                 f"compound string would reach {total} bits, bound is {self.mu}")
-        self._buf += frame
+        buf += _HEADER.pack(direction._value_, 8 * len(payload))  # not the slower .value
+        buf += payload
         self._count += 1
         return self
 
@@ -197,6 +198,11 @@ class KeyPool:
         return self.recycled_qkd
 
     def absorb_harvest(self, round_: int, h: Harvest) -> None:
+        """Take in a round's harvest, once: a round already absorbed, or a
+        mask for a round that already has one, raises before any change."""
+        if round_ in self.state or h.otp_round in self.otp:
+            raise ProtocolError(f"round {round_}'s harvest (the mask for round "
+                                f"{h.otp_round}) is already in the pool")
         if h.recycled is not None:
             self.recycled_qkd = RecycledKey.from_bits(
                 h.recycled, self.plan.lam, self.plan.w, self.plan.tau)
@@ -242,8 +248,9 @@ class PartyState:
     plan: Plan
     fp: FieldParams
     pool: KeyPool
-    flags: dict[int, Flag] = field(default_factory=dict)
+    flags: dict[int, Flag] = field(default_factory=dict)  # written only by _outcome
     transcripts: dict[int, Transcript] = field(default_factory=dict)
+    terminated: bool = field(default=False, init=False)  # some flag is BOT
 
     def transcript(self, round_: int) -> Transcript:
         if round_ not in self.transcripts:
@@ -255,13 +262,10 @@ class PartyState:
             return Flag.ACC  # V_0 and earlier are defined as accepted
         return self.flags.get(round_, Flag.BOT)
 
-    @property
-    def terminated(self) -> bool:
-        return Flag.BOT in self.flags.values()
-
     def _outcome(self, round_: int, flag: Flag, checked: bool,
                  promoted: frozenset[int] = frozenset()) -> RoundOutcome:
         self.flags[round_] = flag
+        self.terminated |= flag is Flag.BOT
         return RoundOutcome(round_, flag, promoted, checked)
 
     def _keys(self, round_: int) -> "tuple[RecycledKey, OtpKey]":

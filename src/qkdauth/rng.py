@@ -10,8 +10,10 @@ bit range can be computed from the blocks it covers alone.  ``take`` costs
 one SHA-256 per 256 bits drawn, linear in ``nbits``: it hashes every block
 a draw still needs in one pass and joins them with a single shift of the
 leftover bits.  ``window`` advances the stream as ``take`` does but hashes
-at most one block; the ``StreamWindow`` it returns is hashed only where it
-is read, one SHA-256 per block that the read range covers.
+nothing: when the window ends inside a block, the generator records how
+many bits of that block are spent, and the first draw after it hashes the
+block it starts in.  The ``StreamWindow`` it returns is hashed only where
+it is read, one SHA-256 per block that the read range covers.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ class BitGen:
             seed = seed.encode()
         self._key = hashlib.sha256(seed).digest()
         self._keyed = hashlib.sha256(self._key)  # copied per block
-        self._counter = 0
+        self._counter = 0  # the next block to hash
         self._buf = 0
+        # unspent bits of block _counter - 1, held in _buf; negative after a
+        # window that ended inside block _counter: minus the bits it spent
         self._buf_bits = 0
 
     def derive(self, label: "int | str") -> "BitGen":
@@ -58,24 +62,24 @@ class BitGen:
             self._buf = (self._buf << (256 * nblocks)) | self._blocks(self._counter, nblocks)
             self._counter += nblocks
             self._buf_bits += 256 * nblocks
+            self._buf &= (1 << self._buf_bits) - 1  # drops the bits a window spent
         self._buf_bits -= nbits
         out = self._buf >> self._buf_bits
         self._buf &= (1 << self._buf_bits) - 1
         return Bits(out, nbits)
 
     def window(self, nbits: int) -> "StreamWindow":
-        """The bits that ``take(nbits)`` would return, unread.  The generator
-        ends in the same state as after ``take(nbits)``."""
+        """The bits that ``take(nbits)`` would return, unread and unhashed.
+        The next draw returns what it would return after ``take(nbits)``."""
         if nbits < 0:
             raise ValueError("negative bit count")
         start = 256 * self._counter - self._buf_bits
-        end = start + nbits
-        counter = -(-end // 256)
-        rest = 256 * counter - end  # bits of block counter - 1 left for the next draw
-        if counter > self._counter and rest:
-            self._buf = self._blocks(counter - 1, 1)
-        self._counter, self._buf_bits = counter, rest
-        self._buf &= (1 << rest) - 1
+        if nbits <= self._buf_bits:
+            self._buf_bits -= nbits
+            self._buf &= (1 << self._buf_bits) - 1
+        else:
+            end = start + nbits
+            self._counter, self._buf_bits, self._buf = end // 256, -(end % 256), 0
         return StreamWindow(self, start, nbits)
 
     def take_bytes(self, nbytes: int) -> bytes:
@@ -109,6 +113,8 @@ class StreamWindow:
         return self.length
 
     def __getitem__(self, key: slice) -> "StreamWindow":
+        if not isinstance(key, slice):
+            raise TypeError("only contiguous slices are supported")
         start, stop, step = key.indices(self.length)
         if step != 1:
             raise ValueError("only contiguous slices are supported")

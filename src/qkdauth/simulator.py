@@ -113,9 +113,10 @@ class MockQkdRound:
 
 class MockQkdSource:
     """Deterministic stand-in for sifting/reconciliation/amplification:
-    per round, scripted classical traffic plus (on success) one shared
-    secret bit block, a window on the round's stream that follows the
-    messages' bits and is hashed only where it is read."""
+    per round, scripted classical traffic cut from one draw of the round's
+    stream, plus (on success) one shared secret bit block, a window on the
+    stream that follows the messages' bits and is hashed only where it is
+    read."""
 
     def __init__(self, gen: BitGen, secret_bits: int):
         self._gen = gen
@@ -123,13 +124,13 @@ class MockQkdSource:
 
     def round(self, round_: int, success: bool) -> MockQkdRound:
         g = self._gen.derive(round_)
-        msgs = []
-        for j in range(MESSAGES_PER_ROUND):
-            direction = Direction.A2B if j % 2 == 0 else Direction.B2A
-            msgs.append((direction, g.take_bytes(MESSAGE_BYTES)))
+        data = g.take_bytes(MESSAGES_PER_ROUND * MESSAGE_BYTES)
+        msgs = tuple((Direction.A2B if j % 2 == 0 else Direction.B2A,
+                      data[j * MESSAGE_BYTES:(j + 1) * MESSAGE_BYTES])
+                     for j in range(MESSAGES_PER_ROUND))
         secret = g.window(self.secret_bits) if success else None
         return MockQkdRound(round=round_, success=success, secret_bits=secret,
-                            classical_messages=tuple(msgs))
+                            classical_messages=msgs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,14 +300,15 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
             mock = source.round(i, success=not quantum_fail)
             qkd_success = mock.success
             tampered = classical_attack and adversary.kind in ("tamper", "substitute")
+            logs = {role: parties[role].transcript(i) for role in ("A", "B")}
             for j, (direction, payload) in enumerate(mock.classical_messages):
                 src, dst = ("A", "B") if direction is Direction.A2B else ("B", "A")
-                parties[src].transcript(i).append(direction, payload)
+                logs[src].append(direction, payload)
                 seen = payload
                 if tampered and j == 0:
                     # Eve flips one bit of the first message in transit
                     seen = Bits.from_bytes(payload).flip(0).to_bytes()
-                parties[dst].transcript(i).append(direction, seen)
+                logs[dst].append(direction, seen)
             if mock.success:
                 h = harvest_keys(mock.secret_bits, i, plan)
                 for role in ("A", "B"):

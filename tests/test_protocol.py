@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
-from qkdauth.hashing import OtpKey, RecycledKey, find_field_params
+from qkdauth.hashing import OtpKey, RecycledKey, compose_tag, find_field_params
 from qkdauth.planner import make_plan
 from qkdauth.poolfile import (_HEADER, MAGIC, VERSION, PoolFormatError, TagPool,
                               dump_pool, load_pool, new_pool, parse_pool, round_mask,
@@ -313,6 +313,28 @@ def test_pool_unabsorbed_rounds_stay_absent():
     assert a.pool.otp_surplus() == [1, 2, 3]
 
 
+def test_pool_absorbs_a_round_once():
+    # Re-absorbing a discarded round would make its consumed mask for round
+    # 3 fresh again, and a second tag would reuse it.
+    a, _ = fresh_pair()
+    h = harvest_keys(BitGen(8).take(PLAN.l_rec + PLAN.l_otp + 16), 1, PLAN)
+    a.pool.absorb_harvest(1, h)
+    compose_tag(Bits.from_bytes(b"round three"), a.pool.recycled_qkd, a.pool.otp[3], PLAN, FP)
+    a.pool.discard_rounds({1})
+    before = (dict(a.pool.state), dict(a.pool.otp), dict(a.pool.external), a.pool.recycled_qkd)
+    with pytest.raises(ProtocolError, match="already"):
+        a.pool.absorb_harvest(1, h)
+    assert (dict(a.pool.state), dict(a.pool.otp), dict(a.pool.external),
+            a.pool.recycled_qkd) == before
+    assert a.pool.otp[3].consumed and a.pool.state[1] is KeyState.DISCARDED
+    # a harvest of another round that would replace an existing mask
+    with pytest.raises(ProtocolError, match="mask for round 3"):
+        a.pool.absorb_harvest(2, h)
+    with pytest.raises(ProtocolError, match="mask for round 2"):
+        a.pool.absorb_harvest(0, harvest_keys(BitGen(9).take(PLAN.l_otp), 0, PLAN))
+    assert dict(a.pool.state) == before[0] and dict(a.pool.otp) == before[1]
+
+
 def test_pool_active_recycled_routing():
     a, _ = fresh_pair()
     assert a.pool.active_recycled(1) is a.pool.recycled_pre
@@ -415,7 +437,9 @@ def test_timeout_discards_and_silences():
 
 def test_verifier_gate_skips_check_after_bot():
     a, b = fresh_pair()
-    b.flags[1] = Flag.BOT
+    grow(b, 1, BitGen(14))
+    run_round(a, b, 1, [b"blocked round"], drop_tag=True)  # a timeout sets Bob's V_1 to bot
+    assert b.flags[1] is Flag.BOT
     outcome = b.finalize_verifier(3, None)
     assert outcome.flag is Flag.BOT and not outcome.checked
     assert not b.pool.otp.get(3, OtpKey(Bits.zeros(PLAN.l_otp))).consumed
@@ -432,6 +456,38 @@ def clean_session(n_max, seed=21):
         _, _, outcome = run_round(a, b, r, [b"msg-%d" % r, b"reply-%d" % r])
         assert outcome.flag is Flag.ACC
     return a, b
+
+
+@pytest.mark.parametrize("kind,at", [("clean", None), ("tamper", 2), ("timeout", 1),
+                                     ("timeout", 4), ("quantum", 3)])
+def test_terminated_matches_the_flags(kind, at):
+    # A session of four rounds and the acknowledgement with one faulty
+    # round; after every outcome each party is terminated exactly when one
+    # of its flags is bot.
+    n_max = 4
+    a, b = fresh_pair(31)
+    qkd = BitGen(32)
+
+    def agrees():
+        for p in (a, b):
+            assert p.terminated == (Flag.BOT in p.flags.values())
+
+    agrees()
+    for r in range(1, n_max + 1):
+        secret = qkd.take((PLAN.l_rec if r == 1 else 0) + PLAN.l_otp + 24)
+        if not (kind == "quantum" and r == at):
+            for p in (a, b):
+                p.pool.absorb_harvest(r, harvest_keys(secret, r, PLAN))
+        _, _, outcome = run_round(a, b, r, [b"data-%d" % r, b"reply-%d" % r],
+                                  tamper_receiver=kind == "tamper" and r == at,
+                                  drop_tag=kind == "timeout" and r == at)
+        assert (outcome.flag is Flag.ACC) == (kind == "clean" or r < at)
+        agrees()
+    ack = a.final_acknowledgement(n_max)
+    outcome = b.receive_acknowledgement(n_max, ack)
+    assert (outcome.flag is Flag.ACC) == (kind == "clean")
+    agrees()
+    assert a.terminated == b.terminated == (kind != "clean")
 
 
 def test_clean_session_with_ack_promotes_everything():

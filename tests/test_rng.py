@@ -114,6 +114,10 @@ class ReferenceBitGen:
                 return v
 
 
+def read(window: StreamWindow) -> Bits:
+    return Bits(int(window), len(window))
+
+
 seeds = (st.integers(min_value=-(2**80), max_value=2**128 - 1)
          | st.text(max_size=8) | st.binary(max_size=20))
 ops = st.one_of(
@@ -122,6 +126,8 @@ ops = st.one_of(
     st.tuples(st.just("take_bytes"), st.integers(0, 100)),
     st.tuples(st.just("randint"), st.integers(1, 2**300)),
     st.tuples(st.just("derive"), st.integers(0, 10) | st.text(max_size=4)),
+    st.tuples(st.just("window"),
+              st.sampled_from([0, 1, 255, 256, 257, 99_532]) | st.integers(0, 3000)),
 )
 
 
@@ -132,6 +138,9 @@ def test_matches_one_block_reference(seed, script):
     for op, arg in script:
         if op == "derive":
             gen, ref = gen.derive(arg), ref.derive(arg)
+            continue
+        if op == "window":
+            assert read(gen.window(arg)) == ref.take(arg)
             continue
         got, want = getattr(gen, op)(arg), getattr(ref, op)(arg)
         if op == "take":
@@ -148,10 +157,6 @@ def test_long_draw_is_linear():
     seconds = time.perf_counter() - t0
     assert len(bits) == 4_000_000
     assert seconds < 0.5
-
-
-def read(window: StreamWindow) -> Bits:
-    return Bits(int(window), len(window))
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,6 +194,9 @@ def test_window_edges():
     for step in (2, 3, -1):
         with pytest.raises(ValueError, match="contiguous"):
             window[::step]
+    for key in (5, -1, (0, 3)):
+        with pytest.raises(TypeError, match="contiguous"):
+            window[key]
     with pytest.raises(ValueError, match="negative"):
         BitGen(3).window(-1)
     with pytest.raises(ValueError, match="negative"):
@@ -221,8 +229,7 @@ def test_window_hashes_only_the_blocks_it_reads(monkeypatch):
     gen.take(576)
     hashed.clear()
     window = gen.window(2**30)
-    assert sum(hashed) <= 1  # the block the next draw starts in
-    hashed.clear()
+    assert sum(hashed) == 0  # the next draw hashes the block it starts in
     tau, start = 40, 2**30 - 45
     tail = window[start:][:tau]
     assert sum(hashed) == 0
@@ -235,6 +242,10 @@ def test_window_hashes_only_the_blocks_it_reads(monkeypatch):
         format(int.from_bytes(hashlib.sha256(key + struct.pack(">Q", i)).digest(), "big"),
                "0256b") for i in range(pos // 256, (pos + tau - 1) // 256 + 1))
     assert got.to01() == stream[pos % 256:pos % 256 + tau]
+    hashed.clear()
+    # the next draw starts 45 bits after the slice, in the block it read
+    assert gen.take(5).to01() == stream[pos % 256 + 45:pos % 256 + 50]
+    assert hashed == [1]
 
 
 def test_seed_range():

@@ -152,6 +152,26 @@ def test_session_rejects_short_secret_before_drawing(monkeypatch, spec, secret_b
         run_session(4, PLAN, FP, parse_adversary(spec), seed=1, secret_bits=secret_bits)
 
 
+@pytest.mark.parametrize("n_max", [2, 4, 64])
+def test_clean_session_hashing_work_per_round(monkeypatch, n_max):
+    # Each round hashes 4 blocks in 2 calls: one draw of its three messages
+    # (3 blocks) and the read of its OTP mask (1 block); the window over its
+    # secret key hashes nothing.  Once per session come the pre-distributed
+    # keys (1 block) and round 1's recycled key (1 more read, which also
+    # moves the mask to straddle a block boundary: 2 more blocks).
+    hashed = []
+    blocks = BitGen._blocks
+
+    def counting(self, first, count):
+        hashed.append(count)
+        return blocks(self, first, count)
+
+    monkeypatch.setattr(BitGen, "_blocks", counting)
+    led = run_session(n_max, PLAN, FP, seed=5, secret_bits=99_532)
+    assert not led.terminated
+    assert (sum(hashed), len(hashed)) == (4 * n_max + 3, 2 * n_max + 2)
+
+
 def test_clean_sessions_never_reject():
     for seed in range(5):
         led = run_session(4, PLAN, FP, seed=seed)
