@@ -7,8 +7,8 @@ from .hashing import (FieldParams, OtpKey, OtpReuseError, RecycledKey, Tag,
 from .planner import (CostInput, Plan, PlanInfeasibleError, make_plan, plan,
                       relative_cost, stinson_bound, table_one, tag_length)
 from .protocol import (Direction, Flag, Harvest, KeyPool, KeyState, PartyState,
-                       RoundOutcome, Transcript, WireMessage, harvest_keys,
-                       tag_sender, tag_verifier)
+                       RoundOutcome, Transcript, harvest_keys, tag_sender,
+                       tag_verifier)
 from .simulator import (AdversaryConfig, EpsilonBudget, MockQkdSource,
                         SessionLedger, TrialStats, collision_census,
                         epsilon_budget, forgery_experiment, run_session,
@@ -19,7 +19,7 @@ __all__ = [
     "FieldParams", "Flag", "Harvest", "KeyPool", "KeyState", "MockQkdSource",
     "OtpKey", "OtpReuseError", "PartyState", "Plan", "PlanInfeasibleError",
     "RecycledKey", "RoundOutcome", "SessionLedger", "Tag", "Transcript",
-    "TrialStats", "WireMessage", "collision_census",
+    "TrialStats", "collision_census",
     "compose_tag", "constant_time_eq", "epsilon_budget", "find_field_params",
     "forgery_experiment", "harvest_keys", "make_plan", "multi_poly_hash",
     "pad_and_chunk", "plan", "relative_cost", "run_session",

@@ -8,6 +8,11 @@ its unverified harvest from both rounds at once.  A failed or missing tag
 terminates the process on the verifier's side; the other side discovers
 the termination one round later through a timeout.
 
+The wire carries only the tag: its slot in the schedule fixes its round
+and kind (round tag or acknowledgement), so a tag from another slot, a
+replayed one or one of the wrong length is a failed check, settled exactly
+like a tampered one: a ``bot`` flag and a consumed mask.
+
 Key routing across rounds: the recycled hash key and the OTP masks for
 rounds 1 and 2 are pre-distributed; round 1 additionally harvests a fresh
 recycled key (used from round 3 on) and every round i harvests the OTP
@@ -37,18 +42,6 @@ class TranscriptOverflowError(ValueError):
 class Direction(enum.Enum):
     A2B = 0
     B2A = 1
-
-
-class MessageKind(enum.Enum):
-    TAG = "tag"
-    ACK = "ack"
-
-
-@dataclass(frozen=True, slots=True)
-class WireMessage:
-    kind: MessageKind
-    round: int
-    payload: Bits
 
 
 class Flag(enum.Enum):
@@ -274,20 +267,15 @@ class PartyState:
             raise ProtocolError(f"no OTP key designated for round {round_}")
         return self.pool.active_recycled(round_), otp
 
-    def _tag(self, kind: MessageKind, round_: int, m: Bits) -> WireMessage:
-        rk, otp = self._keys(round_)
-        return WireMessage(kind, round_, compose_tag(m, rk, otp, self.plan, self.fp).bits)
+    def _tag(self, round_: int, m: Bits) -> Tag:
+        return compose_tag(m, *self._keys(round_), self.plan, self.fp)
 
-    def _check(self, kind: MessageKind, round_: int, m: Bits, incoming: WireMessage) -> bool:
-        if incoming.kind is not kind or incoming.round != round_:
-            raise ProtocolError(f"a {incoming.kind.value} message of round {incoming.round} "
-                                f"was handed to the {kind.value} slot of round {round_}")
-        rk, otp = self._keys(round_)
-        return verify_tag(m, Tag(incoming.payload), rk, otp, self.plan, self.fp)
+    def _check(self, round_: int, m: Bits, incoming: Tag) -> bool:
+        return verify_tag(m, incoming, *self._keys(round_), self.plan, self.fp)
 
     # -- sender side --------------------------------------------------------
 
-    def finalize_sender(self, round_: int) -> "WireMessage | None":
+    def finalize_sender(self, round_: int) -> "Tag | None":
         """Compose this round's tag over the local compound string.
 
         Returns None (stays silent) when the party's own flag from the
@@ -297,11 +285,11 @@ class PartyState:
             raise ProtocolError(f"party {self.role} is not the tag sender of round {round_}")
         if self.terminated or self.flag(round_ - 1) is not Flag.ACC:
             return None
-        return self._tag(MessageKind.TAG, round_, self.transcript(round_).compound())
+        return self._tag(round_, self.transcript(round_).compound())
 
     # -- verifier side --------------------------------------------------------
 
-    def finalize_verifier(self, round_: int, incoming: "WireMessage | None") -> RoundOutcome:
+    def finalize_verifier(self, round_: int, incoming: "Tag | None") -> RoundOutcome:
         """Check the incoming tag (or register its absence) and settle keys.
 
         acc: the harvest of rounds round-1 and round moves to verified, and
@@ -315,8 +303,7 @@ class PartyState:
         if self.terminated or self.flag(round_ - 2) is not Flag.ACC:
             return self._outcome(round_, Flag.BOT, checked=False)
         checked = incoming is not None  # None: timeout injected by the harness
-        if not checked or not self._check(MessageKind.TAG, round_,
-                                          self.transcript(round_).compound(), incoming):
+        if not checked or not self._check(round_, self.transcript(round_).compound(), incoming):
             self.pool.discard_rounds({round_ - 1, round_})
             return self._outcome(round_, Flag.BOT, checked=checked)
         promoted = self.pool.promote_rounds({round_ - 1, round_})
@@ -325,7 +312,7 @@ class PartyState:
 
     # -- fictitious acknowledgement round ------------------------------------
 
-    def final_acknowledgement(self, n_max: int) -> "WireMessage | None":
+    def final_acknowledgement(self, n_max: int) -> "Tag | None":
         """Authenticated acknowledgement from the round-n_max verifier,
         consuming the OTP mask of the fictitious round n_max + 1."""
         if tag_verifier(n_max) != self.role:
@@ -333,10 +320,10 @@ class PartyState:
         if self.flag(n_max) is not Flag.ACC:
             return None
         m = ack_transcript(n_max, self.plan.mu).compound()
-        return self._tag(MessageKind.ACK, n_max + 1, m)
+        return self._tag(n_max + 1, m)
 
     def receive_acknowledgement(self, n_max: int,
-                                incoming: "WireMessage | None") -> RoundOutcome:
+                                incoming: "Tag | None") -> RoundOutcome:
         """Promote the final round's keys if the acknowledgement verifies.
 
         A missing or wrong acknowledgement leaves those keys unverified
@@ -350,7 +337,7 @@ class PartyState:
         if self.terminated or incoming is None:
             return self._outcome(ack_round, Flag.BOT, checked=False)
         m = ack_transcript(n_max, self.plan.mu).compound()
-        if not self._check(MessageKind.ACK, ack_round, m, incoming):
+        if not self._check(ack_round, m, incoming):
             return self._outcome(ack_round, Flag.BOT, checked=True)
         promoted = self.pool.promote_rounds({n_max})
         return self._outcome(ack_round, Flag.ACC, checked=True, promoted=promoted)

@@ -57,6 +57,8 @@ class BitGen:
         """Next ``nbits`` bits of the stream."""
         if nbits < 0:
             raise ValueError("negative bit count")
+        if nbits == 0:  # after a window _buf_bits may be negative: hash nothing
+            return Bits(0, 0)
         if nbits > self._buf_bits:
             nblocks = (nbits - self._buf_bits + 255) // 256
             self._buf = (self._buf << (256 * nblocks)) | self._blocks(self._counter, nblocks)

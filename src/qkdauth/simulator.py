@@ -25,9 +25,8 @@ from .bits import Bits
 from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, compose_tag,
                       find_field_params, multi_poly_hash, toeplitz_hash, verify_tag)
 from .planner import Plan, as_fraction, collision_bound, make_plan
-from .protocol import (Direction, Flag, KeyPool, KeyState, MessageKind, PartyState,
-                       RoundOutcome, WireMessage, harvest_keys, tag_sender,
-                       tag_verifier)
+from .protocol import (Direction, Flag, KeyPool, KeyState, PartyState, RoundOutcome,
+                       harvest_keys, tag_sender, tag_verifier)
 from .rng import BitGen, StreamWindow
 
 ATTACK_KINDS = ("none", "quantum", "tamper", "substitute", "block", "impersonate")
@@ -250,7 +249,8 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
 
     Deterministic for a given (configuration, seed): the ledger is
     byte-identical across runs.  Adversarial termination is an outcome
-    recorded in the ledger, never an exception.
+    recorded in the ledger, never an exception; that holds for a replayed
+    or mis-slotted tag too, since the wire carries no header to mismatch.
     """
     adversary = adversary or AdversaryConfig()
     if n_max < 2 or n_max % 2 != 0:
@@ -323,7 +323,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
                 delivered, tag_status = None, "blocked"
             elif adversary.kind == "impersonate" or (
                     adversary.kind == "substitute" and adversary.strategy == "random"):
-                delivered = WireMessage(MessageKind.TAG, i, eve.take(plan.tau))
+                delivered = Tag(eve.take(plan.tau))
                 tag_status = "substituted"
             # tamper and best-guess substitution leave the tag bits alone
 

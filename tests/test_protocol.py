@@ -1,4 +1,5 @@
 import array
+import itertools
 import os
 import random
 import struct
@@ -8,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
-from qkdauth.hashing import OtpKey, RecycledKey, compose_tag, find_field_params
+from qkdauth.hashing import OtpKey, RecycledKey, Tag, compose_tag, find_field_params
 from qkdauth.planner import make_plan
 from qkdauth.poolfile import (_HEADER, MAGIC, VERSION, PoolFormatError, TagPool,
                               dump_pool, load_pool, new_pool, parse_pool, round_mask,
                               save_pool)
-from qkdauth.protocol import (Direction, Flag, KeyPool, KeyState, MessageKind,
-                              PartyState, ProtocolError, Transcript,
-                              TranscriptOverflowError, WireMessage, ack_transcript,
-                              harvest_keys, tag_sender, tag_verifier)
+from qkdauth.protocol import (Direction, Flag, KeyPool, KeyState, PartyState,
+                              ProtocolError, RoundOutcome, Transcript,
+                              TranscriptOverflowError, ack_transcript, harvest_keys,
+                              tag_sender, tag_verifier)
 from qkdauth.rng import BitGen
 
 PLAN = make_plan(tau=16, lam=1, w=15, mu=4096)
@@ -348,8 +349,9 @@ def test_pool_active_recycled_routing():
 
 # -- two-party round exchange --------------------------------------------------------
 
-def run_round(a, b, round_, payloads, tamper_receiver=False, drop_tag=False):
-    """Drive one round: scripted data messages, then the tag exchange."""
+def run_round(a, b, round_, payloads, tamper_receiver=False, drop_tag=False, wire=None):
+    """Drive one round: scripted data messages, then the tag exchange.
+    The tag sent, if any, is recorded in ``wire`` under its round."""
     for i, payload in enumerate(payloads):
         d = Direction.A2B if i % 2 == 0 else Direction.B2A
         src, dst = ("A", "B") if d is Direction.A2B else ("B", "A")
@@ -359,6 +361,8 @@ def run_round(a, b, round_, payloads, tamper_receiver=False, drop_tag=False):
     sender = a if tag_sender(round_) == "A" else b
     verifier = b if sender is a else a
     msg = sender.finalize_sender(round_)
+    if wire is not None and msg is not None:
+        wire[round_] = msg
     if drop_tag:
         msg = None
     return sender, verifier, verifier.finalize_verifier(round_, msg)
@@ -445,7 +449,7 @@ def test_verifier_gate_skips_check_after_bot():
     assert not b.pool.otp.get(3, OtpKey(Bits.zeros(PLAN.l_otp))).consumed
 
 
-def clean_session(n_max, seed=21):
+def clean_session(n_max, seed=21, wire=None):
     a, b = fresh_pair(seed)
     qkd = BitGen(seed + 1000)
     for r in range(1, n_max + 1):
@@ -453,7 +457,7 @@ def clean_session(n_max, seed=21):
         secret = qkd.take(need)
         for p in (a, b):
             p.pool.absorb_harvest(r, harvest_keys(secret, r, PLAN))
-        _, _, outcome = run_round(a, b, r, [b"msg-%d" % r, b"reply-%d" % r])
+        _, _, outcome = run_round(a, b, r, [b"msg-%d" % r, b"reply-%d" % r], wire=wire)
         assert outcome.flag is Flag.ACC
     return a, b
 
@@ -495,7 +499,7 @@ def test_clean_session_with_ack_promotes_everything():
     a, b = clean_session(n_max)
     assert external_state(b.pool, n_max) == "unverified"
     ack = a.final_acknowledgement(n_max)
-    assert ack is not None and ack.kind is MessageKind.ACK
+    assert isinstance(ack, Tag) and len(ack.bits) == PLAN.tau
     outcome = b.receive_acknowledgement(n_max, ack)
     assert outcome.flag is Flag.ACC
     assert outcome.promoted_rounds == frozenset({n_max})
@@ -521,7 +525,7 @@ def test_failed_ack_check_leaves_final_round_unverified():
     n_max = 4
     a, b = clean_session(n_max)
     ack = a.final_acknowledgement(n_max)
-    forged = WireMessage(MessageKind.ACK, ack.round, ack.payload.flip(0))
+    forged = Tag(ack.bits.flip(0))
     outcome = b.receive_acknowledgement(n_max, forged)
     assert outcome.flag is Flag.BOT and outcome.checked
     assert outcome.promoted_rounds == frozenset()
@@ -530,14 +534,48 @@ def test_failed_ack_check_leaves_final_round_unverified():
     assert external_state(b.pool, n_max) == "unverified"
 
 
-def test_tag_message_in_ack_slot_is_rejected_unchecked():
-    n_max = 4
-    a, b = clean_session(n_max)
-    ack = a.final_acknowledgement(n_max)
-    with pytest.raises(ProtocolError):
-        b.receive_acknowledgement(n_max, WireMessage(MessageKind.TAG, ack.round, ack.payload))
-    assert not b.pool.otp[n_max + 1].consumed
+def test_round_tag_in_ack_slot_fails_closed():
+    # The wire carries no header: a round tag in the acknowledgement slot is
+    # checked against the acknowledgement transcript and mask, and fails.
+    n_max, wire = 4, {}
+    a, b = clean_session(n_max, wire=wire)
+    a.final_acknowledgement(n_max)
+    outcome = b.receive_acknowledgement(n_max, wire[n_max])
+    assert outcome == RoundOutcome(n_max + 1, Flag.BOT, frozenset(), checked=True)
+    assert b.pool.otp[n_max + 1].consumed
     assert b.pool.state[n_max] is KeyState.UNVERIFIED
+
+
+def test_replayed_tag_fails_closed():
+    # Eve replays Alice's round-1 tag in round 3: an ordinary failed check,
+    # so Bob discards rounds 2 and 3, terminates and spends his round-3 mask.
+    a, b = fresh_pair()
+    qkd, wire = BitGen(15), {}
+    for r in (1, 2, 3):
+        h = harvest_keys(qkd.take((PLAN.l_rec if r == 1 else 0) + PLAN.l_otp + 24), r, PLAN)
+        for p in (a, b):
+            p.pool.absorb_harvest(r, h)
+    for r in (1, 2):
+        assert run_round(a, b, r, [b"data-%d" % r], wire=wire)[2].flag is Flag.ACC
+    for p in (a, b):
+        p.transcript(3).append(Direction.A2B, b"data-3")
+    assert a.finalize_sender(3) != wire[1]
+    outcome = b.finalize_verifier(3, wire[1])
+    assert outcome == RoundOutcome(3, Flag.BOT, frozenset(), checked=True)
+    assert b.pool.state[2] is b.pool.state[3] is KeyState.DISCARDED
+    assert b.terminated and b.pool.otp[3].consumed
+
+
+def test_tag_of_wrong_length_is_a_failed_check():
+    a, b = fresh_pair()
+    secret = BitGen(16).take(PLAN.l_rec + PLAN.l_otp + 24)
+    for p in (a, b):
+        p.pool.absorb_harvest(1, harvest_keys(secret, 1, PLAN))
+        p.transcript(1).append(Direction.A2B, b"data-1")
+    short = Tag(a.finalize_sender(1).bits[:PLAN.tau - 1])
+    outcome = b.finalize_verifier(1, short)
+    assert outcome == RoundOutcome(1, Flag.BOT, frozenset(), checked=True)
+    assert b.pool.state[1] is KeyState.DISCARDED and b.pool.otp[1].consumed
 
 
 def test_ack_uses_quantum_recycled_key_and_correct_otp():
@@ -555,6 +593,95 @@ def test_ack_transcript_is_canonical():
     m3 = ack_transcript(6, 4096).compound()
     assert m1 == m2
     assert m1 != m3
+
+
+# -- every per-round attack schedule -------------------------------------------------
+
+ROUND_ACTIONS = ("deliver", "quantum", "tamper", "block", "impersonate", "replay")
+ACK_ACTIONS = ("deliver", "block", "replace")
+SCHEDULE_N_MAX = 4
+_secrets = BitGen(42)
+SCHEDULE_HARVESTS = {r: harvest_keys(_secrets.take((PLAN.l_rec if r == 1 else 0)
+                                                   + PLAN.l_otp + 24), r, PLAN)
+                     for r in range(1, SCHEDULE_N_MAX + 1)}
+_guesses = BitGen("eve")
+GUESSES = {r: Tag(_guesses.take(PLAN.tau)) for r in range(1, SCHEDULE_N_MAX + 1)}
+
+
+def scheduled_session(actions, ack_action):
+    """One session with one Eve action per round and one on the
+    acknowledgement; returns both parties by role and every outcome with
+    the role that recorded it.
+
+    Eve acts on the wire whether or not the honest sender spoke.  She
+    delivers what was sent, fails the round's key distillation, flips a bit
+    of the verifier's copy of the round's message, blocks the tag, sends a
+    blind guess, or replays the sender's tag of round r-2 (else reflects the
+    verifier's own tag of round r-1, else sends nothing).  The
+    acknowledgement is delivered, blocked, or replaced by the tag sent in
+    round n_max.
+    """
+    parties = dict(zip("AB", fresh_pair(41)))
+    wire, outcomes = {}, []
+    for r, action in enumerate(actions, start=1):
+        sender, verifier = tag_sender(r), tag_verifier(r)
+        if not (parties[sender].terminated or parties[verifier].terminated):
+            if action != "quantum":
+                for p in parties.values():
+                    p.pool.absorb_harvest(r, SCHEDULE_HARVESTS[r])
+            payload = b"data-%d" % r
+            seen = Bits.from_bytes(payload).flip(0).to_bytes() if action == "tamper" else payload
+            parties[sender].transcript(r).append(Direction.A2B, payload)
+            parties[verifier].transcript(r).append(Direction.A2B, seen)
+        sent = parties[sender].finalize_sender(r)
+        if sent is not None:
+            wire[r] = sent
+        delivered = {"block": None, "impersonate": GUESSES[r],
+                     "replay": wire.get(r - 2, wire.get(r - 1))}.get(action, sent)
+        outcomes.append((verifier, parties[verifier].finalize_verifier(r, delivered)))
+    n_max = len(actions)
+    ack = parties[tag_verifier(n_max)].final_acknowledgement(n_max)
+    delivered = {"block": None, "replace": wire.get(n_max)}.get(ack_action, ack)
+    receiver = tag_sender(n_max)
+    outcomes.append((receiver, parties[receiver].receive_acknowledgement(n_max, delivered)))
+    return parties, outcomes
+
+
+def first_attack_only(actions, ack_action):
+    """The schedule cut after its first attack: every later action delivers."""
+    for i, action in enumerate(actions):
+        if action != "deliver":
+            return actions[:i + 1] + ("deliver",) * (len(actions) - i - 1), "deliver"
+    return actions, ack_action
+
+
+def test_every_attack_schedule_fails_closed():
+    # 6**4 round schedules times 3 acknowledgement actions.  A second use
+    # of any mask raises OtpReuseError, so "no exception" covers mask reuse.
+    n_max, final_states = SCHEDULE_N_MAX, {}
+
+    def states(schedule):
+        if schedule not in final_states:
+            parties, _ = scheduled_session(*schedule)
+            final_states[schedule] = {role: p.pool.state for role, p in parties.items()}
+        return final_states[schedule]
+
+    for actions in itertools.product(ROUND_ACTIONS, repeat=n_max):
+        for ack_action in ACK_ACTIONS:
+            parties, outcomes = scheduled_session(actions, ack_action)
+            case = (actions, ack_action)
+            verified = {role: {r for r, st in p.pool.state.items() if st is KeyState.VERIFIED}
+                        for role, p in parties.items()}
+            assert len(verified["A"] ^ verified["B"]) <= 1, case
+            touched = {r for r, act in enumerate(actions, start=1) if act != "deliver"}
+            assert not touched & (verified["A"] | verified["B"]), case
+            if ack_action != "deliver":  # only a genuine acknowledgement confirms round n_max
+                assert n_max not in verified[tag_sender(n_max)], case
+            for role, o in outcomes:
+                assert not o.checked or parties[role].pool.otp[o.round].consumed, case
+            # once the first attack has struck, later ones change no key's state
+            final = {role: p.pool.state for role, p in parties.items()}
+            assert final == states(first_attack_only(*case)), case
 
 
 # -- pool files -------------------------------------------------------------------

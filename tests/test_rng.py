@@ -243,6 +243,7 @@ def test_window_hashes_only_the_blocks_it_reads(monkeypatch):
                "0256b") for i in range(pos // 256, (pos + tau - 1) // 256 + 1))
     assert got.to01() == stream[pos % 256:pos % 256 + tau]
     hashed.clear()
+    assert len(gen.take(0)) == 0 and hashed == []  # the window ended inside a block
     # the next draw starts 45 bits after the slice, in the block it read
     assert gen.take(5).to01() == stream[pos % 256 + 45:pos % 256 + 50]
     assert hashed == [1]
