@@ -27,16 +27,18 @@ lane.  No step loops over lanes in Python.  The lane masks are cached per
 chunk width and size class, the reduction schedule per chunk width.
 ``pad_and_chunk`` and ``chunk_count`` state the padding rule itself.
 
-The Toeplitz product is read off one ordinary integer multiply: with every
-bit of the key and of the intermediate spread into its own byte slot, each
-slot of the product counts the key and input bit pairs of one output bit,
-and its low bit is that output bit (``toeplitz_hash``).
+The Toeplitz product is a window of the carry-less product of the key and
+the intermediate (``toeplitz_hash``), read from a 16-entry table of the
+key's products with each 4-bit value (the method of Arlazarov, Dinic,
+Kronrod and Faradzev) that a ``RecycledKey`` builds once.  Each nibble's
+entry is shifted right into the window and XORed on; XOR commutes with the
+shift, so the window is exact.  A tag works on integers up to its one ``Bits``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .bits import Bits, constant_time_eq
@@ -191,13 +193,9 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     return sums
 
 
-def multi_poly_hash(m: Bits, poly_keys: Sequence[Bits], fp: FieldParams, mu: int) -> Bits:
-    """Concatenation of independent polynomial hashes, one per subkey.
-
-    Raising the instance count multiplies the collision probability of the
-    single-instance family, so the bound becomes (ceil(mu/w) * 2**-w)**lam
-    without widening the modulus.
-    """
+def _poly_digest(m: Bits, poly_keys: Sequence[Bits], values: Sequence[int], fp: FieldParams,
+                 mu: int) -> int:
+    """``multi_poly_hash`` as an integer, given the subkeys' integers too."""
     if not poly_keys:
         raise ValueError("at least one polynomial subkey is required")
     for key in poly_keys:
@@ -206,17 +204,48 @@ def multi_poly_hash(m: Bits, poly_keys: Sequence[Bits], fp: FieldParams, mu: int
     if len(m) > mu:
         raise ValueError(f"message of {len(m)} bits exceeds the {mu}-bit bound")
     out = 0
-    width = fp.w + 1
-    for h in _poly_sums(m, fp.w, [key.value for key in poly_keys], fp.p):
-        out = (out << width) | h
-    return Bits(out, width * len(poly_keys))
+    for h in _poly_sums(m, fp.w, values, fp.p):
+        out = (out << (fp.w + 1)) | h
+    return out
 
 
-# Translation tables for the Toeplitz product: "0"/"1" text to byte slots
-# 0/1, and a byte slot's count to the "0"/"1" text of its parity.
-_SLOT = bytes(b & 1 for b in range(256))
-_PARITY = b"01" * 128
-_PIECE_BITS = 255  # the largest count a byte slot holds
+def multi_poly_hash(m: Bits, poly_keys: Sequence[Bits], fp: FieldParams, mu: int) -> Bits:
+    """Concatenation of independent polynomial hashes, one per subkey.
+
+    Raising the instance count multiplies the collision probability of the
+    single-instance family, so the bound becomes (ceil(mu/w) * 2**-w)**lam
+    without widening the modulus.
+    """
+    return Bits(_poly_digest(m, poly_keys, [key.value for key in poly_keys], fp, mu),
+                (fp.w + 1) * len(poly_keys))
+
+
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _toeplitz_table(tk: Bits) -> list[int]:
+    """``table[v]`` is the carry-less product of the key reversed (k_1 at
+    bit 0) and the 4-bit value v: the XOR of ``a << i`` over the set bits
+    i of v."""
+    n = -(-len(tk) // 8)
+    a = int.from_bytes(tk.value.to_bytes(n, "big").translate(_BIT_REVERSED), "little") \
+        >> (8 * n - len(tk))
+    b, c, d = a << 1, a << 2, a << 3
+    ab, cd = a ^ b, c ^ d
+    return [0, a, b, ab, c, a ^ c, b ^ c, ab ^ c, d, a ^ d, b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd]
+
+
+def _toeplitz_product(table: list[int], x: int, alpha: int, beta: int) -> int:
+    """Bits alpha-1 .. alpha+beta-2 of the carry-less product of the key
+    behind ``table`` and the alpha-bit x, with x moved up to n whole bytes
+    and the window with it; byte i's nibbles shift down d = 8n-1-8i and
+    d-4 >= 3 places into the window."""
+    n = -(-alpha // 8)
+    out, d = 0, 8 * n - 1
+    for b in (x << (8 * n - alpha)).to_bytes(n, "little"):
+        out ^= table[b & 15] >> d ^ table[b >> 4] >> (d - 4)
+        d -= 8
+    return out & ((1 << beta) - 1)
 
 
 def toeplitz_hash(x: Bits, tk: Bits) -> Bits:
@@ -227,39 +256,17 @@ def toeplitz_hash(x: Bits, tk: Bits) -> Bits:
     the top) of the matrix is T[i][j] = k_{beta+j-i}: the top-left entry is
     k_beta, the bottom-left k_1, the top-right k_{beta+alpha-1}.
 
-    Output bit i is the parity of sum_j k_{beta-i+j} x_j: bits
-    alpha-1 .. alpha+beta-2 of the carry-less product of the key reversed
-    and x.  That product is formed as one ordinary integer multiply.  Each
-    bit is spread into a byte slot, the key from k_1 and x from x_alpha at
-    the low end, so slot s of the product counts the pairs k_e x_j with
-    (e-1) + (alpha-j) = s, and output bit i is the low bit of slot
-    alpha+beta-1-i.  A byte holds a count up to 255, so x is cut into
-    pieces of at most 255 columns and no slot carries into the next; the
-    product is linear in x, and the pieces' outputs are XORed.
-
-    A piece of n columns multiplies n by n + beta - 1 slots to keep beta,
-    so past about 350 columns a row loop (one AND and popcount per row) is
-    faster: at beta = 40 on a 2-vCPU VM, 17-19 against 21 us at alpha = 255,
-    22 against 17 us at 511, 167 against 43 us at 4096 (64-column pieces:
-    188 us).  Plans at w = 63 have alpha <= 192; at w = 31 alpha reaches 448
-    (lam = 14 at eps = 1e-33, mu = 256 Mbit), where the few microseconds
-    lost sit beside ~40 us for 14 polynomial hashes of an 800-bit message.
+    Output bit i is the parity of sum_j k_{beta-i+j} x_j: bit
+    alpha+beta-1-i of the carry-less product of the key reversed and x,
+    whose bit s pairs k_e with x_j where (e-1) + (alpha-j) = s.  This
+    builds the key's table and applies it once; a ``RecycledKey`` keeps
+    its table for every tag.
     """
     alpha = len(x)
     beta = len(tk) + 1 - alpha
     if alpha < 1 or beta < 1:
         raise ValueError(f"key of {len(tk)} bits does not match input of {alpha} bits")
-    ks = format(tk.value, f"0{len(tk)}b").encode().translate(_SLOT)
-    xs = format(x.value, f"0{alpha}b").encode().translate(_SLOT)
-    step = -(-alpha // -(-alpha // _PIECE_BITS))  # equal pieces of at most 255 columns
-    out = 0
-    for c in range(0, alpha, step):
-        n = min(step, alpha - c)
-        # columns c+1 .. c+n: output bit i is the low bit of slot n-1+beta-i
-        prod = int.from_bytes(ks[c:c + n + beta - 1], "little") * \
-            int.from_bytes(xs[c:c + n], "big")
-        out ^= int(prod.to_bytes(2 * n + beta - 2, "big")[n - 1:n - 1 + beta].translate(_PARITY), 2)
-    return Bits(out, beta)
+    return Bits(_toeplitz_product(_toeplitz_table(tk), x.value, alpha, beta), beta)
 
 
 def recycled_key_bits(lam: int, w: int, tau: int) -> int:
@@ -271,10 +278,18 @@ def recycled_key_bits(lam: int, w: int, tau: int) -> int:
 @dataclass(frozen=True, slots=True)
 class RecycledKey:
     """Hash-selecting key reused across every tag: polynomial subkeys plus
-    the Toeplitz key.  Never consumed, never refreshed within a session."""
+    the Toeplitz key.  Never consumed, never refreshed within a session.
+    Prepared when built: the subkeys' integers and the Toeplitz table
+    follow from the keys and take no part in equality, hash or repr."""
 
     poly_keys: tuple[Bits, ...]
     toeplitz_key: Bits
+    _subkeys: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _table: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_subkeys", tuple(key.value for key in self.poly_keys))
+        object.__setattr__(self, "_table", _toeplitz_table(self.toeplitz_key))
 
     @classmethod
     def from_bits(cls, raw: Bits, lam: int, w: int, tau: int) -> "RecycledKey":
@@ -310,13 +325,18 @@ class Tag:
 
 
 def compose_tag(m: Bits, rk: RecycledKey, otp: OtpKey, plan: "Plan", fp: FieldParams) -> Tag:
-    """Tag = Toeplitz(poly-hashes(m)) XOR otp; consumes the OTP key."""
+    """Tag = Toeplitz(poly-hashes(m)) XOR otp; consumes the OTP key, after
+    every check, so a rejected call leaves it fresh."""
     if len(rk.poly_keys) != plan.lam:
         raise ValueError(f"recycled key carries {len(rk.poly_keys)} subkeys, plan needs {plan.lam}")
-    digest = toeplitz_hash(multi_poly_hash(m, rk.poly_keys, fp, plan.mu), rk.toeplitz_key)
-    if len(digest) != plan.tau:
+    inner = _poly_digest(m, rk.poly_keys, rk._subkeys, fp, plan.mu)
+    alpha = plan.lam * (fp.w + 1)
+    if len(rk.toeplitz_key) + 1 - alpha != plan.tau:
         raise ValueError("Toeplitz key width inconsistent with the plan's tag length")
-    return Tag(digest ^ otp.consume())
+    if len(otp.bits) != plan.tau:
+        raise ValueError(f"one-time pad of {len(otp.bits)} bits, plan needs {plan.tau}")
+    digest = _toeplitz_product(rk._table, inner, alpha, plan.tau)
+    return Tag(Bits(digest ^ otp.consume().value, plan.tau))
 
 
 def verify_tag(m: Bits, t: Tag, rk: RecycledKey, otp: OtpKey, plan: "Plan", fp: FieldParams) -> bool:

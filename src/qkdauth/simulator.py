@@ -22,8 +22,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .bits import Bits
-from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, compose_tag,
-                      find_field_params, multi_poly_hash, toeplitz_hash, verify_tag)
+from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, _toeplitz_product, _toeplitz_table,
+                      compose_tag, find_field_params, multi_poly_hash, verify_tag)
 from .planner import Plan, as_fraction, collision_bound, make_plan
 from .protocol import (Direction, Flag, KeyPool, KeyState, PartyState, RoundOutcome,
                        harvest_keys, tag_sender, tag_verifier)
@@ -463,12 +463,12 @@ def toeplitz_xor_census(alpha: int, beta: int) -> CensusResult:
     """Check XOR-universality of the Toeplitz family with zero tolerance:
     the most common offset h(x) xor h(x') of any pair of distinct inputs
     takes at most 2**-beta of the keys.  A pair's 2**beta offset shares
-    sum to 1, so this holds exactly when every share is 2**-beta."""
+    sum to 1, so this holds exactly when every share is 2**-beta.  Each
+    key's product table is built once for its row."""
     if alpha + beta - 1 > 22:
         raise ValueError("key space too large for exhaustive enumeration")
-    keys = _all_bits(alpha + beta - 1)
-    xs = _all_bits(alpha)
-    table = [[toeplitz_hash(x, k).value for x in xs] for k in keys]
+    table = [[_toeplitz_product(kt, x, alpha, beta) for x in range(1 << alpha)]
+             for kt in map(_toeplitz_table, _all_bits(alpha + beta - 1))]
     return _census(table, Fraction(1, 1 << beta))
 
 

@@ -395,26 +395,28 @@ def test_toeplitz_matrix_layout():
     assert toeplitz_hash(Bits.from01("001"), tk).to01() == "10"
 
 
-# Widths on both sides of the product's column pieces (at most 255 columns
-# each), and the widest input the planner allows: lam = 64, w = 63.
-PIECE_EDGES = (254, 255, 256, 510, 511, 4096)
+# Widths at the table product's byte edges (alpha = 0, 1 and 7 mod 8), among
+# them 64 (w = 63, lam = 1) and 448 (w = 31, lam = 14), and the widest input
+# the planner allows: lam = 64, w = 63.
+BYTE_EDGES = (7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257, 447, 448, 449, 4096)
 
 
 def all_ones(alpha, beta):
-    """Every product slot at its largest count."""
+    """Every input bit and key bit set."""
     return Bits((1 << alpha) - 1, alpha), Bits((1 << (alpha + beta - 1)) - 1, alpha + beta - 1)
 
 
 @st.composite
 def toeplitz_cases(draw):
-    alpha = draw(st.integers(min_value=1, max_value=8) | st.sampled_from(PIECE_EDGES)
+    alpha = draw(st.integers(min_value=1, max_value=8) | st.sampled_from(BYTE_EDGES)
                  | st.integers(min_value=1, max_value=600))
     beta = draw(st.integers(min_value=1, max_value=8) | st.integers(min_value=1, max_value=80))
     if draw(st.booleans()):
         return all_ones(alpha, beta)
     tk = Bits(draw(st.integers(min_value=0, max_value=(1 << (alpha + beta - 1)) - 1)),
               alpha + beta - 1)
-    x = Bits(draw(st.integers(min_value=0, max_value=(1 << alpha) - 1)), alpha)
+    top = draw(st.integers(min_value=0, max_value=alpha))  # x = 0 when top = 0
+    x = Bits(draw(st.integers(min_value=0, max_value=(1 << top) - 1)), alpha)
     return x, tk
 
 
@@ -422,9 +424,16 @@ def toeplitz_cases(draw):
 @given(toeplitz_cases())
 @example(all_ones(1, 1))
 @example(all_ones(255, 1))
+@example(all_ones(511, 80))
+@example(all_ones(7, 3))
+@example(all_ones(8, 3))
+@example(all_ones(9, 3))
 @example(all_ones(4096, 1))
 @example(all_ones(4096, 80))
-@example(all_ones(511, 80))
+@example(all_ones(449, 80))
+@example((Bits(0, 4096), all_ones(4096, 40)[1]))
+@example((Bits(1, 4096), all_ones(4096, 40)[1]))  # every byte but the lowest is zero
+@example((Bits(0x80, 9), all_ones(9, 40)[1]))
 def test_toeplitz_matches_naive_oracle(case):
     x, tk = case
     assert toeplitz_hash(x, tk) == naive_toeplitz(x, tk)
@@ -510,6 +519,61 @@ def test_compose_rejects_oversize_message():
         compose_tag(m, wide, OtpKey(Bits.zeros(2)), TINY, TINY_FP)
     with pytest.raises(ValueError, match="recycled key must be 6 bits"):
         RecycledKey.from_bits(Bits.zeros(7), 1, 2, 2)
+
+
+@pytest.mark.parametrize("m, rk, otp, match", [
+    pytest.param(Bits.from01("0101"), tiny_keys(0b01, 0b0110), Bits.zeros(2),
+                 "exceeds the 3-bit bound", id="oversize-message"),
+    pytest.param(Bits.from01("01"), tiny_keys(0b0110, 0b1, lam=2), Bits.zeros(2),
+                 "plan needs 1", id="key-for-lam-2"),
+    pytest.param(Bits.from01("01"), RecycledKey((Bits.zeros(3),), Bits.zeros(4)),
+                 Bits.zeros(2), "subkeys must be 2 bits", id="3-bit-subkey"),
+    pytest.param(Bits.from01("01"), RecycledKey((Bits.zeros(2),), Bits.zeros(5)),
+                 Bits.zeros(2), "Toeplitz key width", id="3-bit-digest"),
+    pytest.param(Bits.from01("01"), tiny_keys(0b01, 0b0110), Bits.zeros(3),
+                 "one-time pad of 3 bits", id="3-bit-mask"),
+])
+def test_rejected_compose_tag_consumes_no_mask(m, rk, otp, match):
+    mask = OtpKey(otp)
+    with pytest.raises(ValueError, match=match):
+        compose_tag(m, rk, mask, TINY, TINY_FP)
+    assert not mask.consumed
+
+
+def test_prepared_key_fields_are_invisible():
+    plan = make_plan(tau=40, lam=3, w=31, mu=4096)
+    fp = find_field_params(31)
+    raw = BitGen(22).take(plan.l_rec)
+    a = RecycledKey.from_bits(raw, plan.lam, plan.w, plan.tau)
+    b = RecycledKey.from_bits(raw, plan.lam, plan.w, plan.tau)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == (f"RecycledKey(poly_keys={a.poly_keys!r}, "
+                       f"toeplitz_key={a.toeplitz_key!r})")
+    assert a != RecycledKey.from_bits(raw.flip(0), plan.lam, plan.w, plan.tau)
+    direct = RecycledKey(poly_keys=a.poly_keys, toeplitz_key=a.toeplitz_key)
+    m, otp = Bits.from_bytes(b"sifting and error correction"), Bits(0xFEED, 40)
+    want = naive_toeplitz(reference_multi_poly_hash(m, a.poly_keys, fp, plan.mu),
+                          a.toeplitz_key) ^ otp
+    assert compose_tag(m, direct, OtpKey(otp), plan, fp).bits == want
+    for pv, tv in product(range(4), range(16)):  # tiny_keys builds keys directly too
+        rk = tiny_keys(pv, tv)
+        want = naive_toeplitz(reference_multi_poly_hash(m[:3], rk.poly_keys, TINY_FP, TINY.mu),
+                              rk.toeplitz_key)
+        assert compose_tag(m[:3], rk, OtpKey(Bits.zeros(2)), TINY, TINY_FP).bits == want
+
+
+def test_compose_tag_at_448_columns():
+    """lam = 14 at w = 31, as ``plan`` picks for eps = 1e-33 at mu = 256 Mbit
+    (a smaller mu here keeps the reference's full padding short)."""
+    plan = make_plan(tau=110, lam=14, w=31, mu=16_384)
+    fp = find_field_params(31)
+    gen = BitGen(448)
+    rk = RecycledKey.from_bits(gen.take(plan.l_rec), plan.lam, plan.w, plan.tau)
+    for n in (0, 800, 10_000):
+        m, otp = gen.take(n), gen.take(plan.tau)
+        want = naive_toeplitz(reference_multi_poly_hash(m, rk.poly_keys, fp, plan.mu),
+                              rk.toeplitz_key) ^ otp
+        assert compose_tag(m, rk, OtpKey(otp), plan, fp).bits == want, n
 
 
 def test_tag_marginal_uniform_exhaustive():

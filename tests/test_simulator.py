@@ -348,13 +348,13 @@ def test_strong_uniformity_census():
 def test_censuses_fail_on_broken_families(monkeypatch):
     """Each census reads above its bound once the family it checks loses
     its property, and within it again unpatched."""
-    poly, toeplitz = simulator.multi_poly_hash, simulator.toeplitz_hash
+    poly, toeplitz_table = simulator.multi_poly_hash, simulator._toeplitz_table
 
     def keyless_poly(m, keys, fp, mu):  # every key acts as the zero key
         return poly(m, tuple(Bits.zeros(len(k)) for k in keys), fp, mu)
 
-    def toeplitz_without_last_key_bit(x, k):
-        return toeplitz(x, Bits(k.value & ~1, len(k)))
+    def toeplitz_without_last_key_bit(k):
+        return toeplitz_table(Bits(k.value & ~1, len(k)))
 
     def mask_only_tag(m, rk, otp, plan, fp):  # the digest is ignored
         return Tag(otp.consume())
@@ -362,7 +362,7 @@ def test_censuses_fail_on_broken_families(monkeypatch):
     mutants = [
         ("multi_poly_hash", keyless_poly,
          lambda: collision_census(w=3, mu=5, lam=1), Fraction(1)),
-        ("toeplitz_hash", toeplitz_without_last_key_bit,
+        ("_toeplitz_table", toeplitz_without_last_key_bit,
          lambda: toeplitz_xor_census(alpha=4, beta=2), Fraction(1, 2)),
         ("compose_tag", mask_only_tag,
          lambda: strong_uniformity_census(w=2, lam=1, tau=2, mu=3), Fraction(1, 4)),
