@@ -124,8 +124,8 @@ def ack_transcript(n_max: int, mu: int) -> Transcript:
 
 class Harvest(NamedTuple):
     recycled: "Bits | None"
-    otp_bits: Bits
-    otp_round: int
+    otp_bits: Bits  # the mask for round ``round + 2``
+    round: int  # the round whose secret key this is
     external: "Bits | StreamWindow"  # same type as the secret key, unread
 
 
@@ -148,7 +148,7 @@ def harvest_keys(secret_key: "Bits | StreamWindow", round_: int, plan: Plan) -> 
         recycled = Bits(int(secret_key[:plan.l_rec]), plan.l_rec)
         pos = plan.l_rec
     otp_bits = Bits(int(secret_key[pos:pos + plan.l_otp]), plan.l_otp)
-    return Harvest(recycled=recycled, otp_bits=otp_bits, otp_round=round_ + 2,
+    return Harvest(recycled=recycled, otp_bits=otp_bits, round=round_,
                    external=secret_key[pos + plan.l_otp:])
 
 
@@ -191,15 +191,19 @@ class KeyPool:
         return self.recycled_qkd
 
     def absorb_harvest(self, round_: int, h: Harvest) -> None:
-        """Take in a round's harvest, once: a round already absorbed, or a
-        mask for a round that already has one, raises before any change."""
-        if round_ in self.state or h.otp_round in self.otp:
+        """Take in round ``round_``'s harvest, once: another round's harvest,
+        a round already absorbed, or a mask for a round that already has one
+        raises before any change."""
+        if h.round != round_:
+            raise ProtocolError(f"round {round_} was handed round {h.round}'s harvest "
+                                f"(the mask for round {h.round + 2})")
+        if round_ in self.state or round_ + 2 in self.otp:
             raise ProtocolError(f"round {round_}'s harvest (the mask for round "
-                                f"{h.otp_round}) is already in the pool")
+                                f"{round_ + 2}) is already in the pool")
         if h.recycled is not None:
             self.recycled_qkd = RecycledKey.from_bits(
                 h.recycled, self.plan.lam, self.plan.w, self.plan.tau)
-        self.otp[h.otp_round] = OtpKey(h.otp_bits)
+        self.otp[round_ + 2] = OtpKey(h.otp_bits)
         self.state[round_] = KeyState.UNVERIFIED
         if len(h.external) > 0:
             self.external[round_] = h.external

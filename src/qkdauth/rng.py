@@ -6,21 +6,22 @@ derived with ``derive()`` are statistically independent, which lets trials
 of a statistical experiment be generated out of order or in parallel.
 
 Block i of the stream is SHA-256(key || i as 8 big-endian bytes), so any
-bit range can be computed from the blocks it covers alone.  ``take`` costs
-one SHA-256 per 256 bits drawn, linear in ``nbits``: it hashes every block
-a draw still needs in one pass and joins them with a single shift of the
-leftover bits.  ``window`` advances the stream as ``take`` does but hashes
-nothing: when the window ends inside a block, the generator records how
-many bits of that block are spent, and the first draw after it hashes the
-block it starts in.  The ``StreamWindow`` it returns is hashed only where
-it is read, one SHA-256 per block that the read range covers.
+bit range can be computed from the blocks it covers alone.  A generator is
+a position in its stream plus the last block it read, kept as (index,
+value).  ``take`` and ``window`` only advance the position.  ``take`` and
+``int()`` of the ``StreamWindow`` that ``window`` returns read through one
+function, which hashes the blocks a bit range covers in one pass, one
+SHA-256 per 256 bits, and reuses the kept block: draws in stream order
+hash each block once.  A window is hashed only where it is read, and a
+read of no bits hashes nothing.
 """
-
 from __future__ import annotations
 
 import hashlib
 
 from .bits import Bits
+
+_BLOCK_MASK = (1 << 256) - 1
 
 
 class BitGen:
@@ -33,11 +34,8 @@ class BitGen:
             seed = seed.encode()
         self._key = hashlib.sha256(seed).digest()
         self._keyed = hashlib.sha256(self._key)  # copied per block
-        self._counter = 0  # the next block to hash
-        self._buf = 0
-        # unspent bits of block _counter - 1, held in _buf; negative after a
-        # window that ended inside block _counter: minus the bits it spent
-        self._buf_bits = 0
+        self._pos = 0  # the next bit to draw
+        self._kept = (-1, 0)  # the last block read, as (index, value)
 
     def derive(self, label: "int | str") -> "BitGen":
         """Independent child stream addressed by ``label``."""
@@ -53,36 +51,33 @@ class BitGen:
             digests.append(h.digest())
         return int.from_bytes(b"".join(digests), "big")
 
+    def _read(self, start: int, end: int) -> int:
+        """Stream bits ``start`` to ``end - 1``, as an integer."""
+        if end <= start:
+            return 0
+        first, last = start // 256, (end - 1) // 256
+        kept, value = self._kept
+        if first != kept:
+            value = self._blocks(first, last - first + 1)
+        elif last > first:
+            value = value << (256 * (last - first)) | self._blocks(first + 1, last - first)
+        self._kept = (last, value & _BLOCK_MASK)
+        return value >> (256 * (last + 1) - end) & ((1 << (end - start)) - 1)
+
     def take(self, nbits: int) -> Bits:
         """Next ``nbits`` bits of the stream."""
         if nbits < 0:
             raise ValueError("negative bit count")
-        if nbits == 0:  # after a window _buf_bits may be negative: hash nothing
-            return Bits(0, 0)
-        if nbits > self._buf_bits:
-            nblocks = (nbits - self._buf_bits + 255) // 256
-            self._buf = (self._buf << (256 * nblocks)) | self._blocks(self._counter, nblocks)
-            self._counter += nblocks
-            self._buf_bits += 256 * nblocks
-            self._buf &= (1 << self._buf_bits) - 1  # drops the bits a window spent
-        self._buf_bits -= nbits
-        out = self._buf >> self._buf_bits
-        self._buf &= (1 << self._buf_bits) - 1
-        return Bits(out, nbits)
+        self._pos += nbits
+        return Bits(self._read(self._pos - nbits, self._pos), nbits)
 
     def window(self, nbits: int) -> "StreamWindow":
         """The bits that ``take(nbits)`` would return, unread and unhashed.
         The next draw returns what it would return after ``take(nbits)``."""
         if nbits < 0:
             raise ValueError("negative bit count")
-        start = 256 * self._counter - self._buf_bits
-        if nbits <= self._buf_bits:
-            self._buf_bits -= nbits
-            self._buf &= (1 << self._buf_bits) - 1
-        else:
-            end = start + nbits
-            self._counter, self._buf_bits, self._buf = end // 256, -(end % 256), 0
-        return StreamWindow(self, start, nbits)
+        self._pos += nbits
+        return StreamWindow(self, self._pos - nbits, nbits)
 
     def take_bytes(self, nbytes: int) -> bytes:
         return self.take(8 * nbytes).to_bytes()
@@ -123,9 +118,4 @@ class StreamWindow:
         return StreamWindow(self.gen, self.start + start, max(0, stop - start))
 
     def __int__(self) -> int:
-        if not self.length:
-            return 0
-        first, end = self.start // 256, self.start + self.length
-        last = (end - 1) // 256
-        return (self.gen._blocks(first, last - first + 1) >> (256 * (last + 1) - end)
-                & ((1 << self.length) - 1))
+        return self.gen._read(self.start, self.start + self.length)

@@ -10,6 +10,9 @@ and discard, and the composable failure-probability budget.
 At most one attack is placed per session, which matches the case analysis
 of the final key-ownership states: the attack round determines how many
 completed rounds survive and which side keeps the boundary round's keys.
+Each attack is one row of ``ATTACKS``: what Eve does in the slot she
+attacks, a round or the acknowledgement.  The session runs every slot
+through the same steps, with the clean row in the slots she leaves alone.
 """
 
 from __future__ import annotations
@@ -29,8 +32,20 @@ from .protocol import (Direction, Flag, KeyPool, KeyState, PartyState, RoundOutc
                        harvest_keys, tag_sender, tag_verifier)
 from .rng import BitGen, StreamWindow
 
-ATTACK_KINDS = ("none", "quantum", "tamper", "substitute", "block", "impersonate")
-SUBSTITUTE_STRATEGIES = ("random", "best-guess")
+# (kind, strategy) -> (the round's key distillation fails, the first bit of
+# the verifier's copy of the first message is flipped, the tag's fate).  The
+# fate is the status the ledger prints for a tag that was sent: ``sent``
+# (delivered as composed), ``blocked`` or ``substituted`` (by a uniformly
+# random guess).
+ATTACKS = {
+    ("none", "random"): (False, False, "sent"),
+    ("quantum", "random"): (True, False, "sent"),
+    ("tamper", "random"): (False, True, "sent"),
+    ("substitute", "random"): (False, True, "substituted"),
+    ("substitute", "best-guess"): (False, True, "sent"),
+    ("block", "random"): (False, False, "blocked"),
+    ("impersonate", "random"): (False, False, "substituted"),
+}
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -52,6 +67,10 @@ class AdversaryConfig:
     block        -- the tag message never arrives;
     impersonate  -- the tag is replaced by a blind guess over an untouched
                     transcript.
+
+    The (kind, strategy) pair must be a row of ``ATTACKS``, so a strategy
+    other than ``random`` applies to substitution only, and every kind but
+    ``none`` needs a round of at least 1.
     """
 
     kind: str = "none"
@@ -59,21 +78,16 @@ class AdversaryConfig:
     strategy: str = "random"
 
     def __post_init__(self) -> None:
-        if self.kind not in ATTACK_KINDS:
+        if (self.kind, "random") not in ATTACKS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
+        if (self.kind, self.strategy) not in ATTACKS:
+            raise ValueError(f"strategy {self.strategy!r} does not apply to {self.kind!r}")
         if self.kind == "none":
             if self.round is not None:
                 raise ValueError("adversary 'none' takes no round")
         elif self.round is None or self.round < 1:
-            raise ValueError("attack round must be a positive integer")
-        # describe() prints a strategy only for substitution
-        if self.strategy not in (SUBSTITUTE_STRATEGIES if self.kind == "substitute"
-                                 else ("random",)):
-            raise ValueError(f"strategy {self.strategy!r} does not apply to {self.kind!r}")
-
-    @property
-    def classical(self) -> bool:
-        return self.kind in ("tamper", "substitute", "block", "impersonate")
+            raise ValueError(f"adversary {self.kind!r} needs a round number, "
+                             f"e.g. {self.kind}:3")
 
     def describe(self) -> str:
         if self.kind == "none":
@@ -84,52 +98,36 @@ class AdversaryConfig:
 
 
 def parse_adversary(spec: str) -> AdversaryConfig:
-    """Parse CLI adversary specs like "none", "tamper:3", "substitute:4:best-guess"."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "none":
-        if len(parts) != 1:
-            raise ValueError("adversary 'none' takes no arguments")
-        return AdversaryConfig()
-    if kind not in ATTACK_KINDS:
-        raise ValueError(f"unknown adversary kind {kind!r}")
-    if len(parts) < 2 or not parts[1].isdecimal():
-        raise ValueError(f"adversary {kind!r} needs a round number, e.g. {kind}:3")
-    round_ = int(parts[1])
-    strategy = parts[2] if len(parts) > 2 else "random"
-    if len(parts) > 3 or (len(parts) == 3 and kind != "substitute"):
-        raise ValueError(f"malformed adversary spec {spec!r}")
-    return AdversaryConfig(kind=kind, round=round_, strategy=strategy)
-
-
-@dataclass(frozen=True, slots=True)
-class MockQkdRound:
-    round: int
-    success: bool
-    secret_bits: "StreamWindow | None"  # unread until sliced and read
-    classical_messages: tuple[tuple[Direction, bytes], ...]
+    """Split a CLI adversary spec like "none", "tamper:3" or
+    "substitute:4:best-guess" into the ``AdversaryConfig`` that checks it.
+    A round field that is not a decimal number reads as round 0, which no
+    kind takes."""
+    kind, has_round, rest = spec.partition(":")
+    number, has_strategy, strategy = rest.partition(":")
+    round_ = int(number) if number.isdecimal() else 0 if has_round else None
+    return AdversaryConfig(kind, round_, strategy if has_strategy else "random")
 
 
 class MockQkdSource:
-    """Deterministic stand-in for sifting/reconciliation/amplification:
-    per round, scripted classical traffic cut from one draw of the round's
-    stream, plus (on success) one shared secret bit block, a window on the
-    stream that follows the messages' bits and is hashed only where it is
-    read."""
+    """Deterministic stand-in for sifting/reconciliation/amplification.
+
+    ``round`` returns a round's scripted classical traffic, cut from one
+    draw of the round's stream, and, on success, the shared secret key: a
+    window on the stream that follows the messages' bits, hashed only where
+    it is read.  A failed round has no key (``None``)."""
 
     def __init__(self, gen: BitGen, secret_bits: int):
         self._gen = gen
         self.secret_bits = secret_bits
 
-    def round(self, round_: int, success: bool) -> MockQkdRound:
+    def round(self, round_: int, success: bool
+              ) -> "tuple[tuple[tuple[Direction, bytes], ...], StreamWindow | None]":
         g = self._gen.derive(round_)
         data = g.take_bytes(MESSAGES_PER_ROUND * MESSAGE_BYTES)
         msgs = tuple((Direction.A2B if j % 2 == 0 else Direction.B2A,
                       data[j * MESSAGE_BYTES:(j + 1) * MESSAGE_BYTES])
                      for j in range(MESSAGES_PER_ROUND))
-        secret = g.window(self.secret_bits) if success else None
-        return MockQkdRound(round=round_, success=success, secret_bits=secret,
-                            classical_messages=msgs)
+        return msgs, g.window(self.secret_bits) if success else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +193,7 @@ class SessionLedger:
     pools: dict[str, KeyPool]
     budget: EpsilonBudget
     terminated: bool
-    forgery_slipped: bool
+    forgery_slipped: bool  # the attacked round (or acknowledgement) ended acc
 
     def to_text(self) -> str:
         p = self.plan
@@ -239,6 +237,20 @@ class SessionLedger:
         return "\n".join(lines)
 
 
+def _deliver(tag: "Tag | None", fate: str, eve: BitGen,
+             tau: int) -> "tuple[Tag | None, str]":
+    """The tag that reaches the verifier, and its status in the ledger.  A
+    silent sender sends nothing, so Eve acts only on a tag that was sent,
+    and draws a guess only when she substitutes one."""
+    if tag is None:
+        return None, "silent"
+    if fate == "blocked":
+        return None, fate
+    if fate == "substituted":
+        return Tag(eve.take(tau)), fate
+    return tag, fate
+
+
 def run_session(n_max: int, plan: Plan, fp: FieldParams,
                 adversary: "AdversaryConfig | None" = None, seed: int = 0,
                 secret_bits: "int | None" = None,
@@ -255,11 +267,11 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     adversary = adversary or AdversaryConfig()
     if n_max < 2 or n_max % 2 != 0:
         raise ValueError("n_max must be an even number of rounds, at least 2")
-    if adversary.kind != "none":
-        # only blocking can target the acknowledgement (round n_max + 1)
-        limit = n_max + 1 if adversary.kind == "block" else n_max
-        if adversary.round > limit:
-            raise ValueError(f"attack round {adversary.round} is outside the session")
+    attack, clean = ATTACKS[adversary.kind, adversary.strategy], ATTACKS["none", "random"]
+    # the acknowledgement (slot n_max + 1) has no key distillation and no
+    # transcript to alter, and Eve can only block it
+    if adversary.round is not None and adversary.round > n_max + (attack[2] == "blocked"):
+        raise ValueError(f"attack round {adversary.round} is outside the session")
     if secret_bits is None:
         secret_bits = plan.l_rec + plan.l_otp + 64
     if secret_bits < plan.l_rec + plan.l_otp:
@@ -286,66 +298,43 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     source = MockQkdSource(master.derive("qkd"), secret_bits=secret_bits)
 
     records = []
-    forgery_slipped = False
     for i in range(1, n_max + 1):
+        fails, flips, fate = attack if i == adversary.round else clean
         sender = parties[tag_sender(i)]
         verifier = parties[tag_verifier(i)]
-        attacked_here = adversary.round == i  # None for no attack
-        quantum_fail = attacked_here and adversary.kind == "quantum"
-        classical_attack = attacked_here and adversary.classical
-
         harvested = (0, 0, 0)
-        qkd_success = False
+        secret = None
         if not sender.terminated and not verifier.terminated:
-            mock = source.round(i, success=not quantum_fail)
-            qkd_success = mock.success
-            tampered = classical_attack and adversary.kind in ("tamper", "substitute")
+            msgs, secret = source.round(i, success=not fails)
             logs = {role: parties[role].transcript(i) for role in ("A", "B")}
-            for j, (direction, payload) in enumerate(mock.classical_messages):
+            for j, (direction, payload) in enumerate(msgs):
                 src, dst = ("A", "B") if direction is Direction.A2B else ("B", "A")
                 logs[src].append(direction, payload)
-                seen = payload
-                if tampered and j == 0:
-                    # Eve flips one bit of the first message in transit
-                    seen = Bits.from_bytes(payload).flip(0).to_bytes()
-                logs[dst].append(direction, seen)
-            if mock.success:
-                h = harvest_keys(mock.secret_bits, i, plan)
+                if flips and j == 0:  # Eve flips its first bit in transit
+                    payload = Bits.from_bytes(payload).flip(0).to_bytes()
+                logs[dst].append(direction, payload)
+            if secret is not None:
+                h = harvest_keys(secret, i, plan)
                 for role in ("A", "B"):
                     parties[role].pool.absorb_harvest(i, h)
                 harvested = (len(h.recycled) if h.recycled else 0, len(h.otp_bits), len(h.external))
-
-        outgoing = sender.finalize_sender(i)
-        tag_status = "sent" if outgoing is not None else "silent"
-        delivered = outgoing
-        if outgoing is not None and classical_attack:
-            if adversary.kind == "block":
-                delivered, tag_status = None, "blocked"
-            elif adversary.kind == "impersonate" or (
-                    adversary.kind == "substitute" and adversary.strategy == "random"):
-                delivered = Tag(eve.take(plan.tau))
-                tag_status = "substituted"
-            # tamper and best-guess substitution leave the tag bits alone
-
-        outcome = verifier.finalize_verifier(i, delivered)
-        forgery_slipped |= classical_attack and outcome.flag is Flag.ACC
-        records.append(RoundRecord(qkd_success, *harvested, tag_status, outcome))
+        tag, tag_status = _deliver(sender.finalize_sender(i), fate, eve, plan.tau)
+        outcome = verifier.finalize_verifier(i, tag)
+        records.append(RoundRecord(secret is not None, *harvested, tag_status, outcome))
 
     # fictitious acknowledgement round
-    ack_sender = parties[tag_verifier(n_max)]
-    ack_receiver = parties[tag_sender(n_max)]
-    ack_msg = ack_sender.final_acknowledgement(n_max)
-    ack_status = "sent" if ack_msg is not None else "silent"
-    if ack_msg is not None and adversary.kind == "block" and adversary.round == n_max + 1:
-        ack_msg, ack_status = None, "blocked"
-    ack = ack_receiver.receive_acknowledgement(n_max, ack_msg)
+    fate = (attack if adversary.round == n_max + 1 else clean)[2]
+    ack_msg, ack_status = _deliver(
+        parties[tag_verifier(n_max)].final_acknowledgement(n_max), fate, eve, plan.tau)
+    ack = parties[tag_sender(n_max)].receive_acknowledgement(n_max, ack_msg)
 
     return SessionLedger(
         seed=seed, adversary=adversary, plan=plan, records=tuple(records),
         ack_status=ack_status, ack=ack,
         pools={role: party.pool for role, party in parties.items()}, budget=budget,
         terminated=any(p.terminated for p in parties.values()),
-        forgery_slipped=forgery_slipped,
+        forgery_slipped=any(o.round == adversary.round and o.flag is Flag.ACC
+                            for o in (*(r.outcome for r in records), ack)),
     )
 
 

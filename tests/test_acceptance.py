@@ -14,6 +14,7 @@ from qkdauth.cli import main
 from qkdauth.hashing import find_field_params
 from qkdauth.planner import (CostInput, as_fraction, make_plan, plan,
                              relative_cost, stinson_bound, table_one)
+from qkdauth.protocol import Flag
 from qkdauth.simulator import (AdversaryConfig, epsilon_budget,
                                forgery_experiment, parse_adversary, run_session,
                                strong_uniformity_census, toeplitz_xor_census,
@@ -216,6 +217,10 @@ def test_attack_case_matrix():
             else:
                 assert final_line(led, "A")["recycled_qkd"] == rec_a, spec
                 assert final_line(led, "B")["recycled_qkd"] == rec_b, spec
+            # every attack ends its round bot: a quantum one leaves the round
+            # no fresh keys, and a classical one fails or skips the check
+            if k is not None:
+                assert led.records[k - 1].outcome.flag is Flag.BOT, spec
             assert not led.forgery_slipped
         # clean run detail: the final round flips to verified only via the ack
         led = run_session(n_max, p, fp, AdversaryConfig(), seed=7)

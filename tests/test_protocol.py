@@ -223,7 +223,7 @@ def test_harvest_round_one_layout():
     h = harvest_keys(key, 1, PLAN)
     assert h.recycled == key[:PLAN.l_rec]
     assert h.otp_bits == key[PLAN.l_rec:PLAN.l_rec + PLAN.l_otp]
-    assert h.otp_round == 3
+    assert h.round == 1
     assert len(h.external) == 50
 
 
@@ -235,11 +235,11 @@ def test_harvest_round_one_exact_fit():
 
 def test_harvest_later_rounds():
     key = BitGen(9).take(PLAN.l_otp + 30)
-    for r, otp_round in [(2, 4), (5, 7), (9, 11), (10, 12)]:
+    for r in (2, 5, 9, 10):
         h = harvest_keys(key, r, PLAN)
         assert h.recycled is None
         assert h.otp_bits == key[:PLAN.l_otp]
-        assert h.otp_round == otp_round
+        assert h.round == r
         assert len(h.external) == 30
 
 
@@ -334,6 +334,26 @@ def test_pool_absorbs_a_round_once():
     with pytest.raises(ProtocolError, match="mask for round 2"):
         a.pool.absorb_harvest(0, harvest_keys(BitGen(9).take(PLAN.l_otp), 0, PLAN))
     assert dict(a.pool.state) == before[0] and dict(a.pool.otp) == before[1]
+
+
+def test_pool_refuses_another_rounds_harvest():
+    # Round 3's harvest handed to round 5 would file round 3's mask as the
+    # mask for round 7, and round 1's handed to round 2 would install a
+    # quantum recycled key from round 2.  Both raise before any change.
+    a, _ = fresh_pair()
+    gen = BitGen(10)
+    third = harvest_keys(gen.take(PLAN.l_otp + 16), 3, PLAN)
+    first = harvest_keys(gen.take(PLAN.l_rec + PLAN.l_otp + 16), 1, PLAN)
+    before = (dict(a.pool.state), dict(a.pool.otp), dict(a.pool.external))
+    for round_, h in [(5, third), (2, first)]:
+        with pytest.raises(ProtocolError, match=f"round {round_} was handed round {h.round}'s"):
+            a.pool.absorb_harvest(round_, h)
+        assert (dict(a.pool.state), dict(a.pool.otp), dict(a.pool.external)) == before
+        assert a.pool.recycled_qkd is None
+    a.pool.absorb_harvest(1, first)
+    a.pool.absorb_harvest(3, third)
+    assert a.pool.otp[3].bits == first.otp_bits and a.pool.otp[5].bits == third.otp_bits
+    assert a.pool.state == {1: KeyState.UNVERIFIED, 3: KeyState.UNVERIFIED}
 
 
 def test_pool_active_recycled_routing():

@@ -36,7 +36,8 @@ def test_parse_adversary():
     assert parse_adversary("tamper:3") == AdversaryConfig(kind="tamper", round=3)
     assert parse_adversary("substitute:4:best-guess") == AdversaryConfig(
         kind="substitute", round=4, strategy="best-guess")
-    for bad in ("none:1", "tamper", "weird:2", "tamper:2:x", "quantum:0"):
+    for bad in ("none:1", "none:x", "none:", "tamper", "weird:2", "tamper:2:x", "quantum:0",
+                "substitute:3:", "substitute:3:best-guess:x"):
         with pytest.raises(ValueError):
             parse_adversary(bad)
 
@@ -120,12 +121,11 @@ def test_mock_source_known_answers(seed, fit):
     source = MockQkdSource(BitGen(seed).derive("qkd"), SECRET_BITS[fit])
     h = hashlib.sha256()
     for r in (1, 2, 5):
-        mock = source.round(r, True)
-        for direction, payload in mock.classical_messages:
+        messages, secret = source.round(r, True)
+        for direction, payload in messages:
             h.update(f"{direction.value}:{payload.hex()};".encode())
-        secret = mock.secret_bits
         h.update(f"{len(secret)}:{int(secret):x};".encode())  # reads every bit
-        assert source.round(r, False).secret_bits is None
+        assert source.round(r, False) == (messages, None)
     assert h.hexdigest() == KAT_MOCK[seed, fit]
 
 
@@ -154,11 +154,12 @@ def test_session_rejects_short_secret_before_drawing(monkeypatch, spec, secret_b
 
 @pytest.mark.parametrize("n_max", [2, 4, 64])
 def test_clean_session_hashing_work_per_round(monkeypatch, n_max):
-    # Each round hashes 4 blocks in 2 calls: one draw of its three messages
-    # (3 blocks) and the read of its OTP mask (1 block); the window over its
-    # secret key hashes nothing.  Once per session come the pre-distributed
-    # keys (1 block) and round 1's recycled key (1 more read, which also
-    # moves the mask to straddle a block boundary: 2 more blocks).
+    # Each round hashes 3 blocks in 1 call: one draw of its three messages.
+    # The window over its secret key hashes nothing, and its OTP mask lies in
+    # the block that draw ended in, which the generator keeps.  Once per
+    # session come the pre-distributed keys (1 block, 1 call) and round 1's
+    # mask, which its recycled key pushes across a block boundary (1 block,
+    # 1 call).
     hashed = []
     blocks = BitGen._blocks
 
@@ -169,7 +170,7 @@ def test_clean_session_hashing_work_per_round(monkeypatch, n_max):
     monkeypatch.setattr(BitGen, "_blocks", counting)
     led = run_session(n_max, PLAN, FP, seed=5, secret_bits=99_532)
     assert not led.terminated
-    assert (sum(hashed), len(hashed)) == (4 * n_max + 3, 2 * n_max + 2)
+    assert (sum(hashed), len(hashed)) == (3 * n_max + 2, n_max + 2)
 
 
 def test_clean_sessions_never_reject():
