@@ -15,6 +15,7 @@ SHA-256 per 256 bits, and reuses the kept block: draws in stream order
 hash each block once.  A window is hashed only where it is read, and a
 read of no bits hashes nothing.
 """
+
 from __future__ import annotations
 
 import hashlib
