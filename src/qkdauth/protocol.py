@@ -6,7 +6,10 @@ odd rounds, Bob in even ones.  A party that verifies a tag in round i
 thereby also confirms round i-1 (where it was the sender), so it promotes
 its unverified harvest from both rounds at once.  A failed or missing tag
 terminates the process on the verifier's side; the other side discovers
-the termination one round later through a timeout.
+the termination one round later through a timeout.  The last round,
+n_max, is confirmed in a fictitious round n_max + 1, the acknowledgement,
+which runs through the same sender and verifier steps over a canonical
+transcript.
 
 The wire carries only the tag: its slot in the schedule fixes its round
 and kind (round tag or acknowledgement), so a tag from another slot, a
@@ -190,13 +193,11 @@ class KeyPool:
             raise ProtocolError(f"round {round_} needs the quantum recycled key, none harvested")
         return self.recycled_qkd
 
-    def absorb_harvest(self, round_: int, h: Harvest) -> None:
-        """Take in round ``round_``'s harvest, once: another round's harvest,
-        a round already absorbed, or a mask for a round that already has one
-        raises before any change."""
-        if h.round != round_:
-            raise ProtocolError(f"round {round_} was handed round {h.round}'s harvest "
-                                f"(the mask for round {h.round + 2})")
+    def absorb_harvest(self, h: Harvest) -> None:
+        """Take in a harvest under its own round, once: a round already
+        absorbed, or a mask for a round that already has one, raises before
+        any change."""
+        round_ = h.round
         if round_ in self.state or round_ + 2 in self.otp:
             raise ProtocolError(f"round {round_}'s harvest (the mask for round "
                                 f"{round_ + 2}) is already in the pool")
@@ -239,19 +240,21 @@ class KeyPool:
 
 @dataclass
 class PartyState:
-    """One side of the session: pool, per-round flags, per-round transcripts."""
+    """One side of a session of n_max rounds: pool, per-round flags,
+    per-round transcripts.  Round n_max + 1 is the acknowledgement, and a
+    step for a round past it raises ``ProtocolError``."""
 
     role: str  # 'A' or 'B'
-    plan: Plan
     fp: FieldParams
     pool: KeyPool
+    n_max: int
     flags: dict[int, Flag] = field(default_factory=dict)  # written only by _outcome
     transcripts: dict[int, Transcript] = field(default_factory=dict)
     terminated: bool = field(default=False, init=False)  # some flag is BOT
 
     def transcript(self, round_: int) -> Transcript:
         if round_ not in self.transcripts:
-            self.transcripts[round_] = Transcript(self.plan.mu)
+            self.transcripts[round_] = Transcript(self.pool.plan.mu)
         return self.transcripts[round_]
 
     def flag(self, round_: int) -> Flag:
@@ -265,17 +268,17 @@ class PartyState:
         self.terminated |= flag is Flag.BOT
         return RoundOutcome(round_, flag, promoted, checked)
 
+    def _message(self, round_: int) -> Bits:
+        """The string round ``round_``'s tag covers."""
+        if round_ > self.n_max:
+            return ack_transcript(self.n_max, self.pool.plan.mu).compound()
+        return self.transcript(round_).compound()
+
     def _keys(self, round_: int) -> "tuple[RecycledKey, OtpKey]":
         otp = self.pool.otp.get(round_)
         if otp is None:
             raise ProtocolError(f"no OTP key designated for round {round_}")
         return self.pool.active_recycled(round_), otp
-
-    def _tag(self, round_: int, m: Bits) -> Tag:
-        return compose_tag(m, *self._keys(round_), self.plan, self.fp)
-
-    def _check(self, round_: int, m: Bits, incoming: Tag) -> bool:
-        return verify_tag(m, incoming, *self._keys(round_), self.plan, self.fp)
 
     # -- sender side --------------------------------------------------------
 
@@ -285,11 +288,12 @@ class PartyState:
         Returns None (stays silent) when the party's own flag from the
         previous round is not ``acc``: a terminated party never transmits.
         """
-        if tag_sender(round_) != self.role:
-            raise ProtocolError(f"party {self.role} is not the tag sender of round {round_}")
+        if tag_sender(round_) != self.role or round_ > self.n_max + 1:
+            raise ProtocolError(f"party {self.role} is not the tag sender of round {round_} "
+                                f"of a {self.n_max}-round session")
         if self.terminated or self.flag(round_ - 1) is not Flag.ACC:
             return None
-        return self._tag(round_, self.transcript(round_).compound())
+        return compose_tag(self._message(round_), *self._keys(round_), self.pool.plan, self.fp)
 
     # -- verifier side --------------------------------------------------------
 
@@ -301,47 +305,24 @@ class PartyState:
         Mismatch or timeout: both rounds' unverified harvest is discarded
         and the process terminates on this side.  If this party's flag from
         round-2 is already ``bot``, no check is performed at all.
+
+        The acknowledgement (round n_max + 1) harvests no keys, yet an
+        accepted one is ``acc``.  A missing or wrong one discards nothing:
+        the party cannot tell a blocked acknowledgement from a failed final
+        check, so round n_max stays unverified, the one-sided state the
+        key-growing analysis permits for the last round.
         """
-        if tag_verifier(round_) != self.role:
-            raise ProtocolError(f"party {self.role} is not the tag verifier of round {round_}")
+        if tag_verifier(round_) != self.role or round_ > self.n_max + 1:
+            raise ProtocolError(f"party {self.role} is not the tag verifier of round {round_} "
+                                f"of a {self.n_max}-round session")
         if self.terminated or self.flag(round_ - 2) is not Flag.ACC:
             return self._outcome(round_, Flag.BOT, checked=False)
         checked = incoming is not None  # None: timeout injected by the harness
-        if not checked or not self._check(round_, self.transcript(round_).compound(), incoming):
-            self.pool.discard_rounds({round_ - 1, round_})
+        if not checked or not verify_tag(self._message(round_), incoming, *self._keys(round_),
+                                         self.pool.plan, self.fp):
+            if round_ <= self.n_max:
+                self.pool.discard_rounds({round_ - 1, round_})
             return self._outcome(round_, Flag.BOT, checked=checked)
         promoted = self.pool.promote_rounds({round_ - 1, round_})
-        flag = Flag.ACC if round_ in self.pool.state else Flag.BOT  # fresh keys only
+        flag = Flag.ACC if round_ > self.n_max or round_ in self.pool.state else Flag.BOT
         return self._outcome(round_, flag, checked=True, promoted=promoted)
-
-    # -- fictitious acknowledgement round ------------------------------------
-
-    def final_acknowledgement(self, n_max: int) -> "Tag | None":
-        """Authenticated acknowledgement from the round-n_max verifier,
-        consuming the OTP mask of the fictitious round n_max + 1."""
-        if tag_verifier(n_max) != self.role:
-            raise ProtocolError(f"party {self.role} did not verify round {n_max}")
-        if self.flag(n_max) is not Flag.ACC:
-            return None
-        m = ack_transcript(n_max, self.plan.mu).compound()
-        return self._tag(n_max + 1, m)
-
-    def receive_acknowledgement(self, n_max: int,
-                                incoming: "Tag | None") -> RoundOutcome:
-        """Promote the final round's keys if the acknowledgement verifies.
-
-        A missing or wrong acknowledgement leaves those keys unverified
-        (not discarded): the party cannot tell a blocked acknowledgement
-        from a failed final check, which is exactly the one-sided state the
-        key-growing analysis permits for the last round.
-        """
-        if tag_sender(n_max) != self.role:
-            raise ProtocolError(f"party {self.role} does not expect the acknowledgement")
-        ack_round = n_max + 1
-        if self.terminated or incoming is None:
-            return self._outcome(ack_round, Flag.BOT, checked=False)
-        m = ack_transcript(n_max, self.plan.mu).compound()
-        if not self._check(ack_round, m, incoming):
-            return self._outcome(ack_round, Flag.BOT, checked=True)
-        promoted = self.pool.promote_rounds({n_max})
-        return self._outcome(ack_round, Flag.ACC, checked=True, promoted=promoted)

@@ -259,6 +259,10 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
                 eps_qkd: "Fraction | str | float" = 0) -> SessionLedger:
     """Run one key-growing session of n_max rounds plus the acknowledgement.
 
+    The acknowledgement is slot n_max + 1 of the same loop: it has no key
+    distillation and no messages, and its slot's tag status and verifier
+    outcome are the ledger's ``ack_status`` and ``ack``.
+
     Deterministic for a given (configuration, seed): the ledger is
     byte-identical across runs.  Adversarial termination is an outcome
     recorded in the ledger, never an exception; that holds for a replayed
@@ -293,18 +297,18 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
             plan=plan,
             otp={r: OtpKey(b) for r, b in otp_bits.items()},
         )
-        parties[role] = PartyState(role=role, plan=plan, fp=fp, pool=pool)
+        parties[role] = PartyState(role=role, fp=fp, pool=pool, n_max=n_max)
 
     source = MockQkdSource(master.derive("qkd"), secret_bits=secret_bits)
 
-    records = []
-    for i in range(1, n_max + 1):
+    slots = []
+    for i in range(1, n_max + 2):
         fails, flips, fate = attack if i == adversary.round else clean
         sender = parties[tag_sender(i)]
         verifier = parties[tag_verifier(i)]
         harvested = (0, 0, 0)
         secret = None
-        if not sender.terminated and not verifier.terminated:
+        if i <= n_max and not sender.terminated and not verifier.terminated:
             msgs, secret = source.round(i, success=not fails)
             logs = {role: parties[role].transcript(i) for role in ("A", "B")}
             for j, (direction, payload) in enumerate(msgs):
@@ -316,25 +320,20 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
             if secret is not None:
                 h = harvest_keys(secret, i, plan)
                 for role in ("A", "B"):
-                    parties[role].pool.absorb_harvest(i, h)
+                    parties[role].pool.absorb_harvest(h)
                 harvested = (len(h.recycled) if h.recycled else 0, len(h.otp_bits), len(h.external))
         tag, tag_status = _deliver(sender.finalize_sender(i), fate, eve, plan.tau)
         outcome = verifier.finalize_verifier(i, tag)
-        records.append(RoundRecord(secret is not None, *harvested, tag_status, outcome))
+        slots.append(RoundRecord(secret is not None, *harvested, tag_status, outcome))
 
-    # fictitious acknowledgement round
-    fate = (attack if adversary.round == n_max + 1 else clean)[2]
-    ack_msg, ack_status = _deliver(
-        parties[tag_verifier(n_max)].final_acknowledgement(n_max), fate, eve, plan.tau)
-    ack = parties[tag_sender(n_max)].receive_acknowledgement(n_max, ack_msg)
-
+    *records, ack = slots
     return SessionLedger(
         seed=seed, adversary=adversary, plan=plan, records=tuple(records),
-        ack_status=ack_status, ack=ack,
+        ack_status=ack.tag_status, ack=ack.outcome,
         pools={role: party.pool for role, party in parties.items()}, budget=budget,
         terminated=any(p.terminated for p in parties.values()),
-        forgery_slipped=any(o.round == adversary.round and o.flag is Flag.ACC
-                            for o in (*(r.outcome for r in records), ack)),
+        forgery_slipped=any(s.round == adversary.round and s.outcome.flag is Flag.ACC
+                            for s in slots),
     )
 
 

@@ -24,7 +24,7 @@ PLAN = make_plan(tau=16, lam=1, w=15, mu=4096)
 FP = find_field_params(15)
 
 
-def fresh_party(role, seed=0, rounds=8):
+def fresh_party(role, n_max, seed=0):
     gen = BitGen(seed)
     rec = gen.take(PLAN.l_rec)
     pool = KeyPool(
@@ -32,11 +32,11 @@ def fresh_party(role, seed=0, rounds=8):
         plan=PLAN,
         otp={1: OtpKey(gen.take(PLAN.l_otp)), 2: OtpKey(gen.take(PLAN.l_otp))},
     )
-    return PartyState(role=role, plan=PLAN, fp=FP, pool=pool)
+    return PartyState(role=role, fp=FP, pool=pool, n_max=n_max)
 
 
-def fresh_pair(seed=0):
-    return fresh_party("A", seed), fresh_party("B", seed)
+def fresh_pair(seed=0, n_max=4):
+    return fresh_party("A", n_max, seed), fresh_party("B", n_max, seed)
 
 
 def external_state(pool, round_):
@@ -261,7 +261,7 @@ def test_pool_promote_and_discard_states():
     a, _ = fresh_pair()
     gen = BitGen(3)
     for r in (1, 2, 3):
-        a.pool.absorb_harvest(r, harvest_keys(
+        a.pool.absorb_harvest(harvest_keys(
             gen.take(PLAN.l_rec + PLAN.l_otp + 16), r, PLAN))
     assert external_state(a.pool, 1) == "unverified"
     moved = a.pool.promote_rounds({1, 2})
@@ -293,8 +293,8 @@ def test_pool_terminal_states_do_not_move():
 def test_pool_exact_fit_round_moves_keys_without_external():
     a, _ = fresh_pair()
     gen = BitGen(6)
-    a.pool.absorb_harvest(1, harvest_keys(gen.take(PLAN.l_rec + PLAN.l_otp), 1, PLAN))
-    a.pool.absorb_harvest(2, harvest_keys(gen.take(PLAN.l_otp), 2, PLAN))
+    a.pool.absorb_harvest(harvest_keys(gen.take(PLAN.l_rec + PLAN.l_otp), 1, PLAN))
+    a.pool.absorb_harvest(harvest_keys(gen.take(PLAN.l_otp), 2, PLAN))
     assert a.pool.external == {}
     assert a.pool.promote_rounds({1}) == frozenset()  # no external key moved
     a.pool.discard_rounds({2})
@@ -319,41 +319,37 @@ def test_pool_absorbs_a_round_once():
     # 3 fresh again, and a second tag would reuse it.
     a, _ = fresh_pair()
     h = harvest_keys(BitGen(8).take(PLAN.l_rec + PLAN.l_otp + 16), 1, PLAN)
-    a.pool.absorb_harvest(1, h)
+    a.pool.absorb_harvest(h)
     compose_tag(Bits.from_bytes(b"round three"), a.pool.recycled_qkd, a.pool.otp[3], PLAN, FP)
     a.pool.discard_rounds({1})
     before = (dict(a.pool.state), dict(a.pool.otp), dict(a.pool.external), a.pool.recycled_qkd)
     with pytest.raises(ProtocolError, match="already"):
-        a.pool.absorb_harvest(1, h)
+        a.pool.absorb_harvest(h)
     assert (dict(a.pool.state), dict(a.pool.otp), dict(a.pool.external),
             a.pool.recycled_qkd) == before
     assert a.pool.otp[3].consumed and a.pool.state[1] is KeyState.DISCARDED
-    # a harvest of another round that would replace an existing mask
-    with pytest.raises(ProtocolError, match="mask for round 3"):
-        a.pool.absorb_harvest(2, h)
-    with pytest.raises(ProtocolError, match="mask for round 2"):
-        a.pool.absorb_harvest(0, harvest_keys(BitGen(9).take(PLAN.l_otp), 0, PLAN))
+    # a harvest of a new round whose mask would replace a pre-distributed one
+    for round_ in (0, -1):
+        with pytest.raises(ProtocolError, match=f"mask for round {round_ + 2}"):
+            a.pool.absorb_harvest(harvest_keys(BitGen(9).take(PLAN.l_otp), round_, PLAN))
     assert dict(a.pool.state) == before[0] and dict(a.pool.otp) == before[1]
 
 
-def test_pool_refuses_another_rounds_harvest():
-    # Round 3's harvest handed to round 5 would file round 3's mask as the
-    # mask for round 7, and round 1's handed to round 2 would install a
-    # quantum recycled key from round 2.  Both raise before any change.
+def test_pool_files_a_harvest_under_its_own_round():
+    # The harvest names its round, so no caller can file round 3's mask as
+    # the mask for another round, or install a recycled key from round 3.
     a, _ = fresh_pair()
     gen = BitGen(10)
     third = harvest_keys(gen.take(PLAN.l_otp + 16), 3, PLAN)
     first = harvest_keys(gen.take(PLAN.l_rec + PLAN.l_otp + 16), 1, PLAN)
-    before = (dict(a.pool.state), dict(a.pool.otp), dict(a.pool.external))
-    for round_, h in [(5, third), (2, first)]:
-        with pytest.raises(ProtocolError, match=f"round {round_} was handed round {h.round}'s"):
-            a.pool.absorb_harvest(round_, h)
-        assert (dict(a.pool.state), dict(a.pool.otp), dict(a.pool.external)) == before
-        assert a.pool.recycled_qkd is None
-    a.pool.absorb_harvest(1, first)
-    a.pool.absorb_harvest(3, third)
-    assert a.pool.otp[3].bits == first.otp_bits and a.pool.otp[5].bits == third.otp_bits
+    a.pool.absorb_harvest(third)
+    assert a.pool.state == {3: KeyState.UNVERIFIED}
+    assert sorted(a.pool.otp) == [1, 2, 5] and a.pool.otp[5].bits == third.otp_bits
+    assert a.pool.recycled_qkd is None
+    a.pool.absorb_harvest(first)
     assert a.pool.state == {1: KeyState.UNVERIFIED, 3: KeyState.UNVERIFIED}
+    assert a.pool.otp[3].bits == first.otp_bits and a.pool.otp[5].bits == third.otp_bits
+    assert a.pool.recycled_qkd == RecycledKey.from_bits(first.recycled, PLAN.lam, PLAN.w, PLAN.tau)
 
 
 def test_pool_active_recycled_routing():
@@ -362,7 +358,7 @@ def test_pool_active_recycled_routing():
     assert a.pool.active_recycled(2) is a.pool.recycled_pre
     with pytest.raises(ProtocolError):
         a.pool.active_recycled(3)  # nothing harvested yet
-    a.pool.absorb_harvest(1, harvest_keys(
+    a.pool.absorb_harvest(harvest_keys(
         BitGen(4).take(PLAN.l_rec + PLAN.l_otp + 8), 1, PLAN))
     assert a.pool.active_recycled(3) is a.pool.recycled_qkd
 
@@ -389,7 +385,7 @@ def run_round(a, b, round_, payloads, tamper_receiver=False, drop_tag=False, wir
 
 
 def grow(party, round_, gen):
-    party.pool.absorb_harvest(round_, harvest_keys(
+    party.pool.absorb_harvest(harvest_keys(
         gen.take(PLAN.l_rec + PLAN.l_otp + 24), round_, PLAN))
 
 
@@ -398,7 +394,7 @@ def test_round_one_uses_predistributed_keys():
     qkd = BitGen(11)
     secret = qkd.take(PLAN.l_rec + PLAN.l_otp + 24)
     for p in (a, b):
-        p.pool.absorb_harvest(1, harvest_keys(secret, 1, PLAN))
+        p.pool.absorb_harvest(harvest_keys(secret, 1, PLAN))
     _, _, outcome = run_round(a, b, 1, [b"basis", b"indices"])
     assert outcome.flag is Flag.ACC
     assert outcome.promoted_rounds == frozenset({1})
@@ -414,10 +410,13 @@ def test_wrong_role_raises():
         b.finalize_sender(1)
     with pytest.raises(ProtocolError):
         a.finalize_verifier(1, None)
-    with pytest.raises(ProtocolError, match="did not verify round 4"):
-        b.final_acknowledgement(4)
-    with pytest.raises(ProtocolError, match="does not expect the acknowledgement"):
-        a.receive_acknowledgement(4, None)
+    # the acknowledgement of a 4-round session is round 5, sent by Alice
+    with pytest.raises(ProtocolError,
+                       match="^party B is not the tag sender of round 5 of a 4-round session$"):
+        b.finalize_sender(5)
+    with pytest.raises(ProtocolError,
+                       match="^party A is not the tag verifier of round 5 of a 4-round session$"):
+        a.finalize_verifier(5, None)
     del a.pool.otp[1]
     with pytest.raises(ProtocolError, match="no OTP key designated for round 1"):
         a.finalize_sender(1)
@@ -428,11 +427,11 @@ def test_tampered_round_discards_both_recent_rounds():
     qkd = BitGen(12)
     secret1 = qkd.take(PLAN.l_rec + PLAN.l_otp + 24)
     for p in (a, b):
-        p.pool.absorb_harvest(1, harvest_keys(secret1, 1, PLAN))
+        p.pool.absorb_harvest(harvest_keys(secret1, 1, PLAN))
     run_round(a, b, 1, [b"round one"])
     secret2 = qkd.take(PLAN.l_otp + 24)
     for p in (a, b):
-        p.pool.absorb_harvest(2, harvest_keys(secret2, 2, PLAN))
+        p.pool.absorb_harvest(harvest_keys(secret2, 2, PLAN))
     _, verifier, outcome = run_round(a, b, 2, [b"round two"], tamper_receiver=True)
     assert verifier is a
     assert outcome.flag is Flag.BOT
@@ -450,7 +449,7 @@ def test_timeout_discards_and_silences():
     a, b = fresh_pair()
     qkd = BitGen(13)
     for p in (a, b):
-        p.pool.absorb_harvest(1, harvest_keys(qkd.take(PLAN.l_rec + PLAN.l_otp + 24), 1, PLAN))
+        p.pool.absorb_harvest(harvest_keys(qkd.take(PLAN.l_rec + PLAN.l_otp + 24), 1, PLAN))
     _, _, outcome = run_round(a, b, 1, [b"blocked round"], drop_tag=True)
     assert outcome.flag is Flag.BOT and not outcome.checked
     assert external_state(b.pool, 1) == "discarded"
@@ -470,13 +469,13 @@ def test_verifier_gate_skips_check_after_bot():
 
 
 def clean_session(n_max, seed=21, wire=None):
-    a, b = fresh_pair(seed)
+    a, b = fresh_pair(seed, n_max)
     qkd = BitGen(seed + 1000)
     for r in range(1, n_max + 1):
         need = (PLAN.l_rec if r == 1 else 0) + PLAN.l_otp + 24
         secret = qkd.take(need)
         for p in (a, b):
-            p.pool.absorb_harvest(r, harvest_keys(secret, r, PLAN))
+            p.pool.absorb_harvest(harvest_keys(secret, r, PLAN))
         _, _, outcome = run_round(a, b, r, [b"msg-%d" % r, b"reply-%d" % r], wire=wire)
         assert outcome.flag is Flag.ACC
     return a, b
@@ -489,7 +488,7 @@ def test_terminated_matches_the_flags(kind, at):
     # round; after every outcome each party is terminated exactly when one
     # of its flags is bot.
     n_max = 4
-    a, b = fresh_pair(31)
+    a, b = fresh_pair(31, n_max)
     qkd = BitGen(32)
 
     def agrees():
@@ -497,20 +496,17 @@ def test_terminated_matches_the_flags(kind, at):
             assert p.terminated == (Flag.BOT in p.flags.values())
 
     agrees()
-    for r in range(1, n_max + 1):
+    for r in range(1, n_max + 2):  # round n_max + 1 is the acknowledgement
         secret = qkd.take((PLAN.l_rec if r == 1 else 0) + PLAN.l_otp + 24)
-        if not (kind == "quantum" and r == at):
+        if r <= n_max and not (kind == "quantum" and r == at):
             for p in (a, b):
-                p.pool.absorb_harvest(r, harvest_keys(secret, r, PLAN))
-        _, _, outcome = run_round(a, b, r, [b"data-%d" % r, b"reply-%d" % r],
+                p.pool.absorb_harvest(harvest_keys(secret, r, PLAN))
+        payloads = [b"data-%d" % r, b"reply-%d" % r] if r <= n_max else []
+        _, _, outcome = run_round(a, b, r, payloads,
                                   tamper_receiver=kind == "tamper" and r == at,
                                   drop_tag=kind == "timeout" and r == at)
         assert (outcome.flag is Flag.ACC) == (kind == "clean" or r < at)
         agrees()
-    ack = a.final_acknowledgement(n_max)
-    outcome = b.receive_acknowledgement(n_max, ack)
-    assert (outcome.flag is Flag.ACC) == (kind == "clean")
-    agrees()
     assert a.terminated == b.terminated == (kind != "clean")
 
 
@@ -518,9 +514,9 @@ def test_clean_session_with_ack_promotes_everything():
     n_max = 4
     a, b = clean_session(n_max)
     assert external_state(b.pool, n_max) == "unverified"
-    ack = a.final_acknowledgement(n_max)
+    ack = a.finalize_sender(n_max + 1)
     assert isinstance(ack, Tag) and len(ack.bits) == PLAN.tau
-    outcome = b.receive_acknowledgement(n_max, ack)
+    outcome = b.finalize_verifier(n_max + 1, ack)
     assert outcome.flag is Flag.ACC
     assert outcome.promoted_rounds == frozenset({n_max})
     for r in range(1, n_max + 1):
@@ -534,8 +530,8 @@ def test_clean_session_with_ack_promotes_everything():
 def test_blocked_ack_leaves_peer_unverified():
     n_max = 4
     a, b = clean_session(n_max)
-    assert a.final_acknowledgement(n_max) is not None
-    outcome = b.receive_acknowledgement(n_max, None)
+    assert a.finalize_sender(n_max + 1) is not None
+    outcome = b.finalize_verifier(n_max + 1, None)
     assert outcome.flag is Flag.BOT
     assert external_state(a.pool, n_max) == "verified"
     assert external_state(b.pool, n_max) == "unverified"
@@ -544,9 +540,9 @@ def test_blocked_ack_leaves_peer_unverified():
 def test_failed_ack_check_leaves_final_round_unverified():
     n_max = 4
     a, b = clean_session(n_max)
-    ack = a.final_acknowledgement(n_max)
+    ack = a.finalize_sender(n_max + 1)
     forged = Tag(ack.bits.flip(0))
-    outcome = b.receive_acknowledgement(n_max, forged)
+    outcome = b.finalize_verifier(n_max + 1, forged)
     assert outcome.flag is Flag.BOT and outcome.checked
     assert outcome.promoted_rounds == frozenset()
     assert b.pool.otp[n_max + 1].consumed
@@ -559,8 +555,8 @@ def test_round_tag_in_ack_slot_fails_closed():
     # checked against the acknowledgement transcript and mask, and fails.
     n_max, wire = 4, {}
     a, b = clean_session(n_max, wire=wire)
-    a.final_acknowledgement(n_max)
-    outcome = b.receive_acknowledgement(n_max, wire[n_max])
+    a.finalize_sender(n_max + 1)
+    outcome = b.finalize_verifier(n_max + 1, wire[n_max])
     assert outcome == RoundOutcome(n_max + 1, Flag.BOT, frozenset(), checked=True)
     assert b.pool.otp[n_max + 1].consumed
     assert b.pool.state[n_max] is KeyState.UNVERIFIED
@@ -574,7 +570,7 @@ def test_replayed_tag_fails_closed():
     for r in (1, 2, 3):
         h = harvest_keys(qkd.take((PLAN.l_rec if r == 1 else 0) + PLAN.l_otp + 24), r, PLAN)
         for p in (a, b):
-            p.pool.absorb_harvest(r, h)
+            p.pool.absorb_harvest(h)
     for r in (1, 2):
         assert run_round(a, b, r, [b"data-%d" % r], wire=wire)[2].flag is Flag.ACC
     for p in (a, b):
@@ -590,7 +586,7 @@ def test_tag_of_wrong_length_is_a_failed_check():
     a, b = fresh_pair()
     secret = BitGen(16).take(PLAN.l_rec + PLAN.l_otp + 24)
     for p in (a, b):
-        p.pool.absorb_harvest(1, harvest_keys(secret, 1, PLAN))
+        p.pool.absorb_harvest(harvest_keys(secret, 1, PLAN))
         p.transcript(1).append(Direction.A2B, b"data-1")
     short = Tag(a.finalize_sender(1).bits[:PLAN.tau - 1])
     outcome = b.finalize_verifier(1, short)
@@ -602,9 +598,24 @@ def test_ack_uses_quantum_recycled_key_and_correct_otp():
     n_max = 4
     a, b = clean_session(n_max)
     assert not a.pool.otp[n_max + 1].consumed
-    a.final_acknowledgement(n_max)
+    a.finalize_sender(n_max + 1)
     assert a.pool.otp[n_max + 1].consumed
     assert not a.pool.otp[n_max + 2].consumed  # surplus stays
+
+
+def test_party_refuses_a_round_past_its_session():
+    # After the acknowledgement (round 5) Bob still holds his mask for
+    # round 6; a round-6 step must not tag an empty transcript with it.
+    n_max = 4
+    a, b = clean_session(n_max)
+    assert b.finalize_verifier(n_max + 1, a.finalize_sender(n_max + 1)).flag is Flag.ACC
+    before = {role: (p.pool.otp_surplus(), dict(p.flags)) for role, p in zip("AB", (a, b))}
+    assert before["B"][0] == [6]
+    with pytest.raises(ProtocolError, match="party B is not the tag sender of round 6 "):
+        b.finalize_sender(6)
+    with pytest.raises(ProtocolError, match="party A is not the tag verifier of round 6 "):
+        a.finalize_verifier(6, None)
+    assert {role: (p.pool.otp_surplus(), dict(p.flags)) for role, p in zip("AB", (a, b))} == before
 
 
 def test_ack_transcript_is_canonical():
@@ -630,8 +641,8 @@ GUESSES = {r: Tag(_guesses.take(PLAN.tau)) for r in range(1, SCHEDULE_N_MAX + 1)
 
 def scheduled_session(actions, ack_action):
     """One session with one Eve action per round and one on the
-    acknowledgement; returns both parties by role and every outcome with
-    the role that recorded it.
+    acknowledgement, slot n_max + 1 of the same loop; returns both parties
+    by role and every outcome with the role that recorded it.
 
     Eve acts on the wire whether or not the honest sender spoke.  She
     delivers what was sent, fails the round's key distillation, flips a bit
@@ -641,14 +652,15 @@ def scheduled_session(actions, ack_action):
     acknowledgement is delivered, blocked, or replaced by the tag sent in
     round n_max.
     """
-    parties = dict(zip("AB", fresh_pair(41)))
+    n_max = len(actions)
+    parties = dict(zip("AB", fresh_pair(41, n_max)))
     wire, outcomes = {}, []
-    for r, action in enumerate(actions, start=1):
+    for r, action in enumerate(actions + (ack_action,), start=1):
         sender, verifier = tag_sender(r), tag_verifier(r)
-        if not (parties[sender].terminated or parties[verifier].terminated):
+        if r <= n_max and not (parties[sender].terminated or parties[verifier].terminated):
             if action != "quantum":
                 for p in parties.values():
-                    p.pool.absorb_harvest(r, SCHEDULE_HARVESTS[r])
+                    p.pool.absorb_harvest(SCHEDULE_HARVESTS[r])
             payload = b"data-%d" % r
             seen = Bits.from_bytes(payload).flip(0).to_bytes() if action == "tamper" else payload
             parties[sender].transcript(r).append(Direction.A2B, payload)
@@ -656,14 +668,9 @@ def scheduled_session(actions, ack_action):
         sent = parties[sender].finalize_sender(r)
         if sent is not None:
             wire[r] = sent
-        delivered = {"block": None, "impersonate": GUESSES[r],
+        delivered = {"block": None, "impersonate": GUESSES.get(r), "replace": wire.get(r - 1),
                      "replay": wire.get(r - 2, wire.get(r - 1))}.get(action, sent)
         outcomes.append((verifier, parties[verifier].finalize_verifier(r, delivered)))
-    n_max = len(actions)
-    ack = parties[tag_verifier(n_max)].final_acknowledgement(n_max)
-    delivered = {"block": None, "replace": wire.get(n_max)}.get(ack_action, ack)
-    receiver = tag_sender(n_max)
-    outcomes.append((receiver, parties[receiver].receive_acknowledgement(n_max, delivered)))
     return parties, outcomes
 
 
