@@ -35,7 +35,8 @@ from .planner import Plan
 from .rng import StreamWindow
 
 class ProtocolError(RuntimeError):
-    """A party was driven outside its contract (wrong role, missing key)."""
+    """A party was driven outside its contract (wrong role, a round past its
+    session, missing key)."""
 
 
 class TranscriptOverflowError(ValueError):
