@@ -86,14 +86,14 @@ class Bits:
             raise IndexError("bit index out of range")
         return (self.value >> (self.length - 1 - i)) & 1
 
-    def __getitem__(self, key: int | slice) -> "int | Bits":
-        if isinstance(key, slice):
-            start, stop, step = key.indices(self.length)
-            if step != 1:
-                raise ValueError("only contiguous slices are supported")
-            n = max(0, stop - start)
-            return Bits((self.value >> (self.length - stop)) & ((1 << n) - 1), n) if n else Bits(0, 0)
-        return self.bit(key)
+    def __getitem__(self, key: slice) -> "Bits":
+        if not isinstance(key, slice):
+            raise TypeError("only contiguous slices are supported")
+        start, stop, step = key.indices(self.length)
+        if step != 1:
+            raise ValueError("only contiguous slices are supported")
+        n = max(0, stop - start)
+        return Bits((self.value >> (self.length - stop)) & ((1 << n) - 1), n) if n else Bits(0, 0)
 
     def __add__(self, other: "Bits") -> "Bits":
         """Concatenation, left operand first."""

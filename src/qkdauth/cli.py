@@ -121,10 +121,10 @@ def cmd_init_pool(args: argparse.Namespace) -> int:
     return 0
 
 
-# tag/verify print only after ``round_mask`` has made the consumed mask durable.
+# tag/verify read the message before locking the pool, and print once the mask is durable.
 def cmd_tag(args: argparse.Namespace) -> int:
+    m = _read_message(args.message, args.msg_bits)
     with round_mask(args.key_pool, args.round) as pool:
-        m = _read_message(args.message, args.msg_bits)
         tag = compose_tag(m, pool.recycled_key(), pool.otp[args.round], pool.plan,
                           find_field_params(pool.plan.w))
     print(tag.to_hex())
@@ -132,8 +132,8 @@ def cmd_tag(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    m = _read_message(args.message, args.msg_bits)
     with round_mask(args.key_pool, args.round) as pool:
-        m = _read_message(args.message, args.msg_bits)
         ok = verify_tag(m, _parse_tag(args.tag, pool.plan.tau), pool.recycled_key(),
                         pool.otp[args.round], pool.plan, find_field_params(pool.plan.w))
     print("ok" if ok else "FAIL")

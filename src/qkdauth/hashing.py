@@ -327,6 +327,8 @@ class Tag:
 def compose_tag(m: Bits, rk: RecycledKey, otp: OtpKey, plan: "Plan", fp: FieldParams) -> Tag:
     """Tag = Toeplitz(poly-hashes(m)) XOR otp; consumes the OTP key, after
     every check, so a rejected call leaves it fresh."""
+    if fp is not (field := find_field_params(plan.w)) and fp != field:
+        raise ValueError(f"{fp} is not the plan's field {field}")
     if len(rk.poly_keys) != plan.lam:
         raise ValueError(f"recycled key carries {len(rk.poly_keys)} subkeys, plan needs {plan.lam}")
     inner = _poly_digest(m, rk.poly_keys, rk._subkeys, fp, plan.mu)

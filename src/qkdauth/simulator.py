@@ -28,13 +28,13 @@ from .bits import Bits
 from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, _toeplitz_product, _toeplitz_table,
                       compose_tag, find_field_params, multi_poly_hash, verify_tag)
 from .planner import Plan, as_fraction, collision_bound, make_plan
-from .protocol import (Direction, Flag, KeyPool, KeyState, PartyState, RoundOutcome,
+from .protocol import (Direction, Flag, Harvest, KeyPool, KeyState, PartyState, RoundOutcome,
                        harvest_keys, tag_sender, tag_verifier)
 from .rng import BitGen, StreamWindow
 
 # (kind, strategy) -> (the round's key distillation fails, the first bit of
-# the verifier's copy of the first message is flipped, the tag's fate).  The
-# fate is the status the ledger prints for a tag that was sent: ``sent``
+# Bob's copy of the first message, Alice to Bob, is flipped, the tag's fate).
+# The fate is the status the ledger prints for a tag that was sent: ``sent``
 # (delivered as composed), ``blocked`` or ``substituted`` (by a uniformly
 # random guess).
 ATTACKS = {
@@ -162,12 +162,10 @@ def epsilon_budget(n_max: int, eps_pred: "Fraction | str | float" = 0,
 
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """One round as it happened; its sender and verifier follow from the round."""
+    """One slot, a round or the acknowledgement, as it happened; ``harvest`` is
+    None where no key was distilled.  Its sender and verifier follow from its round."""
 
-    qkd_success: bool
-    harvested_rec: int
-    harvested_otp: int
-    harvested_ext: int
+    harvest: "Harvest | None"
     tag_status: str  # sent | silent | blocked | substituted
     outcome: RoundOutcome  # the verifier's
 
@@ -187,34 +185,42 @@ class SessionLedger:
     seed: int
     adversary: AdversaryConfig
     plan: Plan
-    records: tuple[RoundRecord, ...]
-    ack_status: str  # sent | silent | blocked
-    ack: RoundOutcome
+    slots: tuple[RoundRecord, ...]  # rounds 1 .. n_max, then the acknowledgement
     pools: dict[str, KeyPool]
     budget: EpsilonBudget
-    terminated: bool
-    forgery_slipped: bool  # the attacked round (or acknowledgement) ended acc
+
+    @property
+    def terminated(self) -> bool:
+        """Some flag is ``bot``; each flag is the outcome of one slot."""
+        return any(s.outcome.flag is Flag.BOT for s in self.slots)
+
+    @property
+    def forgery_slipped(self) -> bool:
+        """The attacked slot ended ``acc``."""
+        return any(s.round == self.adversary.round and s.outcome.flag is Flag.ACC
+                   for s in self.slots)
 
     def to_text(self) -> str:
         p = self.plan
+        *records, ack = self.slots
         lines = [
-            f"session n_max={len(self.records)} seed={self.seed} "
+            f"session n_max={len(records)} seed={self.seed} "
             f"adversary={self.adversary.describe()}",
             f"plan w={p.w} tau={p.tau} lam={p.lam} l_rec={p.l_rec} l_otp={p.l_otp} mu={p.mu}",
             f"pre_distributed_bits={self.pools['A'].pre_distributed_bits}",
         ]
-        for r in self.records:
-            o = r.outcome
+        for r in records:
+            h, o = r.harvest, r.outcome
+            rec, otp, ext = (h.recycled or (), h.otp_bits, h.external) if h else ((), (), ())
             lines.append(
                 f"round={r.round} sender={tag_sender(r.round)} "
-                f"qkd={'ok' if r.qkd_success else 'fail'} "
-                f"harvest_rec={r.harvested_rec} harvest_otp={r.harvested_otp} "
-                f"harvest_ext={r.harvested_ext} tag={r.tag_status} "
+                f"qkd={'ok' if h else 'fail'} harvest_rec={len(rec)} "
+                f"harvest_otp={len(otp)} harvest_ext={len(ext)} tag={r.tag_status} "
                 f"flag_owner={tag_verifier(r.round)} flag={o.flag.value} "
                 f"promoted={_rounds(o.promoted_rounds)} checked={'yes' if o.checked else 'no'}"
             )
-        lines.append(f"ack status={self.ack_status} flag={self.ack.flag.value} "
-                     f"promoted={_rounds(self.ack.promoted_rounds)}")
+        lines.append(f"ack status={ack.tag_status} flag={ack.outcome.flag.value} "
+                     f"promoted={_rounds(ack.outcome.promoted_rounds)}")
         for role in ("A", "B"):
             pool = self.pools[role]
             # the buckets list the rounds whose external key is in each state
@@ -260,8 +266,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     """Run one key-growing session of n_max rounds plus the acknowledgement.
 
     The acknowledgement is slot n_max + 1 of the same loop: it has no key
-    distillation and no messages, and its slot's tag status and verifier
-    outcome are the ledger's ``ack_status`` and ``ack``.
+    distillation and no messages, and its record is the ledger's last slot.
 
     Deterministic for a given (configuration, seed): the ledger is
     byte-identical across runs.  Adversarial termination is an outcome
@@ -306,8 +311,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         fails, flips, fate = attack if i == adversary.round else clean
         sender = parties[tag_sender(i)]
         verifier = parties[tag_verifier(i)]
-        harvested = (0, 0, 0)
-        secret = None
+        h = None
         if i <= n_max and not sender.terminated and not verifier.terminated:
             msgs, secret = source.round(i, success=not fails)
             logs = {role: parties[role].transcript(i) for role in ("A", "B")}
@@ -321,20 +325,12 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
                 h = harvest_keys(secret, i, plan)
                 for role in ("A", "B"):
                     parties[role].pool.absorb_harvest(h)
-                harvested = (len(h.recycled) if h.recycled else 0, len(h.otp_bits), len(h.external))
         tag, tag_status = _deliver(sender.finalize_sender(i), fate, eve, plan.tau)
-        outcome = verifier.finalize_verifier(i, tag)
-        slots.append(RoundRecord(secret is not None, *harvested, tag_status, outcome))
+        slots.append(RoundRecord(h, tag_status, verifier.finalize_verifier(i, tag)))
 
-    *records, ack = slots
-    return SessionLedger(
-        seed=seed, adversary=adversary, plan=plan, records=tuple(records),
-        ack_status=ack.tag_status, ack=ack.outcome,
-        pools={role: party.pool for role, party in parties.items()}, budget=budget,
-        terminated=any(p.terminated for p in parties.values()),
-        forgery_slipped=any(s.round == adversary.round and s.outcome.flag is Flag.ACC
-                            for s in slots),
-    )
+    return SessionLedger(seed=seed, adversary=adversary, plan=plan, slots=tuple(slots),
+                         pools={role: party.pool for role, party in parties.items()},
+                         budget=budget)
 
 
 # -- statistical forgery experiments -----------------------------------------

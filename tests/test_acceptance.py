@@ -208,6 +208,8 @@ def test_attack_case_matrix():
             led = run_session(n_max, p, fp, adv, seed=7)
             led_again = run_session(n_max, p, fp, adv, seed=7)
             assert led.to_text() == led_again.to_text()  # byte-reproducible
+            assert len(led.slots) == n_max + 1 and led.slots[-1].harvest is None, spec
+            assert led.terminated == (kind != "none"), spec
             exp_a, exp_b, rec_a, rec_b = expected_pattern(kind, k, n_max)
             assert observed_pattern(led, "A", n_max) == exp_a, spec
             assert observed_pattern(led, "B", n_max) == exp_b, spec
@@ -220,11 +222,11 @@ def test_attack_case_matrix():
             # every attack ends its round bot: a quantum one leaves the round
             # no fresh keys, and a classical one fails or skips the check
             if k is not None:
-                assert led.records[k - 1].outcome.flag is Flag.BOT, spec
+                assert led.slots[k - 1].outcome.flag is Flag.BOT, spec
             assert not led.forgery_slipped
         # clean run detail: the final round flips to verified only via the ack
         led = run_session(n_max, p, fp, AdversaryConfig(), seed=7)
-        assert led.ack.promoted_rounds == {n_max}
+        assert led.slots[-1].outcome.promoted_rounds == {n_max}
     assert t.seconds < 5.0
     report(f"attack case matrix: {len(scenarios)} scenarios match the termination "
            "case analysis", t)
@@ -237,10 +239,11 @@ def test_key_accounting_clean_ten_rounds():
     led = run_session(n_max, p, fp, seed=11)
     assert not led.terminated
     assert led.pools["A"].pre_distributed_bits == p.l_rec + 2 * p.l_otp
-    for rec in led.records:
-        assert rec.harvested_otp == p.l_otp, rec.round
-        assert rec.harvested_rec == (p.l_rec if rec.round == 1 else 0), rec.round
-    total_quantum_auth = sum(r.harvested_rec + r.harvested_otp for r in led.records)
+    harvests = [rec.harvest for rec in led.slots[:-1]]
+    for r, h in enumerate(harvests, 1):
+        assert len(h.otp_bits) == p.l_otp, r
+        assert len(h.recycled or ()) == (p.l_rec if r == 1 else 0), r
+    total_quantum_auth = sum(len(h.recycled or ()) + len(h.otp_bits) for h in harvests)
     assert total_quantum_auth == p.l_rec + n_max * p.l_otp
     report(f"key accounting over {n_max} clean rounds: {p.l_rec + 2 * p.l_otp} "
            f"pre-distributed + {p.l_otp}/round + one-time {p.l_rec}")

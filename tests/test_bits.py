@@ -77,6 +77,9 @@ def test_concat_and_slice():
         Bits(5, 3).bit(3)
     with pytest.raises(ValueError, match="contiguous"):
         Bits(5, 3)[::2]
+    for key in (0, -1, (0, 3)):  # bit(i) reads one bit, as a window has no int index
+        with pytest.raises(TypeError, match="contiguous"):
+            c[key]
 
 
 @given(bit_strings, bit_strings)

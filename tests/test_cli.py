@@ -432,6 +432,56 @@ def test_tag_waits_for_the_pool_lock(tmp_path, capsys):
     assert (proc.returncode, out.strip(), err) == (0, KAT_TAG_HEX, "")
 
 
+# Runs the CLI with a stdin whose first read touches the ready file, so the
+# test knows when the command waits for its message.
+STDIN_READER = """
+import sys
+from qkdauth.cli import main
+ready, argv, stdin = sys.argv[1], sys.argv[2:], sys.stdin.buffer
+
+class Buffer:
+    def read(self):
+        open(ready, "w").close()
+        return stdin.read()
+
+sys.stdin = type("Stdin", (), {"buffer": Buffer()})()
+sys.exit(main(argv))
+"""
+
+
+@pytest.mark.parametrize("argv, printed", [
+    pytest.param(["tag"], KAT_TAG_HEX, id="tag"),
+    pytest.param(["verify", "--tag", KAT_TAG_HEX], "ok", id="verify"),
+])
+def test_waiting_for_stdin_holds_no_pool_lock(tmp_path, capsys, argv, printed):
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(KAT_MESSAGE)
+    alice = make_pool(tmp_path, capsys, "alice.pool")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qkdauth.__file__)))
+    ready = tmp_path / "ready"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STDIN_READER, str(ready), *argv, "--key-pool", alice,
+         "--round", "1", "--message", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not ready.exists():
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.01)
+        with open(alice, "rb") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                pytest.fail("the pool is locked while the command waits for stdin")
+        assert main(["tag", "--key-pool", alice, "--round", "2", "--message", str(msg)]) == 0
+        out, err = proc.communicate(KAT_MESSAGE, timeout=60)
+    except BaseException:
+        proc.kill()
+        proc.communicate(timeout=60)
+        raise
+    assert (proc.returncode, out.decode().strip(), err) == (0, printed, b"")
+
+
 def test_racing_tags_use_one_mask_once(tmp_path, capsys):
     msg = tmp_path / "m.bin"
     msg.write_bytes(KAT_MESSAGE)

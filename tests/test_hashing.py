@@ -540,6 +540,24 @@ def test_rejected_compose_tag_consumes_no_mask(m, rk, otp, match):
     assert not mask.consumed
 
 
+@pytest.mark.parametrize("fp", [
+    pytest.param(find_field_params(15), id="w15-field"),
+    pytest.param(FieldParams(31, 0, 2**31), id="not-prime"),
+])
+def test_field_other_than_the_plans_is_rejected(fp):
+    # a w = 15 field under a w = 31 plan would tag with only the w = 15
+    # collision bound, far above the plan's eps_achieved
+    plan = make_plan(tau=40, lam=1, w=31, mu=4096)
+    g = BitGen(3)
+    rk = RecycledKey.from_bits(g.take(make_plan(40, 1, fp.w, 4096).l_rec), 1, fp.w, 40)
+    m, mask = g.take(4096), OtpKey(g.take(40))
+    with pytest.raises(ValueError, match="not the plan's field"):
+        compose_tag(m, rk, mask, plan, fp)
+    with pytest.raises(ValueError, match="not the plan's field"):
+        verify_tag(m, Tag(Bits.zeros(40)), rk, mask, plan, fp)
+    assert not mask.consumed
+
+
 def test_prepared_key_fields_are_invisible():
     plan = make_plan(tau=40, lam=3, w=31, mu=4096)
     fp = find_field_params(31)

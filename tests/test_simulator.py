@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from qkdauth.hashing import Tag, find_field_params
 from qkdauth.planner import make_plan, plan
 from qkdauth.protocol import Flag
 from qkdauth.rng import BitGen
-from qkdauth.simulator import (AdversaryConfig, MockQkdSource, collision_census,
-                               epsilon_budget, forgery_experiment, parse_adversary,
+from qkdauth.simulator import (AdversaryConfig, MockQkdSource, RoundRecord, SessionLedger,
+                               collision_census, epsilon_budget, forgery_experiment, parse_adversary,
                                run_session, strong_uniformity_census,
                                toeplitz_xor_census, wilson_interval)
 
@@ -178,8 +179,7 @@ def test_clean_sessions_never_reject():
         led = run_session(4, PLAN, FP, seed=seed)
         assert not led.terminated
         assert not led.forgery_slipped
-        assert all(r.outcome.flag is Flag.ACC for r in led.records)
-        assert led.ack.flag is Flag.ACC
+        assert all(s.outcome.flag is Flag.ACC for s in led.slots)  # the ack's too
 
 
 def test_session_reproducible_byte_for_byte():
@@ -216,8 +216,8 @@ def test_quantum_attack_promotes_previous_round():
     assert final_line(led, "A")["verified"] == "1,2"
     assert final_line(led, "B")["verified"] == "1,2"
     assert final_line(led, "A")["discarded"] == "-"
-    rec3 = next(r for r in led.records if r.round == 3)
-    assert rec3.qkd_success is False and rec3.outcome.checked
+    rec3 = led.slots[2]
+    assert rec3.harvest is None and rec3.outcome.checked
     assert rec3.outcome.flag is Flag.BOT
     assert rec3.outcome.promoted_rounds == {2}
 
@@ -241,7 +241,7 @@ def test_first_round_attack_kills_everything():
 
 def test_blocked_ack_one_sided_final_round():
     led = run_session(4, PLAN, FP, AdversaryConfig(kind="block", round=5), seed=5)
-    assert led.ack_status == "blocked"
+    assert led.slots[-1].tag_status == "blocked"
     assert final_line(led, "A")["verified"] == "1,2,3,4"
     assert final_line(led, "B")["verified"] == "1,2,3"
     assert final_line(led, "B")["unverified"] == "4"
@@ -252,16 +252,29 @@ def test_key_accounting_clean_session():
     led = run_session(n, PLAN, FP, seed=8)
     assert led.pools["A"].pre_distributed_bits == PLAN.l_rec + 2 * PLAN.l_otp
     assert f"\npre_distributed_bits={PLAN.l_rec + 2 * PLAN.l_otp}\n" in led.to_text()
-    for rec in led.records:
-        assert rec.harvested_otp == PLAN.l_otp
-        assert rec.harvested_rec == (PLAN.l_rec if rec.round == 1 else 0)
+    *rounds, ack = led.slots
+    for rec in rounds:
+        assert len(rec.harvest.otp_bits) == PLAN.l_otp
+        assert len(rec.harvest.recycled or ()) == (PLAN.l_rec if rec.round == 1 else 0)
+    assert ack.harvest is None
 
 
 def test_substitution_attack_in_session_detected():
     led = run_session(6, PLAN, FP, AdversaryConfig(kind="substitute", round=4), seed=5)
-    rec4 = next(r for r in led.records if r.round == 4)
+    rec4 = led.slots[3]
     assert rec4.tag_status == "substituted"
     assert rec4.outcome.flag is Flag.BOT
+    assert led.terminated and not led.forgery_slipped
+
+
+def test_ledger_is_its_slots():
+    # the acknowledgement and both verdicts are read from the slots, not stored
+    assert [f.name for f in dataclasses.fields(SessionLedger)] == \
+        ["seed", "adversary", "plan", "slots", "pools", "budget"]
+    assert [f.name for f in dataclasses.fields(RoundRecord)] == \
+        ["harvest", "tag_status", "outcome"]
+    led = run_session(4, PLAN, FP, AdversaryConfig(kind="block", round=5), seed=5)
+    assert [s.round for s in led.slots] == [1, 2, 3, 4, 5]
     assert led.terminated and not led.forgery_slipped
 
 
