@@ -435,7 +435,7 @@ def test_tag_waits_for_the_pool_lock(tmp_path, capsys):
 # Runs the CLI with a stdin whose first read touches the ready file, so the
 # test knows when the command waits for its message.
 STDIN_READER = """
-import sys
+import sys, types
 from qkdauth.cli import main
 ready, argv, stdin = sys.argv[1], sys.argv[2:], sys.stdin.buffer
 
@@ -444,7 +444,7 @@ class Buffer:
         open(ready, "w").close()
         return stdin.read()
 
-sys.stdin = type("Stdin", (), {"buffer": Buffer()})()
+sys.stdin = types.SimpleNamespace(buffer=Buffer())
 sys.exit(main(argv))
 """
 
