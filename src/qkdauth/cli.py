@@ -125,7 +125,7 @@ def cmd_init_pool(args: argparse.Namespace) -> int:
 def cmd_tag(args: argparse.Namespace) -> int:
     m = _read_message(args.message, args.msg_bits)
     with round_mask(args.key_pool, args.round) as pool:
-        tag = compose_tag(m, pool.recycled_key(), pool.otp[args.round], pool.plan,
+        tag = compose_tag(m, pool.recycled_pre, pool.otp[args.round], pool.plan,
                           find_field_params(pool.plan.w))
     print(tag.to_hex())
     return 0
@@ -134,7 +134,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     m = _read_message(args.message, args.msg_bits)
     with round_mask(args.key_pool, args.round) as pool:
-        ok = verify_tag(m, _parse_tag(args.tag, pool.plan.tau), pool.recycled_key(),
+        ok = verify_tag(m, _parse_tag(args.tag, pool.plan.tau), pool.recycled_pre,
                         pool.otp[args.round], pool.plan, find_field_params(pool.plan.w))
     print("ok" if ok else "FAIL")
     return 0 if ok else 1

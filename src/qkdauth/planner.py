@@ -9,6 +9,7 @@ with arbitrary-precision integers rather than in floating point.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -18,8 +19,9 @@ from .hashing import MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH, recycled_key_bits
 
 MAX_PARALLEL_INSTANCES = 64
 # |exponent| of a decimal input beyond which its exact value would take
-# unbounded time to build; 1e-20000 already needs a 66,440-bit tag
+# unbounded time to build; 1e-20000 already needs a 66,439-bit tag
 MAX_DECIMAL_EXPONENT = 20000
+MAX_TAG_BITS = 1 << 17  # above every tag that plan() derives
 
 # Published parameter tables list L_rec = 229 for (w=31, mu=1 Mbit,
 # eps_auth=1e-12); the closed-form length 2*lam*w + lam + tau - 1 with the
@@ -114,16 +116,18 @@ def make_plan(tau: int, lam: int, w: int, mu: int) -> Plan:
     """Plan from explicit parameters (test fixtures, attack experiments,
     pool-file headers).
 
-    w and lam are range-checked before any arithmetic, so a hostile pool
+    w, lam and tau are range-checked before any arithmetic, so a hostile pool
     header cannot make the bound's big-integer powers take unbounded time.
-    eps_achieved is still computed exactly; eps_auth is set equal to it.
+    eps_achieved is exact and must be below 1; eps_auth is set equal to it.
     """
     if not (MIN_CHUNK_WIDTH <= w <= MAX_CHUNK_WIDTH and 1 <= lam <= MAX_PARALLEL_INSTANCES
-            and tau >= 1 and mu >= 1):
+            and 1 <= tau <= MAX_TAG_BITS and mu >= 1):
         raise ValueError(f"need {MIN_CHUNK_WIDTH} <= w <= {MAX_CHUNK_WIDTH}, 1 <= lam <= "
-                         f"{MAX_PARALLEL_INSTANCES}, tau >= 1 and mu >= 1; got w={w} "
-                         f"lam={lam} tau={tau} mu={mu}")
+                         f"{MAX_PARALLEL_INSTANCES}, 1 <= tau <= {MAX_TAG_BITS} and mu >= 1; "
+                         f"got w={w} lam={lam} tau={tau} mu={mu}")
     eps = Fraction(1, 1 << tau) + collision_bound(mu, w, lam)
+    if eps >= 1:  # compared exactly and not printed: it need not fit a float
+        raise ValueError("failure bound 2**-tau + ceil(mu/w)**lam * 2**-(lam*w) is not below 1")
     return Plan(eps_auth=eps, mu=mu, w=w, tau=tau, lam=lam, eps_achieved=eps)
 
 
@@ -190,8 +194,8 @@ class CostInput:
     eta_pa: float
 
     def __post_init__(self) -> None:
-        if self.l_sift <= 0:
-            raise ValueError("sifted block length must be positive")
+        if not 0 < self.l_sift <= sys.float_info.max:  # so l_sec is a finite float
+            raise ValueError("sifted block length must be positive and fit a float")
         if not 0 < self.eta_pa <= 1:
             raise ValueError("privacy-amplification coefficient must be in (0, 1]")
 

@@ -1,4 +1,5 @@
-"""On-disk key pool for the tag/verify command pair.
+"""On-disk key pool for the tag/verify command pair: a ``protocol.KeyPool``'s
+pre-distributed part, read back as a ``KeyPool`` with empty session state.
 
 Layout: magic "QKDA", one version byte, a fixed header with the scheme
 parameters, the recycled key, then the per-round OTP entries as
@@ -28,12 +29,12 @@ import fcntl
 import functools
 import os
 import struct
-from dataclasses import dataclass
 from typing import Iterator
 
 from .bits import Bits
-from .hashing import OtpKey, RecycledKey
+from .hashing import OtpKey
 from .planner import Plan, make_plan
+from .protocol import KeyPool
 from .rng import BitGen
 
 MAGIC = b"QKDA"
@@ -52,17 +53,7 @@ class PoolFormatError(ValueError):
     """The file is not a well-formed key pool."""
 
 
-@dataclass
-class TagPool:
-    plan: Plan
-    recycled: Bits
-    otp: dict[int, OtpKey]
-
-    def recycled_key(self) -> RecycledKey:
-        return RecycledKey.from_bits(self.recycled, self.plan.lam, self.plan.w, self.plan.tau)
-
-
-def new_pool(plan: Plan, rounds: int, seed: int) -> TagPool:
+def new_pool(plan: Plan, rounds: int, seed: int) -> KeyPool:
     """Fresh pool with OTP masks for rounds 1..rounds, keys drawn from the
     seeded generator.  Two pools built from the same seed are identical,
     which is how a sender/receiver pair is provisioned."""
@@ -71,10 +62,10 @@ def new_pool(plan: Plan, rounds: int, seed: int) -> TagPool:
     gen = BitGen(seed)
     recycled = gen.take(plan.l_rec)
     otp = {r: OtpKey(gen.take(plan.l_otp)) for r in range(1, rounds + 1)}
-    return TagPool(plan=plan, recycled=recycled, otp=otp)
+    return KeyPool(plan=plan, recycled=recycled, otp=otp)
 
 
-def dump_pool(pool: TagPool) -> bytes:
+def dump_pool(pool: KeyPool) -> bytes:
     """The file bytes of ``pool``.  A pool that ``parse_pool`` would reject
     raises ``ValueError`` instead: its masks must be those of rounds 1..R,
     each tau bits, and its recycled key l_rec bits."""
@@ -115,9 +106,9 @@ def _round_id_columns(rounds: int) -> tuple[bytes, ...]:
     return tuple(ids[j::4] for j in range(4))
 
 
-def _check_layout(data: bytes) -> tuple[TagPool, range]:
-    """Validate a whole pool file.  Return its pool with no OTP entries
-    decoded and the offset of each entry, round r's at index r - 1."""
+def _check_layout(data: bytes) -> tuple[KeyPool, range]:
+    """Validate a whole pool file.  Return its pool, recycled key prepared and
+    no OTP entry decoded, and the offset of each entry, round r's at index r - 1."""
     if data[:len(MAGIC)] != MAGIC:
         raise PoolFormatError("bad magic, not a key pool file")
     if len(data) < _HEAD_END:
@@ -170,7 +161,7 @@ def _check_layout(data: bytes) -> tuple[TagPool, range]:
             if data[pos + size - 1:pos + size].translate(None, pad_ok):
                 raise PoolFormatError(f"OTP mask for round {round_} has nonzero padding bits")
     recycled = Bits.from_bytes(data[key:count], nbits)
-    return TagPool(plan=plan, recycled=recycled, otp={}), entries
+    return KeyPool(plan=plan, recycled=recycled), entries
 
 
 def _read_otp(data: bytes, pos: int, tau: int) -> OtpKey:
@@ -178,13 +169,13 @@ def _read_otp(data: bytes, pos: int, tau: int) -> OtpKey:
     return OtpKey(Bits.from_bytes(mask, tau), consumed=data[pos + _FLAG] != 0)
 
 
-def parse_pool(data: bytes) -> TagPool:
+def parse_pool(data: bytes) -> KeyPool:
     pool, entries = _check_layout(data)
     pool.otp = {r: _read_otp(data, pos, pool.plan.tau) for r, pos in enumerate(entries, 1)}
     return pool
 
 
-def save_pool(path: str, pool: TagPool) -> None:
+def save_pool(path: str, pool: KeyPool) -> None:
     data = dump_pool(pool)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -204,13 +195,13 @@ def save_pool(path: str, pool: TagPool) -> None:
         os.close(dir_fd)
 
 
-def load_pool(path: str) -> TagPool:
+def load_pool(path: str) -> KeyPool:
     with open(path, "rb") as fh:
         return parse_pool(fh.read())
 
 
 @contextlib.contextmanager
-def round_mask(path: str, round_: int) -> Iterator[TagPool]:
+def round_mask(path: str, round_: int) -> Iterator[KeyPool]:
     """Yield the pool at ``path`` holding only round ``round_``'s OTP entry,
     under an exclusive ``flock`` held until the block exits.
 

@@ -17,9 +17,9 @@ replayed one or one of the wrong length is a failed check, settled exactly
 like a tampered one: a ``bot`` flag and a consumed mask.
 
 Key routing across rounds: the recycled hash key and the OTP masks for
-rounds 1 and 2 are pre-distributed; round 1 additionally harvests a fresh
-recycled key (used from round 3 on) and every round i harvests the OTP
-mask for round i+2.
+rounds 1 and 2 are pre-distributed, and a ``KeyPool`` is built from them;
+round 1 additionally harvests a fresh recycled key (used from round 3 on)
+and every round i harvests the OTP mask for round i+2.
 """
 
 from __future__ import annotations
@@ -174,18 +174,20 @@ class KeyState(enum.Enum):
 
 @dataclass
 class KeyPool:
-    """One party's keys, with every absorbed round in exactly one KeyState."""
+    """One party's keys, with every absorbed round in exactly one KeyState.
+    Built from the pre-distributed part (plan, recycled, otp) a pool file holds."""
 
-    recycled_pre: RecycledKey
     plan: Plan
-    recycled_qkd: "RecycledKey | None" = None
+    recycled: Bits
     otp: dict[int, OtpKey] = field(default_factory=dict)
+    recycled_qkd: "RecycledKey | None" = None
     state: dict[int, KeyState] = field(default_factory=dict)
     external: "dict[int, Bits | StreamWindow]" = field(default_factory=dict)  # non-empty only
+    recycled_pre: RecycledKey = field(init=False, repr=False, compare=False)
 
-    @property
-    def pre_distributed_bits(self) -> int:
-        return self.plan.l_rec + 2 * self.plan.l_otp
+    def __post_init__(self) -> None:
+        self.recycled_pre = RecycledKey.from_bits(self.recycled, self.plan.lam, self.plan.w,
+                                                  self.plan.tau)
 
     def active_recycled(self, round_: int) -> RecycledKey:
         if round_ <= 2:

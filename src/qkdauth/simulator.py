@@ -147,10 +147,10 @@ def epsilon_budget(n_max: int, eps_pred: "Fraction | str | float" = 0,
                    eps_auth: "Fraction | str | float" = 0,
                    eps_qkd: "Fraction | str | float" = 0) -> EpsilonBudget:
     """total = eps_pred + eps_store + n_max * (eps_auth + eps_qkd), summed
-    exactly; each input is read by ``as_fraction``."""
+    exactly; each input is read by ``as_fraction`` and must lie in [0, 1]."""
     eps = [as_fraction(e) for e in (eps_pred, eps_store, eps_auth, eps_qkd)]
-    if min(eps) < 0:
-        raise ValueError("failure probabilities cannot be negative")
+    if not 0 <= min(eps) <= max(eps) <= 1:
+        raise ValueError("failure probabilities must lie in [0, 1]")
     if n_max < 0:
         raise ValueError("round count cannot be negative")
     pred, store, auth, qkd = eps
@@ -207,7 +207,7 @@ class SessionLedger:
             f"session n_max={len(records)} seed={self.seed} "
             f"adversary={self.adversary.describe()}",
             f"plan w={p.w} tau={p.tau} lam={p.lam} l_rec={p.l_rec} l_otp={p.l_otp} mu={p.mu}",
-            f"pre_distributed_bits={self.pools['A'].pre_distributed_bits}",
+            f"pre_distributed_bits={p.l_rec + 2 * p.l_otp}",
         ]
         for r in records:
             h, o = r.harvest, r.outcome
@@ -295,14 +295,9 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     otp_bits = {1: keygen.take(plan.l_otp), 2: keygen.take(plan.l_otp)}
     eve = master.derive("adversary")
 
-    parties: dict[str, PartyState] = {}
-    for role in ("A", "B"):
-        pool = KeyPool(
-            recycled_pre=RecycledKey.from_bits(rec_bits, plan.lam, plan.w, plan.tau),
-            plan=plan,
-            otp={r: OtpKey(b) for r, b in otp_bits.items()},
-        )
-        parties[role] = PartyState(role=role, fp=fp, pool=pool, n_max=n_max)
+    parties = {role: PartyState(role=role, fp=fp, n_max=n_max, pool=KeyPool(
+        plan=plan, recycled=rec_bits, otp={r: OtpKey(b) for r, b in otp_bits.items()}))
+        for role in ("A", "B")}
 
     source = MockQkdSource(master.derive("qkd"), secret_bits=secret_bits)
 

@@ -238,7 +238,7 @@ def test_key_accounting_clean_ten_rounds():
     fp = find_field_params(63)
     led = run_session(n_max, p, fp, seed=11)
     assert not led.terminated
-    assert led.pools["A"].pre_distributed_bits == p.l_rec + 2 * p.l_otp
+    assert f"\npre_distributed_bits={p.l_rec + 2 * p.l_otp}\n" in led.to_text()
     harvests = [rec.harvest for rec in led.slots[:-1]]
     for r, h in enumerate(harvests, 1):
         assert len(h.otp_bits) == p.l_otp, r

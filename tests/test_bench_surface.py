@@ -101,3 +101,55 @@ def test_every_name_a_workload_reads_resolves():
             ("poolfile", "load_pool"), ("hashing", "compose_tag"), ("bits", "Bits")} <= reads
     absent = [".".join(p) for p in sorted(reads) if not reads_from_the_library(p)]
     assert absent == []
+
+
+def pool_reads():
+    """The attribute chains that ``PoolCli.after_setup`` reads off the pool
+    that ``load_pool`` returns, e.g. ``("recycled", "value")``, and off each
+    of its OTP masks (``k`` in ``pool.otp.items()``)."""
+    cls = next(node for node in ast.parse(WORKLOADS.read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name == "PoolCli")
+    func = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "after_setup")
+    reads = {"pool": set(), "k": set()}
+    inner = {id(n.value) for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in reads:
+                reads[node.id].add(tuple(reversed(names)))
+    return reads
+
+
+def read(obj, chain):
+    for name in chain:
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_pool_cli_reads_resolve_on_a_loaded_pool(tmp_path):
+    """perfbench's ``pool_cli`` set-up reads the plan, the recycled key's
+    value and each OTP mask's value off ``load_pool``'s result.  The check
+    above follows only ``self.q`` chains, so it cannot see these reads; this
+    test makes renaming a pool field fail here, not only in the benchmark."""
+    from qkdauth.cli import main
+    from qkdauth.poolfile import load_pool
+
+    reads = pool_reads()
+    assert {("plan",), ("recycled", "value"), ("otp", "items"), ("plan", "tau")} <= reads["pool"]
+    assert reads["k"] == {("bits", "value")}
+    path = tmp_path / "alice.pool"
+    assert main(["init-pool", "--eps-auth", "1e-12", "--mu", "4096", "--w", "63",
+                 "--rounds", "4", "--seed", "1", "--out", str(path)]) == 0
+    pool = load_pool(str(path))
+    for chain in reads["pool"]:
+        read(pool, chain)
+    plan = pool.plan
+    assert (plan.w, plan.tau, plan.mu) == (63, 40, 4096)
+    assert 0 <= pool.recycled.value < 1 << plan.l_rec
+    masks = {r: read(k, ("bits", "value")) for r, k in pool.otp.items()}
+    assert sorted(masks) == [1, 2, 3, 4]
+    assert all(0 <= v < 1 << plan.tau for v in masks.values())

@@ -1,7 +1,9 @@
+import collections
 import contextlib
 import fcntl
 import io
 import os
+import random
 import re
 import struct
 import subprocess
@@ -17,13 +19,15 @@ from qkdauth.bits import Bits
 from qkdauth.cli import DEFAULT_EPS, DEFAULT_MU, main
 from qkdauth.hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_tag
 from qkdauth.planner import make_plan, plan
-from qkdauth.poolfile import (_HEADER, CONSUMED, MAGIC, VERSION, PoolFormatError, TagPool,
-                              dump_pool, load_pool, new_pool, parse_pool)
+from qkdauth.poolfile import (_HEADER, CONSUMED, MAGIC, VERSION, PoolFormatError, dump_pool,
+                              load_pool, new_pool, parse_pool)
+from qkdauth.protocol import KeyPool
 
 # regression vector generated once from a fixed pool seed and frozen
 KAT_MESSAGE = b"hello, authenticated world"
 KAT_POOL_ARGS = ["--eps-auth", "1e-12", "--mu", "4096", "--w", "63", "--seed", "42"]
 KAT_TAG_HEX = "451228cd1a"
+HUGE = "1" + "0" * 400  # a 400-digit value
 
 
 def make_pool(tmp_path, capsys, name, rounds=4):
@@ -162,7 +166,7 @@ def test_tag_rejects_malformed_pool_files(tmp_path, capsys):
     pool = load_pool(alice)
     blob = dump_pool(pool)
     # relabel round 2's entry as a second, unconsumed round 1
-    empty = len(dump_pool(TagPool(pool.plan, pool.recycled, {})))
+    empty = len(dump_pool(KeyPool(pool.plan, pool.recycled, {})))
     size = (len(blob) - empty) // len(pool.otp)
     relabelled = bytearray(blob)
     struct.pack_into(">I", relabelled, empty + size, 1)
@@ -183,7 +187,7 @@ def malformed_pools():
     error text it must give."""
     pool = new_pool(plan("1e-12", 4096, 63), rounds=4, seed=42)
     blob = dump_pool(pool)
-    head = len(dump_pool(TagPool(pool.plan, pool.recycled, {})))  # up to the entry count
+    head = len(dump_pool(KeyPool(pool.plan, pool.recycled, {})))  # up to the entry count
     size = (len(blob) - head) // len(pool.otp)
 
     def patched(offset, value):
@@ -250,7 +254,7 @@ def test_in_place_consume_matches_rewrite_reference(tmp_path, capsys):
     for command, path, round_, message in steps:
         ref = reference[path]
         m = Bits.from_bytes(message.read_bytes())
-        args = (ref.recycled_key(), ref.otp[round_], ref.plan, find_field_params(ref.plan.w))
+        args = (ref.recycled_pre, ref.otp[round_], ref.plan, find_field_params(ref.plan.w))
         tag = tags.get(round_, "0" * 10)
         try:
             if command == "tag":
@@ -339,7 +343,7 @@ def test_hostile_pool_header_fails_fast(tmp_path, capsys):
 def first_entry_offset(path):
     """Offset of round 1's OTP entry in the pool file at ``path``."""
     pool = load_pool(path)
-    return len(dump_pool(TagPool(pool.plan, pool.recycled, {})))
+    return len(dump_pool(KeyPool(pool.plan, pool.recycled, {})))
 
 
 def test_tag_fails_cleanly_when_pool_write_fails(tmp_path, capsys, monkeypatch):
@@ -537,6 +541,25 @@ BAD_INPUTS = {
     "plan-no-w": ["plan", "--mu", "4096"],
     "primes-empty-range": ["primes", "--w-min", "5", "--w-max", "4"],
     "primes-w-above-63": ["primes", "--w-min", "62", "--w-max", "64"],
+    # each used to run the whole session, then raise OverflowError in the ledger's float()
+    "simulate-eps-pred-above-float": ["simulate", "--rounds", "2", "--eps-pred", "1e400"],
+    "simulate-plan-bound-above-float": ["simulate", "--rounds", "2", "--tau", "8", "--w", "2",
+                                        "--mu", HUGE],
+    # each used to print a failure probability above 1
+    "simulate-eps-store-above-1": ["simulate", "--rounds", "2", "--eps-store", "2"],
+    "simulate-plan-bound-above-1": ["simulate", "--rounds", "2", "--tau", "1", "--w", "2",
+                                    "--mu", "4096"],
+    "simulate-plan-bound-exactly-1": ["simulate", "--rounds", "2", "--tau", "1", "--w", "15",
+                                      "--mu", "245760"],
+    "init-pool-plan-bound-above-1": ["init-pool", "--tau", "1", "--w", "2", "--mu", "4096",
+                                     "--seed", "1", "--out", "{pool}"],
+    # each used to raise OverflowError from 1 << tau
+    "simulate-tau-huge": ["simulate", "--rounds", "2", "--tau", HUGE],
+    "init-pool-tau-huge": ["init-pool", "--tau", HUGE, "--seed", "1", "--out", "{pool}"],
+    "attack-stats-tau-huge": ["attack-stats", "--tau", HUGE, "--w", "15", "--mu", "512",
+                              "--trials", "10000"],
+    # used to raise OverflowError converting l_sift to a float
+    "cost-l-sift-huge": ["cost", "--eps-auth", "1e-12", "--l-sift", HUGE, "--eta-pa", "0.5"],
 }
 
 
@@ -768,7 +791,7 @@ def test_round_id_memo_never_carries_acceptance(tmp_path, capsys):
     is still rejected in full, with the message a cold process gives."""
     pool = new_pool(plan("1e-12", 4096, 63), rounds=2048, seed=42)
     good = dump_pool(pool)
-    head = len(dump_pool(TagPool(pool.plan, pool.recycled, {})))
+    head = len(dump_pool(KeyPool(pool.plan, pool.recycled, {})))
     size = (len(good) - head) // 2048
     wrong_id = bytearray(good)
     struct.pack_into(">I", wrong_id, head + 999 * size, 7)
@@ -882,3 +905,93 @@ def test_plan_flags_that_stay_valid(tmp_path, capsys):
     assert main(["init-pool", "--seed", "1", "--out", str(tmp_path / "p.pool")]) == 0
     got, want = load_pool(str(tmp_path / "p.pool")).plan, plan(DEFAULT_EPS, DEFAULT_MU, 63)
     assert (got.tau, got.lam, got.w, got.mu) == (want.tau, want.lam, want.w, want.mu)
+
+
+# -- argv fuzz: every command, hostile values, no exception escapes main ------
+
+FUZZ_VALUES = ["0", "1", "2", "3", "-1", "8", "15", "63", "64", "4096", "65535", "65536",
+               "131073", "1Mbit", "-1Mbit", "0.5", "1e-12", "1e-400", "1e400", "-1e400",
+               "nan", "inf", "-inf", "abc", "", "0x10", HUGE, "-" + HUGE, HUGE + "Mbit",
+               "1e" + HUGE, "9" * 5000]
+# --rounds, --trials and attack-stats --mu set the amount of work: a huge one
+# is slow work, not a defect, so their hostile values stay small
+FUZZ_WORK = ["-" + HUGE, "-1", "0", "1", "2", "3", "4", "1e400", "abc", ""]
+
+
+def fuzz_flags(tmp_path):
+    """Each command's flags, each with the valid values and the hostile ones
+    that the fuzz draws from; None for a flag that takes no value."""
+    msg, alice, bob, missing, folder = (str(tmp_path / name) for name in (
+        "m.bin", "alice.pool", "bob.pool", "missing", "folder"))
+
+    def num(*good):
+        return list(good), FUZZ_VALUES
+
+    def work(*good):
+        return list(good), FUZZ_WORK
+
+    plan_source = {"--eps-auth": num("1e-12", "1e-6"), "--mu": num("512", "4096", "1Mbit"),
+                   "--w": num("15", "31", "63"), "--tau": num("8", "16", "40"),
+                   "--lam": num("1", "2")}
+    pool_step = {"--key-pool": ([alice, bob], [missing, folder, msg]),
+                 "--round": num("1", "2", "3", "4"), "--message": ([msg], ["-", missing, alice]),
+                 "--msg-bits": num("208", "201")}
+    eps = num("0", "1e-10", "1")
+    return {
+        "plan": {"--eps-auth": num("1e-12", "1e-33"), "--mu": num("4096", "1Mbit"),
+                 "--w": num("31", "63"), "--table": None, "--machine": None},
+        "primes": {"--w-min": num("2", "15"), "--w-max": num("31", "63")},
+        "cost": {"--eps-auth": num("1e-12", "1e-33"), "--l-sift": num("1000", "995328"),
+                 "--eta-pa": num("0.1", "1")},
+        "init-pool": {**plan_source, "--rounds": work("2", "4"), "--seed": num("0", "42"),
+                      "--out": ([alice, bob, str(tmp_path / "new.pool")],
+                                [folder, str(tmp_path / "missing" / "x.pool")])},
+        "tag": pool_step,
+        "verify": {**pool_step, "--tag": ([KAT_TAG_HEX, "00" * 5],
+                                          ["0" * 11, "zz", "", HUGE])},
+        "simulate": {**plan_source, "--rounds": work("2", "4"), "--seed": num("0", "7"),
+                     "--adversary": (["none", "quantum:1", "tamper:3", "block:3", "block:5",
+                                      "substitute:2", "substitute:2:best-guess",
+                                      "impersonate:1"],
+                                     ["tamper:" + HUGE, "block:-1", "gremlins:2", "tamper",
+                                      ""]),
+                     "--eps-pred": eps, "--eps-store": eps, "--eps-qkd": eps},
+        "attack-stats": {"--tau": num("8", "16"), "--w": num("15"), "--mu": work("64", "512"),
+                         "--lam": num("1", "2"), "--trials": work("1", "20"),
+                         "--seed": num("0", "1"),
+                         "--strategy": (["random", "best-guess", "replay", "impersonate"],
+                                        ["bogus"])},
+    }
+
+
+def test_argv_fuzz_every_command_exits_0_1_or_2(tmp_path, monkeypatch):
+    """A seeded fuzz of argv lists over every command, tag and verify
+    included: each call returns 0, 1 or 2, or exits 2 through argparse's
+    usage error, and no exception escapes ``main``."""
+    (tmp_path / "m.bin").write_bytes(KAT_MESSAGE)
+    (tmp_path / "folder").mkdir()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(KAT_MESSAGE)))
+    assert run_main(["selftest"])[0] == 0  # it takes no flags
+    flags = fuzz_flags(tmp_path)
+    rng = random.Random(26)
+    codes = collections.Counter()
+    for i in range(3000):
+        if i % 100 == 0:  # fresh pools, so that tag and verify also succeed
+            for name in ("alice.pool", "bob.pool"):
+                assert run_main(["init-pool", "--out", str(tmp_path / name)]
+                                + KAT_POOL_ARGS)[0] == 0
+        command = rng.choice(sorted(flags))
+        argv = [command]
+        for flag, values in flags[command].items():
+            if rng.random() < 0.7 or flag == "--trials":  # its default is 10**5 trials
+                argv += [flag] if values is None else [
+                    flag, rng.choice(values[0] if rng.random() < 0.8 else values[1])]
+        try:
+            rc = run_main(argv)[0]
+        except Exception as exc:  # pragma: no cover - the failure report
+            pytest.fail(f"{type(exc).__name__} escaped main for {argv!r:.600}")
+        assert rc in (0, 1, 2), argv
+        codes[command, rc] += 1
+    # the fuzz runs every command through to its result, and to its refusals
+    assert {command for command, rc in codes if rc != 2} == set(flags)
+    assert {command for command, rc in codes if rc == 2} == set(flags)

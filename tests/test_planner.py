@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
 from qkdauth.hashing import RecycledKey
-from qkdauth.planner import (MAX_DECIMAL_EXPONENT, CostInput, PlanInfeasibleError,
+from qkdauth.planner import (MAX_DECIMAL_EXPONENT, MAX_TAG_BITS, CostInput, PlanInfeasibleError,
                              _floor_log2, as_fraction, collision_bound, format_table, make_plan, plan, relative_cost,
                              stinson_bound, table_one, tag_length)
 
@@ -147,6 +148,26 @@ def test_make_plan_rejects_out_of_range_before_arithmetic():
             make_plan(tau=65535, lam=lam, w=w, mu=2**64 - 1)
 
 
+def test_make_plan_rejects_a_tag_longer_than_any_plan_before_arithmetic():
+    assert tag_length(f"1e-{MAX_DECIMAL_EXPONENT}") < MAX_TAG_BITS
+    assert make_plan(tau=MAX_TAG_BITS, lam=1, w=15, mu=2048).tau == MAX_TAG_BITS
+    for tau in (0, MAX_TAG_BITS + 1, 10**400):  # 1 << 10**400 raised OverflowError
+        with pytest.raises(ValueError, match=f"1 <= tau <= {MAX_TAG_BITS}"):
+            make_plan(tau=tau, lam=1, w=15, mu=2048)
+
+
+def test_make_plan_rejects_a_failure_bound_not_below_1():
+    # 2**-1 + ceil(4/2) * 2**-2 is exactly 1; at tau = 2 it is 3/4
+    assert make_plan(tau=2, lam=1, w=2, mu=4).eps_achieved == Fraction(3, 4)
+    for tau, w, mu in ((1, 2, 4), (1, 2, 4096), (8, 2, 10**400), (65535, 2, 2**64 - 1)):
+        with pytest.raises(ValueError, match="is not below 1"):
+            make_plan(tau=tau, lam=1, w=w, mu=mu)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="is not below 1"):  # a bound of 8,000 digits
+        make_plan(tau=65535, lam=64, w=2, mu=2**64 - 1)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_make_plan_explicit():
     p = make_plan(tau=8, lam=1, w=15, mu=2048)
     assert p.l_rec == 2 * 15 + 1 + 8 - 1
@@ -270,6 +291,12 @@ def test_cost_rejects_a_secret_key_shorter_than_the_tag():
 def test_cost_input_validation():
     with pytest.raises(ValueError):
         CostInput(as_fraction("1e-12"), 0, 0.5)
+    # l_sift * eta_pa must be a finite float: this used to raise OverflowError
+    for l_sift in (10**400, 2**1024):
+        with pytest.raises(ValueError, match="fit a float"):
+            CostInput(as_fraction("1e-12"), l_sift, 0.5)
+    largest = int(sys.float_info.max)
+    assert math.isfinite(CostInput(as_fraction("1e-12"), largest, 1.0).l_sec)
     with pytest.raises(ValueError):
         CostInput(as_fraction("1e-12"), 100, 1.5)
 

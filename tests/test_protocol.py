@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from qkdauth.bits import Bits
 from qkdauth.hashing import OtpKey, RecycledKey, Tag, compose_tag, find_field_params
 from qkdauth.planner import make_plan
-from qkdauth.poolfile import (_HEADER, MAGIC, VERSION, PoolFormatError, TagPool,
-                              dump_pool, load_pool, new_pool, parse_pool, round_mask,
-                              save_pool)
+from qkdauth.poolfile import (_HEADER, MAGIC, VERSION, PoolFormatError, dump_pool,
+                              load_pool, new_pool, parse_pool, round_mask, save_pool)
 from qkdauth.protocol import (Direction, Flag, KeyPool, KeyState, PartyState,
                               ProtocolError, RoundOutcome, Transcript,
                               TranscriptOverflowError, ack_transcript, harvest_keys,
@@ -26,12 +25,8 @@ FP = find_field_params(15)
 
 def fresh_party(role, n_max, seed=0):
     gen = BitGen(seed)
-    rec = gen.take(PLAN.l_rec)
-    pool = KeyPool(
-        recycled_pre=RecycledKey.from_bits(rec, PLAN.lam, PLAN.w, PLAN.tau),
-        plan=PLAN,
-        otp={1: OtpKey(gen.take(PLAN.l_otp)), 2: OtpKey(gen.take(PLAN.l_otp))},
-    )
+    pool = KeyPool(plan=PLAN, recycled=gen.take(PLAN.l_rec),
+                   otp={1: OtpKey(gen.take(PLAN.l_otp)), 2: OtpKey(gen.take(PLAN.l_otp))})
     return PartyState(role=role, fp=FP, pool=pool, n_max=n_max)
 
 
@@ -254,7 +249,8 @@ def test_harvest_too_short():
 
 def test_pool_pre_distributed_budget():
     a, _ = fresh_pair()
-    assert a.pool.pre_distributed_bits == PLAN.l_rec + 2 * PLAN.l_otp
+    assert len(a.pool.recycled) == PLAN.l_rec
+    assert {r: len(k.bits) for r, k in a.pool.otp.items()} == {1: PLAN.l_otp, 2: PLAN.l_otp}
 
 
 def test_pool_promote_and_discard_states():
@@ -751,7 +747,7 @@ def test_pool_format_errors():
 def relabel_otp_entry(pool, index, round_):
     """``dump_pool(pool)`` with the round number of its index-th OTP entry replaced."""
     blob = bytearray(dump_pool(pool))
-    empty = len(dump_pool(TagPool(pool.plan, pool.recycled, {})))
+    empty = len(dump_pool(KeyPool(pool.plan, pool.recycled, {})))
     size = (len(blob) - empty) // len(pool.otp)
     struct.pack_into(">I", blob, empty + index * size, round_)
     return bytes(blob)
@@ -780,6 +776,37 @@ def test_pool_rejects_header_outside_planner_range(w, lam):
         parse_pool(blob)
 
 
+@pytest.mark.parametrize("w, lam, tau, mu", [(2, 1, 1, 4), (2, 1, 1, 4096),
+                                             (2, 64, 65535, 2**64 - 1)])
+def test_pool_rejects_header_whose_failure_bound_is_not_below_1(w, lam, tau, mu):
+    nbits = 2 * lam * w + lam + tau - 1
+    blob = (MAGIC + bytes([VERSION]) + _HEADER.pack(w, lam, tau, mu)
+            + struct.pack(">I", nbits) + Bits.zeros(nbits).to_bytes() + struct.pack(">I", 0))
+    with pytest.raises(PoolFormatError, match="out of range: failure bound .* is not below 1"):
+        parse_pool(blob)
+
+
+def test_a_pool_file_holds_a_key_pool_that_a_party_can_run_on(tmp_path):
+    for name in ("alice.pool", "bob.pool"):
+        save_pool(str(tmp_path / name), new_pool(PLAN, 2, seed=5))
+    pools = {role: load_pool(str(tmp_path / name))
+             for role, name in (("A", "alice.pool"), ("B", "bob.pool"))}
+    for pool in pools.values():
+        assert type(pool) is KeyPool
+        assert pool.state == pool.external == {} and pool.recycled_qkd is None
+        assert pool.recycled_pre == RecycledKey.from_bits(pool.recycled, PLAN.lam, PLAN.w,
+                                                          PLAN.tau)
+        assert sorted(pool.otp) == [1, 2]
+    assert parse_pool(dump_pool(pools["A"])) == pools["A"] == pools["B"]
+    a, b = (PartyState(role=role, fp=FP, pool=pools[role], n_max=2) for role in "AB")
+    for party in (a, b):
+        party.transcript(1).append(Direction.A2B, b"sifting")
+        party.pool.absorb_harvest(harvest_keys(BitGen(6).take(PLAN.l_rec + 64), 1, PLAN))
+    outcome = b.finalize_verifier(1, a.finalize_sender(1))
+    assert outcome.flag is Flag.ACC and outcome.promoted_rounds == {1}
+    assert a.pool.otp[1].consumed and b.pool.otp[1].consumed
+
+
 def test_save_pool_failure_leaves_no_temp_file(tmp_path, monkeypatch):
     plan = make_plan(tau=16, lam=1, w=15, mu=2048)
     path = tmp_path / "keys.pool"
@@ -806,10 +833,14 @@ def test_save_pool_refuses_a_pool_it_could_not_read_back(tmp_path):
     full = load_pool(str(path))
     otp = dict(full.otp)
     otp[2] = OtpKey(Bits.zeros(plan.tau - 1))
+    with pytest.raises(ValueError, match=f"must be {plan.l_rec} bits, got {plan.l_rec - 1}"):
+        KeyPool(plan, full.recycled[1:], full.otp)  # a short key is refused when built
+    short_key = KeyPool(plan, full.recycled, full.otp)
+    short_key.recycled = full.recycled[1:]  # and when written, if it was cut after that
     bad = {
-        "none for round 3": TagPool(plan, full.recycled, {r: full.otp[r] for r in (1, 2, 4)}),
-        "is 15 bits, expected 16": TagPool(plan, full.recycled, otp),
-        "recycled key is": TagPool(plan, full.recycled[1:], full.otp),
+        "none for round 3": KeyPool(plan, full.recycled, {r: full.otp[r] for r in (1, 2, 4)}),
+        "is 15 bits, expected 16": KeyPool(plan, full.recycled, otp),
+        "recycled key is": short_key,
     }
     with round_mask(str(path), 3) as one_round:  # holds round 3's mask alone
         bad["none for round 1"] = one_round

@@ -83,6 +83,12 @@ def test_budget_validation():
         epsilon_budget(-1)
     with pytest.raises(ValueError):
         epsilon_budget(4, eps_qkd=float("nan"))
+    # a failure probability lies in [0, 1]; 1e400 used to pass and overflow the ledger's float()
+    for bad in ({"eps_pred": "1e400"}, {"eps_store": 2}, {"eps_auth": Fraction(1025, 2)},
+                {"eps_qkd": "1.0000000001"}):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            epsilon_budget(4, **bad)
+    assert epsilon_budget(1, eps_pred=1, eps_store=0, eps_auth="1", eps_qkd=0).total == 2
 
 
 def test_budget_is_exact_where_the_float_sum_rounds():
@@ -250,7 +256,8 @@ def test_blocked_ack_one_sided_final_round():
 def test_key_accounting_clean_session():
     n = 10
     led = run_session(n, PLAN, FP, seed=8)
-    assert led.pools["A"].pre_distributed_bits == PLAN.l_rec + 2 * PLAN.l_otp
+    a = led.pools["A"]
+    assert len(a.recycled) + len(a.otp[1].bits) + len(a.otp[2].bits) == PLAN.l_rec + 2 * PLAN.l_otp
     assert f"\npre_distributed_bits={PLAN.l_rec + 2 * PLAN.l_otp}\n" in led.to_text()
     *rounds, ack = led.slots
     for rec in rounds:
