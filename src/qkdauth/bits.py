@@ -1,28 +1,44 @@
 """Fixed-length bit strings with an MSB-first integer interpretation.
 
 All keys, messages, hashes and tags in this package are bit strings whose
-length need not be a multiple of 8.  A ``Bits`` value is immutable and is
-backed by a non-negative integer: bit 0 is the leftmost (most significant)
-bit, so ``int(Bits.from01("101"))`` is 5 and byte encodings are MSB-first
-within each byte.
+length need not be a multiple of 8.  A ``Bits`` value is backed by a
+non-negative integer: bit 0 is the leftmost (most significant) bit, so
+``int(Bits.from01("101"))`` is 5 and byte encodings are MSB-first within
+each byte.  It is immutable: ``__init__`` writes its two slots through
+``object.__setattr__``, and its ``__setattr__`` and ``__delattr__`` raise
+``AttributeError``.
 """
 
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
 class Bits:
-    value: int
-    length: int
+    __slots__ = ("value", "length")
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    def __init__(self, value: int, length: int) -> None:
+        if length < 0:
             raise ValueError("negative bit length")
-        if self.value < 0 or self.value >> self.length:
-            raise ValueError(f"value does not fit in {self.length} bits")
+        if value < 0 or value >> length:
+            raise ValueError(f"value does not fit in {length} bits")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "length", length)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), (self.value, self.length)
+
+    def __eq__(self, other: object) -> bool:
+        return (self.value == other.value and self.length == other.length
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.length))
 
     # -- constructors ----------------------------------------------------
 

@@ -38,8 +38,7 @@ shift, so the window is exact.  A tag works on integers up to its one ``Bits``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .bits import Bits, constant_time_eq
 from .primes import is_prime_u64
@@ -55,8 +54,7 @@ class OtpReuseError(RuntimeError):
     """A one-time-pad key was presented for a second use."""
 
 
-@dataclass(frozen=True, slots=True)
-class FieldParams:
+class FieldParams(NamedTuple):
     """Prime modulus p = 2**w + delta for w-bit chunk arithmetic."""
 
     w: int
@@ -275,21 +273,33 @@ def recycled_key_bits(lam: int, w: int, tau: int) -> int:
     return 2 * lam * w + lam + tau - 1
 
 
-@dataclass(frozen=True, slots=True)
 class RecycledKey:
     """Hash-selecting key reused across every tag: polynomial subkeys plus
     the Toeplitz key.  Never consumed, never refreshed within a session.
     Prepared when built: the subkeys' integers and the Toeplitz table
     follow from the keys and take no part in equality, hash or repr."""
 
-    poly_keys: tuple[Bits, ...]
-    toeplitz_key: Bits
-    _subkeys: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _table: list[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("poly_keys", "toeplitz_key", "_subkeys", "_table")
+    __setattr__ = __delattr__ = Bits.__setattr__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_subkeys", tuple(key.value for key in self.poly_keys))
-        object.__setattr__(self, "_table", _toeplitz_table(self.toeplitz_key))
+    def __init__(self, poly_keys: tuple[Bits, ...], toeplitz_key: Bits) -> None:
+        object.__setattr__(self, "poly_keys", poly_keys)
+        object.__setattr__(self, "toeplitz_key", toeplitz_key)
+        object.__setattr__(self, "_subkeys", tuple(key.value for key in poly_keys))
+        object.__setattr__(self, "_table", _toeplitz_table(toeplitz_key))
+
+    def __eq__(self, other: object) -> bool:
+        return (self.poly_keys == other.poly_keys and self.toeplitz_key == other.toeplitz_key
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.poly_keys, self.toeplitz_key))
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.poly_keys, self.toeplitz_key)
+
+    def __repr__(self) -> str:
+        return f"RecycledKey(poly_keys={self.poly_keys!r}, toeplitz_key={self.toeplitz_key!r})"
 
     @classmethod
     def from_bits(cls, raw: Bits, lam: int, w: int, tau: int) -> "RecycledKey":
@@ -302,12 +312,21 @@ class RecycledKey:
         return cls(poly_keys=poly_keys, toeplitz_key=raw[lam * w:])
 
 
-@dataclass(slots=True)
 class OtpKey:
     """Single-use tau-bit mask.  ``consume()`` flips the flag exactly once."""
 
-    bits: Bits
-    consumed: bool = False
+    __slots__ = ("bits", "consumed")
+
+    def __init__(self, bits: Bits, consumed: bool = False) -> None:
+        self.bits = bits
+        self.consumed = consumed
+
+    def __eq__(self, other: object) -> bool:  # so unhashable, being mutable
+        return (self.bits == other.bits and self.consumed == other.consumed
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __repr__(self) -> str:
+        return f"OtpKey(bits={self.bits!r}, consumed={self.consumed!r})"
 
     def consume(self) -> Bits:
         if self.consumed:
@@ -316,8 +335,7 @@ class OtpKey:
         return self.bits
 
 
-@dataclass(frozen=True, slots=True)
-class Tag:
+class Tag(NamedTuple):
     bits: Bits
 
     def to_hex(self) -> str:

@@ -10,7 +10,6 @@ with arbitrary-precision integers rather than in floating point.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -85,8 +84,7 @@ def tag_length(eps_auth: "Fraction | str | float") -> int:
     return _floor_log2(eps.denominator, eps.numerator) + 1
 
 
-@dataclass(frozen=True, slots=True)
-class Plan:
+class Plan(NamedTuple):
     """Derived scheme parameters for a target failure probability and
     message bound."""
 
@@ -151,7 +149,7 @@ def plan(eps_auth: "Fraction | str | float", mu: int, w: int) -> Plan:
         )
     for lam in range(1, MAX_PARALLEL_INSTANCES + 1):
         if collision_bound(mu, w, lam) <= remainder:
-            return replace(make_plan(tau, lam, w, mu), eps_auth=eps)
+            return make_plan(tau, lam, w, mu)._replace(eps_auth=eps)
     raise PlanInfeasibleError(
         f"no instance count up to {MAX_PARALLEL_INSTANCES} satisfies the collision budget"
     )
@@ -185,19 +183,20 @@ def stinson_bound(eps: "Fraction | str | float", msg_bits: int, tag_bits: int) -
     return j if (x << j) - z + (y << d if d >= 0 else y >> -d) >= 0 else j + 1
 
 
-@dataclass(frozen=True, slots=True)
-class CostInput:
+class CostInput(NamedTuple("CostInput", [("eps_auth", Fraction), ("l_sift", int),
+                                         ("eta_pa", float)])):
     """Inputs for the relative authentication cost of one round."""
 
-    eps_auth: Fraction
-    l_sift: int
-    eta_pa: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.l_sift <= sys.float_info.max:  # so l_sec is a finite float
+    def __new__(cls, eps_auth: Fraction, l_sift: int, eta_pa: float) -> "CostInput":
+        if not 0 < l_sift <= sys.float_info.max:  # so l_sec is a finite float
             raise ValueError("sifted block length must be positive and fit a float")
-        if not 0 < self.eta_pa <= 1:
+        if not 0 < eta_pa <= 1:
             raise ValueError("privacy-amplification coefficient must be in (0, 1]")
+        return super().__new__(cls, eps_auth, l_sift, eta_pa)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def l_sec(self) -> float:

@@ -19,7 +19,8 @@ reads round r at its own offset and consumes it in place with one ``pwrite``
 of the flag byte and an ``fsync``, under an exclusive ``flock`` held until
 the write is durable.  ``save_pool`` writes whole pools through a temp file,
 an atomic rename and an fsync of the directory, and ``dump_pool`` refuses,
-before anything is written, a pool that ``parse_pool`` would reject.
+before anything is written, a pool with session state or one that
+``parse_pool`` would reject.
 """
 
 from __future__ import annotations
@@ -68,7 +69,11 @@ def new_pool(plan: Plan, rounds: int, seed: int) -> KeyPool:
 def dump_pool(pool: KeyPool) -> bytes:
     """The file bytes of ``pool``.  A pool that ``parse_pool`` would reject
     raises ``ValueError`` instead: its masks must be those of rounds 1..R,
-    each tau bits, and its recycled key l_rec bits."""
+    each tau bits, and its recycled key l_rec bits.  So does a pool with
+    session state, for which the format has no place."""
+    if pool.state or pool.external or pool.recycled_qkd is not None:
+        raise ValueError("a pool file holds only pre-distributed keys, not a session's "
+                         "absorbed rounds, external key or quantum recycled key")
     plan = pool.plan
     # w and lam fit their fields whenever the planner accepted them
     if plan.tau >= 1 << 16 or plan.mu >= 1 << 64:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bits import Bits
@@ -55,8 +54,7 @@ class Flag(enum.Enum):
     BOT = "bot"
 
 
-@dataclass(frozen=True, slots=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     round: int
     flag: Flag
     promoted_rounds: frozenset[int]
@@ -172,22 +170,32 @@ class KeyState(enum.Enum):
     DISCARDED = "discarded"
 
 
-@dataclass
 class KeyPool:
     """One party's keys, with every absorbed round in exactly one KeyState.
-    Built from the pre-distributed part (plan, recycled, otp) a pool file holds."""
+    Built from the pre-distributed part (plan, recycled, otp) a pool file holds;
+    ``recycled_pre`` is prepared from it and takes no part in equality or repr."""
 
-    plan: Plan
-    recycled: Bits
-    otp: dict[int, OtpKey] = field(default_factory=dict)
-    recycled_qkd: "RecycledKey | None" = None
-    state: dict[int, KeyState] = field(default_factory=dict)
-    external: "dict[int, Bits | StreamWindow]" = field(default_factory=dict)  # non-empty only
-    recycled_pre: RecycledKey = field(init=False, repr=False, compare=False)
+    _FIELDS = ("plan", "recycled", "otp", "recycled_qkd", "state", "external")
 
-    def __post_init__(self) -> None:
-        self.recycled_pre = RecycledKey.from_bits(self.recycled, self.plan.lam, self.plan.w,
-                                                  self.plan.tau)
+    def __init__(self, plan: Plan, recycled: Bits, otp: "dict[int, OtpKey] | None" = None,
+                 recycled_qkd: "RecycledKey | None" = None,
+                 state: "dict[int, KeyState] | None" = None,
+                 external: "dict[int, Bits | StreamWindow] | None" = None) -> None:
+        self.plan = plan
+        self.recycled = recycled
+        self.otp = {} if otp is None else otp
+        self.recycled_qkd = recycled_qkd
+        self.state = {} if state is None else state
+        self.external = {} if external is None else external  # non-empty only
+        self.recycled_pre = RecycledKey.from_bits(recycled, plan.lam, plan.w, plan.tau)
+
+    def __eq__(self, other: object) -> bool:  # so unhashable, being mutable
+        return (all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
 
     def active_recycled(self, round_: int) -> RecycledKey:
         if round_ <= 2:
@@ -241,19 +249,25 @@ class KeyPool:
 
 # -- party state machine ----------------------------------------------------
 
-@dataclass
 class PartyState:
     """One side of a session of n_max rounds: pool, per-round flags,
     per-round transcripts.  Round n_max + 1 is the acknowledgement, and a
     step for a round past it raises ``ProtocolError``."""
 
-    role: str  # 'A' or 'B'
-    fp: FieldParams
-    pool: KeyPool
-    n_max: int
-    flags: dict[int, Flag] = field(default_factory=dict)  # written only by _outcome
-    transcripts: dict[int, Transcript] = field(default_factory=dict)
-    terminated: bool = field(default=False, init=False)  # some flag is BOT
+    _FIELDS = ("role", "fp", "pool", "n_max", "flags", "transcripts", "terminated")
+
+    def __init__(self, role: str, fp: FieldParams, pool: KeyPool, n_max: int,
+                 flags: "dict[int, Flag] | None" = None,
+                 transcripts: "dict[int, Transcript] | None" = None) -> None:
+        self.role = role  # 'A' or 'B'
+        self.fp = fp
+        self.pool = pool
+        self.n_max = n_max
+        self.flags = {} if flags is None else flags  # written only by _outcome
+        self.transcripts = {} if transcripts is None else transcripts
+        self.terminated = False  # some flag is BOT
+
+    __eq__, __repr__ = KeyPool.__eq__, KeyPool.__repr__  # over this class's _FIELDS
 
     def transcript(self, round_: int) -> Transcript:
         if round_ not in self.transcripts:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bits import Bits
 from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, _toeplitz_product, _toeplitz_table,
@@ -54,8 +53,8 @@ MESSAGES_PER_ROUND = 3
 MESSAGE_BYTES = 24
 
 
-@dataclass(frozen=True, slots=True)
-class AdversaryConfig:
+class AdversaryConfig(NamedTuple("AdversaryConfig", [("kind", str), ("round", "int | None"),
+                                                     ("strategy", str)])):
     """A single attack placement: which round, and what Eve does there.
 
     quantum      -- the round's key distillation fails (high QBER), the
@@ -73,21 +72,22 @@ class AdversaryConfig:
     ``none`` needs a round of at least 1.
     """
 
-    kind: str = "none"
-    round: "int | None" = None
-    strategy: str = "random"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.kind, "random") not in ATTACKS:
-            raise ValueError(f"unknown adversary kind {self.kind!r}")
-        if (self.kind, self.strategy) not in ATTACKS:
-            raise ValueError(f"strategy {self.strategy!r} does not apply to {self.kind!r}")
-        if self.kind == "none":
-            if self.round is not None:
+    def __new__(cls, kind: str = "none", round: "int | None" = None,
+                strategy: str = "random") -> "AdversaryConfig":
+        if (kind, "random") not in ATTACKS:
+            raise ValueError(f"unknown adversary kind {kind!r}")
+        if (kind, strategy) not in ATTACKS:
+            raise ValueError(f"strategy {strategy!r} does not apply to {kind!r}")
+        if kind == "none":
+            if round is not None:
                 raise ValueError("adversary 'none' takes no round")
-        elif self.round is None or self.round < 1:
-            raise ValueError(f"adversary {self.kind!r} needs a round number, "
-                             f"e.g. {self.kind}:3")
+        elif round is None or round < 1:
+            raise ValueError(f"adversary {kind!r} needs a round number, e.g. {kind}:3")
+        return super().__new__(cls, kind, round, strategy)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def describe(self) -> str:
         if self.kind == "none":
@@ -130,8 +130,7 @@ class MockQkdSource:
         return msgs, g.window(self.secret_bits) if success else None
 
 
-@dataclass(frozen=True, slots=True)
-class EpsilonBudget:
+class EpsilonBudget(NamedTuple):
     """Composable security budget of the whole key-growing process, exact."""
 
     eps_pred: Fraction
@@ -160,8 +159,7 @@ def epsilon_budget(n_max: int, eps_pred: "Fraction | str | float" = 0,
 
 # -- full session ------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One slot, a round or the acknowledgement, as it happened; ``harvest`` is
     None where no key was distilled.  Its sender and verifier follow from its round."""
 
@@ -178,8 +176,7 @@ def _rounds(rounds: "Iterable[int]") -> str:
     return ",".join(map(str, sorted(rounds))) or "-"
 
 
-@dataclass(frozen=True, slots=True)
-class SessionLedger:
+class SessionLedger(NamedTuple):
     """What one session did; ``to_text`` is its byte-stable rendering."""
 
     seed: int
@@ -330,8 +327,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
 
 # -- statistical forgery experiments -----------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     trials: int
     successes: int
     rate: float
@@ -401,8 +397,7 @@ def _all_bits(n: int) -> list[Bits]:
     return [Bits(v, n) for v in range(1 << n)]
 
 
-@dataclass(frozen=True, slots=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     worst: Fraction
     bound: Fraction
     cases: int

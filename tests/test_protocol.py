@@ -18,6 +18,7 @@ from qkdauth.protocol import (Direction, Flag, KeyPool, KeyState, PartyState,
                               TranscriptOverflowError, ack_transcript, harvest_keys,
                               tag_sender, tag_verifier)
 from qkdauth.rng import BitGen
+from qkdauth.simulator import run_session
 
 PLAN = make_plan(tau=16, lam=1, w=15, mu=4096)
 FP = find_field_params(15)
@@ -849,6 +850,26 @@ def test_save_pool_refuses_a_pool_it_could_not_read_back(tmp_path):
                 save_pool(str(path), pool)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["keys.pool"]
+
+
+def test_dump_pool_refuses_a_pool_with_session_state(tmp_path):
+    # a session's pool holds harvested masks that would read back as
+    # pre-distributed ones, and verified rounds and a recycled key the file has no place for
+    pools = run_session(4, PLAN, FP, seed=3).pools
+    path = tmp_path / "keys.pool"
+    for pool in pools.values():
+        assert sorted(pool.otp) == [1, 2, 3, 4, 5, 6]
+        for write in (dump_pool, lambda p: save_pool(str(path), p)):
+            with pytest.raises(ValueError, match="only pre-distributed keys"):
+                write(pool)
+    assert os.listdir(tmp_path) == []
+    parts = {"state": {1: KeyState.VERIFIED}, "external": {1: Bits(1, 1)},
+             "recycled_qkd": pools["A"].recycled_qkd}
+    for name, value in parts.items():  # each part of the session state on its own
+        pool = new_pool(PLAN, 2, seed=1)
+        setattr(pool, name, value)
+        with pytest.raises(ValueError, match="only pre-distributed keys"):
+            dump_pool(pool)
 
 
 def test_pool_rejects_trailing_bytes():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -276,10 +275,8 @@ def test_substitution_attack_in_session_detected():
 
 def test_ledger_is_its_slots():
     # the acknowledgement and both verdicts are read from the slots, not stored
-    assert [f.name for f in dataclasses.fields(SessionLedger)] == \
-        ["seed", "adversary", "plan", "slots", "pools", "budget"]
-    assert [f.name for f in dataclasses.fields(RoundRecord)] == \
-        ["harvest", "tag_status", "outcome"]
+    assert list(SessionLedger._fields) == ["seed", "adversary", "plan", "slots", "pools", "budget"]
+    assert list(RoundRecord._fields) == ["harvest", "tag_status", "outcome"]
     led = run_session(4, PLAN, FP, AdversaryConfig(kind="block", round=5), seed=5)
     assert [s.round for s in led.slots] == [1, 2, 3, 4, 5]
     assert led.terminated and not led.forgery_slipped

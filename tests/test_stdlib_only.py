@@ -2,6 +2,8 @@
 package, and the package declares no runtime dependency."""
 
 import ast
+import os
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -32,3 +34,13 @@ def test_project_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # the CLI runs as one short process per tag or verify, so import is most of its time
+    code = ("import qkdauth, qkdauth.cli, qkdauth.poolfile, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
