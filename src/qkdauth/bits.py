@@ -55,13 +55,12 @@ class Bits:
     @classmethod
     def from_bytes(cls, data: bytes, bit_length: int | None = None) -> "Bits":
         """Interpret ``data`` MSB-first; trailing pad bits must be zero."""
-        if bit_length is None:
-            bit_length = 8 * len(data)
-        if not 8 * len(data) - 8 < bit_length <= 8 * len(data) and data:
+        nbits = 8 * len(data)
+        if bit_length is None or bit_length == nbits:  # whole bytes: no pad to check
+            return cls(int.from_bytes(data, "big"), nbits)
+        if not (data and nbits - 8 < bit_length < nbits):
             raise ValueError("bit_length inconsistent with byte count")
-        if not data and bit_length != 0:
-            raise ValueError("bit_length inconsistent with byte count")
-        pad = 8 * len(data) - bit_length
+        pad = nbits - bit_length
         raw = int.from_bytes(data, "big")
         if raw & ((1 << pad) - 1):
             raise ValueError("nonzero padding bits")
@@ -136,4 +135,5 @@ def constant_time_eq(a: Bits, b: Bits) -> bool:
     """Compare two bit strings without data-dependent timing on the bits."""
     if a.length != b.length:
         return False
-    return hmac.compare_digest(a.to_bytes(), b.to_bytes())
+    n = (a.length + 7) >> 3  # equal lengths pad alike, so the values' bytes suffice
+    return hmac.compare_digest(a.value.to_bytes(n, "big"), b.value.to_bytes(n, "big"))

@@ -164,7 +164,7 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     and i alone, so ``_reductions`` fixes the schedule once per width: a
     halving reduces first exactly when it would otherwise overflow.
     """
-    n = len(m)
+    n = m.length
     groups = ((n // w) >> _FOLDS) + 1  # the n // w + 1 live chunks in groups of 8
     W = w << _FOLDS
     v = ((m.value << 1) | 1) << (groups * W - n - 1)
@@ -196,14 +196,15 @@ def _poly_digest(m: Bits, poly_keys: Sequence[Bits], values: Sequence[int], fp: 
     """``multi_poly_hash`` as an integer, given the subkeys' integers too."""
     if not poly_keys:
         raise ValueError("at least one polynomial subkey is required")
+    w = fp.w
     for key in poly_keys:
-        if len(key) != fp.w:
-            raise ValueError(f"polynomial subkeys must be {fp.w} bits, got {len(key)}")
-    if len(m) > mu:
-        raise ValueError(f"message of {len(m)} bits exceeds the {mu}-bit bound")
+        if key.length != w:
+            raise ValueError(f"polynomial subkeys must be {w} bits, got {key.length}")
+    if m.length > mu:
+        raise ValueError(f"message of {m.length} bits exceeds the {mu}-bit bound")
     out = 0
-    for h in _poly_sums(m, fp.w, values, fp.p):
-        out = (out << (fp.w + 1)) | h
+    for h in _poly_sums(m, w, values, fp.p):
+        out = (out << (w + 1)) | h
     return out
 
 
@@ -225,9 +226,9 @@ def _toeplitz_table(tk: Bits) -> list[int]:
     """``table[v]`` is the carry-less product of the key reversed (k_1 at
     bit 0) and the 4-bit value v: the XOR of ``a << i`` over the set bits
     i of v."""
-    n = -(-len(tk) // 8)
+    n = -(-tk.length // 8)
     a = int.from_bytes(tk.value.to_bytes(n, "big").translate(_BIT_REVERSED), "little") \
-        >> (8 * n - len(tk))
+        >> (8 * n - tk.length)
     b, c, d = a << 1, a << 2, a << 3
     ab, cd = a ^ b, c ^ d
     return [0, a, b, ab, c, a ^ c, b ^ c, ab ^ c, d, a ^ d, b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd]
@@ -306,8 +307,8 @@ class RecycledKey:
         """Slice a flat L_rec-bit string: lam w-bit subkeys, then the
         (lam*(w+1) + tau - 1)-bit Toeplitz key."""
         expected = recycled_key_bits(lam, w, tau)
-        if len(raw) != expected:
-            raise ValueError(f"recycled key must be {expected} bits, got {len(raw)}")
+        if raw.length != expected:
+            raise ValueError(f"recycled key must be {expected} bits, got {raw.length}")
         poly_keys = tuple(raw[i * w:(i + 1) * w] for i in range(lam))
         return cls(poly_keys=poly_keys, toeplitz_key=raw[lam * w:])
 
@@ -345,18 +346,20 @@ class Tag(NamedTuple):
 def compose_tag(m: Bits, rk: RecycledKey, otp: OtpKey, plan: "Plan", fp: FieldParams) -> Tag:
     """Tag = Toeplitz(poly-hashes(m)) XOR otp; consumes the OTP key, after
     every check, so a rejected call leaves it fresh."""
-    if fp is not (field := find_field_params(plan.w)) and fp != field:
+    w, lam, tau = plan.w, plan.lam, plan.tau
+    if fp is not (field := find_field_params(w)) and fp != field:
         raise ValueError(f"{fp} is not the plan's field {field}")
-    if len(rk.poly_keys) != plan.lam:
-        raise ValueError(f"recycled key carries {len(rk.poly_keys)} subkeys, plan needs {plan.lam}")
-    inner = _poly_digest(m, rk.poly_keys, rk._subkeys, fp, plan.mu)
-    alpha = plan.lam * (fp.w + 1)
-    if len(rk.toeplitz_key) + 1 - alpha != plan.tau:
+    poly_keys = rk.poly_keys
+    if len(poly_keys) != lam:
+        raise ValueError(f"recycled key carries {len(poly_keys)} subkeys, plan needs {lam}")
+    inner = _poly_digest(m, poly_keys, rk._subkeys, fp, plan.mu)
+    alpha = lam * (w + 1)
+    if rk.toeplitz_key.length + 1 - alpha != tau:
         raise ValueError("Toeplitz key width inconsistent with the plan's tag length")
-    if len(otp.bits) != plan.tau:
-        raise ValueError(f"one-time pad of {len(otp.bits)} bits, plan needs {plan.tau}")
-    digest = _toeplitz_product(rk._table, inner, alpha, plan.tau)
-    return Tag(Bits(digest ^ otp.consume().value, plan.tau))
+    if otp.bits.length != tau:
+        raise ValueError(f"one-time pad of {otp.bits.length} bits, plan needs {tau}")
+    digest = _toeplitz_product(rk._table, inner, alpha, tau)
+    return Tag(Bits(digest ^ otp.consume().value, tau))
 
 
 def verify_tag(m: Bits, t: Tag, rk: RecycledKey, otp: OtpKey, plan: "Plan", fp: FieldParams) -> bool:

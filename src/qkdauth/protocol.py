@@ -73,6 +73,7 @@ def tag_verifier(round_: int) -> str:
 # -- transcripts -----------------------------------------------------------
 
 _HEADER = struct.Struct(">BQ")  # direction byte, payload bit length
+_HEADER_BITS = 8 * _HEADER.size
 
 
 class Transcript:
@@ -84,34 +85,34 @@ class Transcript:
     tampered traffic can reproduce an honest compound string.
 
     Payloads are bytes, as on the public channel; any other payload raises
-    TypeError before the log changes.  Each frame is written into one
-    buffer, and ``compound()`` reads that buffer as bits.
+    TypeError before the log changes.  The log keeps each frame's header and
+    payload as they are, and the compound string's length in bits;
+    ``compound()`` joins them once and reads the result as bits.
     """
 
     def __init__(self, mu: int):
         self.mu = mu
-        self._buf = bytearray()
-        self._count = 0
+        self._parts: list[bytes] = []  # header, payload, header, payload, ...
+        self._bits = 0
 
     def append(self, direction: Direction, payload: bytes) -> "Transcript":
         if not isinstance(payload, bytes):
             raise TypeError(f"a transcript payload is bytes, not {type(payload).__name__}")
-        buf = self._buf  # a bytearray: += extends it in place
-        total = 8 * (len(buf) + _HEADER.size + len(payload))
+        nbits = 8 * len(payload)
+        total = self._bits + _HEADER_BITS + nbits
         if total > self.mu:
             raise TranscriptOverflowError(
                 f"compound string would reach {total} bits, bound is {self.mu}")
-        buf += _HEADER.pack(direction._value_, 8 * len(payload))  # not the slower .value
-        buf += payload
-        self._count += 1
+        self._parts += (_HEADER.pack(direction._value_, nbits), payload)  # not the slower .value
+        self._bits = total
         return self
 
     def compound(self) -> Bits:
         """Concatenation of all frames, in exchange order."""
-        return Bits.from_bytes(self._buf)
+        return Bits(int.from_bytes(b"".join(self._parts), "big"), self._bits)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._parts) >> 1
 
 
 def ack_transcript(n_max: int, mu: int) -> Transcript:
@@ -139,19 +140,15 @@ def harvest_keys(secret_key: "Bits | StreamWindow", round_: int, plan: Plan) -> 
     Those keys are read as ``Bits``; the rest is external key material,
     sliced but not read.  An exact fit (empty external part) is legal.
     """
-    need = plan.l_rec + plan.l_otp if round_ == 1 else plan.l_otp
-    if len(secret_key) < need:
+    pos = plan.l_rec if round_ == 1 else 0
+    need = pos + plan.l_otp
+    if secret_key.length < need:
         raise ValueError(
-            f"round {round_} needs at least {need} secret bits, got {len(secret_key)}"
+            f"round {round_} needs at least {need} secret bits, got {secret_key.length}"
         )
-    pos = 0
-    recycled = None
-    if round_ == 1:
-        recycled = Bits(int(secret_key[:plan.l_rec]), plan.l_rec)
-        pos = plan.l_rec
-    otp_bits = Bits(int(secret_key[pos:pos + plan.l_otp]), plan.l_otp)
-    return Harvest(recycled=recycled, otp_bits=otp_bits, round=round_,
-                   external=secret_key[pos + plan.l_otp:])
+    recycled = Bits(int(secret_key[:pos]), pos) if round_ == 1 else None
+    return Harvest(recycled, Bits(int(secret_key[pos:need]), need - pos), round_,
+                   secret_key[need:])
 
 
 # -- per-party key pool ----------------------------------------------------
@@ -208,17 +205,17 @@ class KeyPool:
         """Take in a harvest under its own round, once: a round already
         absorbed, or a mask for a round that already has one, raises before
         any change."""
-        round_ = h.round
+        recycled, otp_bits, round_, external = h
         if round_ in self.state or round_ + 2 in self.otp:
             raise ProtocolError(f"round {round_}'s harvest (the mask for round "
                                 f"{round_ + 2}) is already in the pool")
-        if h.recycled is not None:
+        if recycled is not None:
             self.recycled_qkd = RecycledKey.from_bits(
-                h.recycled, self.plan.lam, self.plan.w, self.plan.tau)
-        self.otp[round_ + 2] = OtpKey(h.otp_bits)
+                recycled, self.plan.lam, self.plan.w, self.plan.tau)
+        self.otp[round_ + 2] = OtpKey(otp_bits)
         self.state[round_] = KeyState.UNVERIFIED
-        if len(h.external) > 0:
-            self.external[round_] = h.external
+        if external.length:
+            self.external[round_] = external
 
     def _settle(self, rounds: "set[int]", to: KeyState) -> frozenset[int]:
         """Move the given rounds that are still UNVERIFIED to ``to``; returns
@@ -270,9 +267,10 @@ class PartyState:
     __eq__, __repr__ = KeyPool.__eq__, KeyPool.__repr__  # over this class's _FIELDS
 
     def transcript(self, round_: int) -> Transcript:
-        if round_ not in self.transcripts:
-            self.transcripts[round_] = Transcript(self.pool.plan.mu)
-        return self.transcripts[round_]
+        t = self.transcripts.get(round_)
+        if t is None:
+            t = self.transcripts[round_] = Transcript(self.pool.plan.mu)
+        return t
 
     def flag(self, round_: int) -> Flag:
         if round_ < 1:

@@ -62,15 +62,17 @@ class BitGen:
             value = self._blocks(first, last - first + 1)
         elif last > first:
             value = value << (256 * (last - first)) | self._blocks(first + 1, last - first)
-        self._kept = (last, value & _BLOCK_MASK)
+        if last != kept:  # a read inside the kept block keeps it as it is
+            self._kept = (last, value & _BLOCK_MASK)
         return value >> (256 * (last + 1) - end) & ((1 << (end - start)) - 1)
 
     def take(self, nbits: int) -> Bits:
         """Next ``nbits`` bits of the stream."""
         if nbits < 0:
             raise ValueError("negative bit count")
-        self._pos += nbits
-        return Bits(self._read(self._pos - nbits, self._pos), nbits)
+        start = self._pos
+        self._pos = start + nbits
+        return Bits(self._read(start, start + nbits), nbits)
 
     def window(self, nbits: int) -> "StreamWindow":
         """The bits that ``take(nbits)`` would return, unread and unhashed.
@@ -81,7 +83,12 @@ class BitGen:
         return StreamWindow(self, self._pos - nbits, nbits)
 
     def take_bytes(self, nbytes: int) -> bytes:
-        return self.take(8 * nbytes).to_bytes()
+        """``take(8 * nbytes).to_bytes()``, without the ``Bits`` in between."""
+        if nbytes < 0:
+            raise ValueError("negative bit count")
+        start = self._pos
+        self._pos = start + 8 * nbytes
+        return self._read(start, self._pos).to_bytes(nbytes, "big")
 
     def randint(self, upper: int) -> int:
         """Uniform integer in [0, upper) by rejection sampling."""

@@ -51,6 +51,8 @@ WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 # scripted classical traffic of every mock round
 MESSAGES_PER_ROUND = 3
 MESSAGE_BYTES = 24
+_SCRIPT = tuple((Direction.A2B if j % 2 == 0 else Direction.B2A,  # (direction, start, end)
+                 j * MESSAGE_BYTES, (j + 1) * MESSAGE_BYTES) for j in range(MESSAGES_PER_ROUND))
 
 
 class AdversaryConfig(NamedTuple("AdversaryConfig", [("kind", str), ("round", "int | None"),
@@ -124,9 +126,7 @@ class MockQkdSource:
               ) -> "tuple[tuple[tuple[Direction, bytes], ...], StreamWindow | None]":
         g = self._gen.derive(round_)
         data = g.take_bytes(MESSAGES_PER_ROUND * MESSAGE_BYTES)
-        msgs = tuple((Direction.A2B if j % 2 == 0 else Direction.B2A,
-                      data[j * MESSAGE_BYTES:(j + 1) * MESSAGE_BYTES])
-                     for j in range(MESSAGES_PER_ROUND))
+        msgs = tuple([(direction, data[a:b]) for direction, a, b in _SCRIPT])
         return msgs, g.window(self.secret_bits) if success else None
 
 
@@ -297,6 +297,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         for role in ("A", "B")}
 
     source = MockQkdSource(master.derive("qkd"), secret_bits=secret_bits)
+    party_a, party_b = parties["A"], parties["B"]
 
     slots = []
     for i in range(1, n_max + 2):
@@ -306,17 +307,17 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         h = None
         if i <= n_max and not sender.terminated and not verifier.terminated:
             msgs, secret = source.round(i, success=not fails)
-            logs = {role: parties[role].transcript(i) for role in ("A", "B")}
+            log_a, log_b = party_a.transcript(i), party_b.transcript(i)
             for j, (direction, payload) in enumerate(msgs):
-                src, dst = ("A", "B") if direction is Direction.A2B else ("B", "A")
-                logs[src].append(direction, payload)
+                src, dst = (log_a, log_b) if direction is Direction.A2B else (log_b, log_a)
+                src.append(direction, payload)
                 if flips and j == 0:  # Eve flips its first bit in transit
                     payload = Bits.from_bytes(payload).flip(0).to_bytes()
-                logs[dst].append(direction, payload)
+                dst.append(direction, payload)
             if secret is not None:
                 h = harvest_keys(secret, i, plan)
-                for role in ("A", "B"):
-                    parties[role].pool.absorb_harvest(h)
+                party_a.pool.absorb_harvest(h)
+                party_b.pool.absorb_harvest(h)
         tag, tag_status = _deliver(sender.finalize_sender(i), fate, eve, plan.tau)
         slots.append(RoundRecord(h, tag_status, verifier.finalize_verifier(i, tag)))
 

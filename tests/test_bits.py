@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,6 +52,40 @@ def test_non_byte_aligned_bytes():
         Bits.from_bytes(b"", 9)
     with pytest.raises(ValueError, match="0s and 1s"):
         Bits.from01("012")
+
+
+def reference_from_bytes(data, bit_length=None):
+    """Test-only oracle: the bytes spelled out bit by bit, the pad checked as text."""
+    text = "".join(f"{b:08b}" for b in data)
+    n = len(text) if bit_length is None else bit_length
+    if not (len(text) - 8 < n <= len(text) if data else n == 0):
+        raise ValueError("bit_length inconsistent with byte count")
+    if "1" in text[n:]:
+        raise ValueError("nonzero padding bits")
+    return Bits.from01(text[:n])
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, 2, 7, 8, 9, 33, 70])
+def test_from_bytes_matches_reference(nbytes):
+    # every length around the byte count, with zero and nonzero pad bits;
+    # a whole-byte length, given or not, takes the fast path
+    r = random.Random(nbytes)
+    for data in (bytes(nbytes), r.randbytes(nbytes), b"\xff" * nbytes,
+                 bytes([0x80]) + bytes(nbytes - 1) if nbytes else b""):
+        for bit_length in [None, -9, -1, 0, 1] + list(range(8 * nbytes - 9, 8 * nbytes + 10)):
+            got = outcome(Bits.from_bytes, data, bit_length)
+            assert got == outcome(reference_from_bytes, data, bit_length), (data, bit_length)
+    whole = r.randbytes(nbytes)
+    assert Bits.from_bytes(whole) == Bits.from_bytes(whole, 8 * nbytes) == \
+        reference_from_bytes(whole)
 
 
 @given(bit_strings)
@@ -109,3 +145,17 @@ def test_constant_time_eq():
     assert constant_time_eq(a, Bits.from01("10110"))
     assert not constant_time_eq(a, a.flip(4))
     assert not constant_time_eq(a, Bits.from01("101100"))
+
+
+@pytest.mark.parametrize("length", [0, 1, 5, 7, 8, 9, 40, 63, 64, 65, 130])
+def test_constant_time_eq_matches_reference(length):
+    # the oracle compares the bits as text; pairs are equal, one bit apart
+    # at every position, of other lengths, and random
+    r = random.Random(length)
+    a = Bits(r.getrandbits(length), length)
+    pairs = [(a, Bits(a.value, length))] + [(a, a.flip(i)) for i in range(length)]
+    pairs += [(a, Bits(a.value << 1, length + 1)), (a, Bits(a.value, length + 1)),
+              (Bits(0, length), Bits(0, length + 8))]
+    pairs += [(a, Bits(r.getrandbits(length), length)) for _ in range(20)]
+    for x, y in pairs:
+        assert constant_time_eq(x, y) is constant_time_eq(y, x) is (x.to01() == y.to01()), (x, y)

@@ -246,6 +246,27 @@ def test_harvest_too_short():
         harvest_keys(Bits.zeros(PLAN.l_rec), 1, PLAN)
 
 
+@pytest.mark.parametrize("round_", [1, 2])
+@pytest.mark.parametrize("spare", [50, 0, -1], ids=["longer", "exact-fit", "one-bit-short"])
+def test_harvest_of_a_window_matches_the_read_key(round_, spare):
+    # the oracle harvests the same key read out in full as Bits
+    nbits = (PLAN.l_rec if round_ == 1 else 0) + PLAN.l_otp + spare
+    gen = BitGen(round_ * 100 + spare)
+    gen.take(37)  # the window starts mid-block
+    window = gen.window(nbits)
+    key = Bits(int(window), nbits)
+    if spare < 0:
+        for secret in (window, key):
+            with pytest.raises(ValueError, match=f"^round {round_} needs at least {nbits + 1} "
+                                                 f"secret bits, got {nbits}$"):
+                harvest_keys(secret, round_, PLAN)
+        return
+    lazy, read = harvest_keys(window, round_, PLAN), harvest_keys(key, round_, PLAN)
+    assert lazy[:3] == read[:3]
+    assert Bits(int(lazy.external), lazy.external.length) == read.external
+    assert lazy.external.length == spare
+
+
 # -- key pool ----------------------------------------------------------------------
 
 def test_pool_pre_distributed_budget():

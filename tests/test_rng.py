@@ -70,6 +70,21 @@ def test_take_bytes_and_randint_known_answers():
     assert hashlib.sha256(repr(values).encode()).hexdigest() == KAT_RANDINT
 
 
+def test_take_bytes_matches_take():
+    # each byte draw follows a 13-bit draw, so it starts mid-byte, and as n
+    # grows it ends inside, at the end of and past the kept block; the two
+    # streams stand at the same position throughout
+    fast, slow = BitGen(28), BitGen(28)
+    for n in range(71):
+        assert fast.take(13) == slow.take(13)
+        assert fast.take_bytes(n) == slow.take(8 * n).to_bytes()
+    with pytest.raises(ValueError, match="^negative bit count$"):
+        fast.take_bytes(-1)
+    with pytest.raises(ValueError, match="^negative bit count$"):
+        slow.take(-8)
+    assert fast.take(300) == slow.take(300)
+
+
 def test_pool_file_known_answer():
     pool = new_pool(plan("1e-12", 65536, 63), rounds=64, seed=7)
     assert hashlib.sha256(dump_pool(pool)).hexdigest() == KAT_POOL

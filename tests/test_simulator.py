@@ -8,7 +8,7 @@ from qkdauth.bits import Bits
 from qkdauth.hashing import Tag, find_field_params
 from qkdauth.planner import make_plan, plan
 from qkdauth.protocol import Flag
-from qkdauth.rng import BitGen
+from qkdauth.rng import BitGen, StreamWindow
 from qkdauth.simulator import (AdversaryConfig, MockQkdSource, RoundRecord, SessionLedger,
                                collision_census, epsilon_budget, forgery_experiment, parse_adversary,
                                run_session, strong_uniformity_census,
@@ -177,6 +177,29 @@ def test_clean_session_hashing_work_per_round(monkeypatch, n_max):
     led = run_session(n_max, PLAN, FP, seed=5, secret_bits=99_532)
     assert not led.terminated
     assert (sum(hashed), len(hashed)) == (3 * n_max + 2, n_max + 2)
+
+
+@pytest.mark.parametrize("n_max", [2, 4, 64])
+def test_clean_session_object_work_per_round(monkeypatch, n_max):
+    # Each round builds 5 Bits: its OTP mask, and the compound string and
+    # the tag on each side.  Once per session come the 3 pre-distributed
+    # keys, round 1's recycled key, the polynomial and the Toeplitz key
+    # sliced from each of the 4 recycled keys the two pools prepare (lam is
+    # 1), and the acknowledgement's 4.  No Bits and no StreamWindow is asked
+    # for its len().
+    built, lens = [], []
+    init = Bits.__init__
+
+    def counting(self, value, length):
+        built.append(length)
+        init(self, value, length)
+
+    monkeypatch.setattr(Bits, "__init__", counting)
+    for cls in (Bits, StreamWindow):
+        monkeypatch.setattr(cls, "__len__", lambda self: lens.append(self) or self.length)
+    led = run_session(n_max, PLAN, FP, seed=5, secret_bits=99_532)
+    assert not led.terminated
+    assert (len(built), len(lens)) == (5 * n_max + 16, 0)
 
 
 def test_clean_sessions_never_reject():
