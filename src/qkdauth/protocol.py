@@ -11,6 +11,11 @@ n_max, is confirmed in a fictitious round n_max + 1, the acknowledgement,
 which runs through the same sender and verifier steps over a canonical
 transcript.
 
+A party is its role, its key pool, its session length n_max and its
+flags; it keeps no channel state.  Each step takes the slot's transcript
+from the caller, which builds each party's own log of a round's messages
+and passes ``ack_transcript`` for the acknowledgement.
+
 The wire carries only the tag: its slot in the schedule fixes its round
 and kind (round tag or acknowledgement), so a tag from another slot, a
 replayed one or one of the wrong length is a failed check, settled exactly
@@ -29,7 +34,7 @@ import struct
 from typing import NamedTuple
 
 from .bits import Bits
-from .hashing import FieldParams, OtpKey, RecycledKey, Tag, compose_tag, verify_tag
+from .hashing import OtpKey, RecycledKey, Tag, compose_tag, find_field_params, verify_tag
 from .planner import Plan
 from .rng import StreamWindow
 
@@ -169,21 +174,20 @@ class KeyState(enum.Enum):
 
 class KeyPool:
     """One party's keys, with every absorbed round in exactly one KeyState.
-    Built from the pre-distributed part (plan, recycled, otp) a pool file holds;
-    ``recycled_pre`` is prepared from it and takes no part in equality or repr."""
+    Built from the pre-distributed part (plan, recycled, otp) a pool file holds,
+    with empty session state; ``recycled_pre`` is prepared from it and takes no
+    part in equality or repr."""
 
     _FIELDS = ("plan", "recycled", "otp", "recycled_qkd", "state", "external")
 
-    def __init__(self, plan: Plan, recycled: Bits, otp: "dict[int, OtpKey] | None" = None,
-                 recycled_qkd: "RecycledKey | None" = None,
-                 state: "dict[int, KeyState] | None" = None,
-                 external: "dict[int, Bits | StreamWindow] | None" = None) -> None:
+    def __init__(self, plan: Plan, recycled: Bits,
+                 otp: "dict[int, OtpKey] | None" = None) -> None:
         self.plan = plan
         self.recycled = recycled
         self.otp = {} if otp is None else otp
-        self.recycled_qkd = recycled_qkd
-        self.state = {} if state is None else state
-        self.external = {} if external is None else external  # non-empty only
+        self.recycled_qkd: "RecycledKey | None" = None
+        self.state: "dict[int, KeyState]" = {}
+        self.external: "dict[int, Bits | StreamWindow]" = {}  # non-empty only
         self.recycled_pre = RecycledKey.from_bits(recycled, plan.lam, plan.w, plan.tau)
 
     def __eq__(self, other: object) -> bool:  # so unhashable, being mutable
@@ -247,30 +251,23 @@ class KeyPool:
 # -- party state machine ----------------------------------------------------
 
 class PartyState:
-    """One side of a session of n_max rounds: pool, per-round flags,
-    per-round transcripts.  Round n_max + 1 is the acknowledgement, and a
-    step for a round past it raises ``ProtocolError``."""
+    """One side of a session of n_max rounds: its role, key pool and
+    per-round flags, and nothing of the channel.  Each step is given the
+    transcript of its slot; round n_max + 1 is the acknowledgement, and a
+    step for a round outside 1 .. n_max + 1 raises ``ProtocolError``.  The
+    field is the plan's, found once, and takes no part in equality or repr."""
 
-    _FIELDS = ("role", "fp", "pool", "n_max", "flags", "transcripts", "terminated")
+    _FIELDS = ("role", "pool", "n_max", "flags", "terminated")
 
-    def __init__(self, role: str, fp: FieldParams, pool: KeyPool, n_max: int,
-                 flags: "dict[int, Flag] | None" = None,
-                 transcripts: "dict[int, Transcript] | None" = None) -> None:
+    def __init__(self, role: str, pool: KeyPool, n_max: int) -> None:
         self.role = role  # 'A' or 'B'
-        self.fp = fp
         self.pool = pool
         self.n_max = n_max
-        self.flags = {} if flags is None else flags  # written only by _outcome
-        self.transcripts = {} if transcripts is None else transcripts
+        self.flags: "dict[int, Flag]" = {}  # written only by _outcome
         self.terminated = False  # some flag is BOT
+        self.fp = find_field_params(pool.plan.w)
 
     __eq__, __repr__ = KeyPool.__eq__, KeyPool.__repr__  # over this class's _FIELDS
-
-    def transcript(self, round_: int) -> Transcript:
-        t = self.transcripts.get(round_)
-        if t is None:
-            t = self.transcripts[round_] = Transcript(self.pool.plan.mu)
-        return t
 
     def flag(self, round_: int) -> Flag:
         if round_ < 1:
@@ -283,12 +280,6 @@ class PartyState:
         self.terminated |= flag is Flag.BOT
         return RoundOutcome(round_, flag, promoted, checked)
 
-    def _message(self, round_: int) -> Bits:
-        """The string round ``round_``'s tag covers."""
-        if round_ > self.n_max:
-            return ack_transcript(self.n_max, self.pool.plan.mu).compound()
-        return self.transcript(round_).compound()
-
     def _keys(self, round_: int) -> "tuple[RecycledKey, OtpKey]":
         otp = self.pool.otp.get(round_)
         if otp is None:
@@ -297,23 +288,25 @@ class PartyState:
 
     # -- sender side --------------------------------------------------------
 
-    def finalize_sender(self, round_: int) -> "Tag | None":
-        """Compose this round's tag over the local compound string.
+    def finalize_sender(self, round_: int, log: Transcript) -> "Tag | None":
+        """Compose this round's tag over ``log``'s compound string.
 
         Returns None (stays silent) when the party's own flag from the
         previous round is not ``acc``: a terminated party never transmits.
         """
-        if tag_sender(round_) != self.role or round_ > self.n_max + 1:
+        if tag_sender(round_) != self.role or not 0 < round_ <= self.n_max + 1:
             raise ProtocolError(f"party {self.role} is not the tag sender of round {round_} "
                                 f"of a {self.n_max}-round session")
         if self.terminated or self.flag(round_ - 1) is not Flag.ACC:
             return None
-        return compose_tag(self._message(round_), *self._keys(round_), self.pool.plan, self.fp)
+        return compose_tag(log.compound(), *self._keys(round_), self.pool.plan, self.fp)
 
     # -- verifier side --------------------------------------------------------
 
-    def finalize_verifier(self, round_: int, incoming: "Tag | None") -> RoundOutcome:
-        """Check the incoming tag (or register its absence) and settle keys.
+    def finalize_verifier(self, round_: int, log: Transcript,
+                          incoming: "Tag | None") -> RoundOutcome:
+        """Check the incoming tag against ``log`` (or register its absence)
+        and settle keys.
 
         acc: the harvest of rounds round-1 and round moves to verified, and
         the flag is ``acc`` only if this round actually produced fresh keys.
@@ -327,13 +320,13 @@ class PartyState:
         check, so round n_max stays unverified, the one-sided state the
         key-growing analysis permits for the last round.
         """
-        if tag_verifier(round_) != self.role or round_ > self.n_max + 1:
+        if tag_verifier(round_) != self.role or not 0 < round_ <= self.n_max + 1:
             raise ProtocolError(f"party {self.role} is not the tag verifier of round {round_} "
                                 f"of a {self.n_max}-round session")
         if self.terminated or self.flag(round_ - 2) is not Flag.ACC:
             return self._outcome(round_, Flag.BOT, checked=False)
         checked = incoming is not None  # None: timeout injected by the harness
-        if not checked or not verify_tag(self._message(round_), incoming, *self._keys(round_),
+        if not checked or not verify_tag(log.compound(), incoming, *self._keys(round_),
                                          self.pool.plan, self.fp):
             if round_ <= self.n_max:
                 self.pool.discard_rounds({round_ - 1, round_})

@@ -28,7 +28,7 @@ from .hashing import (FieldParams, OtpKey, RecycledKey, Tag, _toeplitz_product, 
                       compose_tag, find_field_params, multi_poly_hash, verify_tag)
 from .planner import Plan, as_fraction, collision_bound, make_plan
 from .protocol import (Direction, Flag, Harvest, KeyPool, KeyState, PartyState, RoundOutcome,
-                       harvest_keys, tag_sender, tag_verifier)
+                       Transcript, ack_transcript, harvest_keys, tag_sender, tag_verifier)
 from .rng import BitGen, StreamWindow
 
 # (kind, strategy) -> (the round's key distillation fails, the first bit of
@@ -283,6 +283,8 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     if secret_bits < plan.l_rec + plan.l_otp:
         raise ValueError(f"round 1 needs at least {plan.l_rec + plan.l_otp} "
                          f"secret bits, got {secret_bits}")
+    if fp != (field := find_field_params(plan.w)):
+        raise ValueError(f"{fp} is not the plan's field {field}")
     budget = epsilon_budget(n_max, eps_pred=eps_pred, eps_store=eps_store,
                             eps_auth=plan.eps_achieved, eps_qkd=eps_qkd)
 
@@ -292,7 +294,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     otp_bits = {1: keygen.take(plan.l_otp), 2: keygen.take(plan.l_otp)}
     eve = master.derive("adversary")
 
-    parties = {role: PartyState(role=role, fp=fp, n_max=n_max, pool=KeyPool(
+    parties = {role: PartyState(role=role, n_max=n_max, pool=KeyPool(
         plan=plan, recycled=rec_bits, otp={r: OtpKey(b) for r, b in otp_bits.items()}))
         for role in ("A", "B")}
 
@@ -305,9 +307,11 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         sender = parties[tag_sender(i)]
         verifier = parties[tag_verifier(i)]
         h = None
+        # each party's own log of the slot; both read the same acknowledgement
+        log_a, log_b = ((Transcript(plan.mu), Transcript(plan.mu)) if i <= n_max
+                        else (ack_transcript(n_max, plan.mu),) * 2)
         if i <= n_max and not sender.terminated and not verifier.terminated:
             msgs, secret = source.round(i, success=not fails)
-            log_a, log_b = party_a.transcript(i), party_b.transcript(i)
             for j, (direction, payload) in enumerate(msgs):
                 src, dst = (log_a, log_b) if direction is Direction.A2B else (log_b, log_a)
                 src.append(direction, payload)
@@ -318,8 +322,9 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
                 h = harvest_keys(secret, i, plan)
                 party_a.pool.absorb_harvest(h)
                 party_b.pool.absorb_harvest(h)
-        tag, tag_status = _deliver(sender.finalize_sender(i), fate, eve, plan.tau)
-        slots.append(RoundRecord(h, tag_status, verifier.finalize_verifier(i, tag)))
+        sent, seen = (log_a, log_b) if sender is party_a else (log_b, log_a)
+        tag, tag_status = _deliver(sender.finalize_sender(i, sent), fate, eve, plan.tau)
+        slots.append(RoundRecord(h, tag_status, verifier.finalize_verifier(i, seen, tag)))
 
     return SessionLedger(seed=seed, adversary=adversary, plan=plan, slots=tuple(slots),
                          pools={role: party.pool for role, party in parties.items()},

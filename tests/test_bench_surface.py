@@ -4,12 +4,14 @@ perfbench reports a traced name it cannot find as absent, and only its own
 tests fail on that; a name its workloads read fails only when the benchmark
 runs.  These tests make such a removal fail here as well.  They read
 ``TARGETS`` from the source of ``perfbench/layers.py`` and the names read
-from ``self.q`` from the source of ``perfbench/workloads.py``, so they
-neither import nor run anything under ``perfbench/``.
+from ``self.q``, and the calls made through it, from the source of
+``perfbench/workloads.py``, so they neither import nor run anything under
+``perfbench/``.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,11 +57,10 @@ def library_path(node, aliases):
     return None
 
 
-def workload_reads():
-    """Every ``<module>.<name>[.<attr>]`` that a workload method reads from
-    ``self.q``, directly or through an alias such as ``H = self.q.hashing``
-    or ``P, H = self.q.protocol, self.q.hashing``."""
-    reads = set()
+def workload_methods():
+    """Each function in ``perfbench/workloads.py`` with its local aliases of
+    the library, such as ``H = self.q.hashing`` or ``P, H = self.q.protocol,
+    self.q.hashing``, mapped to the paths they read."""
     for func in ast.walk(ast.parse(WORKLOADS.read_text())):
         if not isinstance(func, ast.FunctionDef):
             continue
@@ -73,7 +74,15 @@ def workload_reads():
                     path = library_path(chain, aliases)
                     if isinstance(name, ast.Name) and path:
                         aliases[name.id] = path
-                        reads.add(path)
+        yield func, aliases
+
+
+def workload_reads():
+    """Every ``<module>.<name>[.<attr>]`` that a workload method reads from
+    ``self.q``, directly or through an alias."""
+    reads = set()
+    for func, aliases in workload_methods():
+        reads.update(aliases.values())
         inner = {id(n.value) for n in ast.walk(func) if isinstance(n, ast.Attribute)}
         for node in ast.walk(func):
             if isinstance(node, ast.Attribute) and id(node) not in inner:
@@ -83,15 +92,31 @@ def workload_reads():
     return reads
 
 
+def workload_calls():
+    """Every call a workload method makes into the library, directly or
+    through an alias, as (path, positional count, keyword names)."""
+    calls = set()
+    for func, aliases in workload_methods():
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and (path := library_path(node.func, aliases)):
+                assert not any(isinstance(a, ast.Starred) for a in node.args), path
+                assert all(k.arg for k in node.keywords), path  # no **kwargs
+                calls.add((path, len(node.args), tuple(k.arg for k in node.keywords)))
+    return calls
+
+
+def library_object(path):
+    obj = importlib.import_module(f"qkdauth.{path[0]}")
+    for name in path[1:]:
+        obj = getattr(obj, name)
+    return obj
+
+
 def reads_from_the_library(path):
     try:
-        obj = importlib.import_module(f"qkdauth.{path[0]}")
-    except ImportError:
+        library_object(path)
+    except (ImportError, AttributeError):
         return False
-    for name in path[1:]:
-        if not hasattr(obj, name):
-            return False
-        obj = getattr(obj, name)
     return True
 
 
@@ -101,6 +126,25 @@ def test_every_name_a_workload_reads_resolves():
             ("poolfile", "load_pool"), ("hashing", "compose_tag"), ("bits", "Bits")} <= reads
     absent = [".".join(p) for p in sorted(reads) if not reads_from_the_library(p)]
     assert absent == []
+
+
+def test_every_call_a_workload_makes_binds():
+    """A workload's call still binds to the library's signature: a dropped
+    or renamed parameter that perfbench passes fails here, not only when the
+    benchmark runs."""
+    calls = workload_calls()
+    assert {(("simulator", "run_session"), 3, ("adversary", "seed", "secret_bits")),
+            (("hashing", "compose_tag"), 5, ()),
+            (("hashing", "verify_tag"), 6, ()),
+            (("hashing", "RecycledKey", "from_bits"), 4, ())} <= calls
+    unbound = []
+    for path, npos, keywords in sorted(calls):
+        try:
+            inspect.signature(library_object(path)).bind(*[None] * npos,
+                                                          **dict.fromkeys(keywords))
+        except TypeError as e:
+            unbound.append(f"{'.'.join(path)}: {e}")
+    assert unbound == []
 
 
 def pool_reads():

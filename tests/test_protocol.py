@@ -28,11 +28,19 @@ def fresh_party(role, n_max, seed=0):
     gen = BitGen(seed)
     pool = KeyPool(plan=PLAN, recycled=gen.take(PLAN.l_rec),
                    otp={1: OtpKey(gen.take(PLAN.l_otp)), 2: OtpKey(gen.take(PLAN.l_otp))})
-    return PartyState(role=role, fp=FP, pool=pool, n_max=n_max)
+    return PartyState(role=role, pool=pool, n_max=n_max)
 
 
 def fresh_pair(seed=0, n_max=4):
     return fresh_party("A", n_max, seed), fresh_party("B", n_max, seed)
+
+
+def slot_logs(n_max, round_):
+    """Each party's log of a slot: its own empty one in a round, the
+    canonical transcript in the acknowledgement."""
+    if round_ > n_max:
+        return dict.fromkeys("AB", ack_transcript(n_max, PLAN.mu))
+    return {"A": Transcript(PLAN.mu), "B": Transcript(PLAN.mu)}
 
 
 def external_state(pool, round_):
@@ -386,20 +394,21 @@ def test_pool_active_recycled_routing():
 def run_round(a, b, round_, payloads, tamper_receiver=False, drop_tag=False, wire=None):
     """Drive one round: scripted data messages, then the tag exchange.
     The tag sent, if any, is recorded in ``wire`` under its round."""
+    logs = slot_logs(a.n_max, round_)
     for i, payload in enumerate(payloads):
         d = Direction.A2B if i % 2 == 0 else Direction.B2A
         src, dst = ("A", "B") if d is Direction.A2B else ("B", "A")
-        (a if src == "A" else b).transcript(round_).append(d, payload)
+        logs[src].append(d, payload)
         seen = Bits.from_bytes(payload).flip(0).to_bytes() if tamper_receiver and i == 0 else payload
-        (a if dst == "A" else b).transcript(round_).append(d, seen)
+        logs[dst].append(d, seen)
     sender = a if tag_sender(round_) == "A" else b
     verifier = b if sender is a else a
-    msg = sender.finalize_sender(round_)
+    msg = sender.finalize_sender(round_, logs[sender.role])
     if wire is not None and msg is not None:
         wire[round_] = msg
     if drop_tag:
         msg = None
-    return sender, verifier, verifier.finalize_verifier(round_, msg)
+    return sender, verifier, verifier.finalize_verifier(round_, logs[verifier.role], msg)
 
 
 def grow(party, round_, gen):
@@ -424,20 +433,21 @@ def test_round_one_uses_predistributed_keys():
 
 def test_wrong_role_raises():
     a, b = fresh_pair()
+    log = Transcript(PLAN.mu)
     with pytest.raises(ProtocolError):
-        b.finalize_sender(1)
+        b.finalize_sender(1, log)
     with pytest.raises(ProtocolError):
-        a.finalize_verifier(1, None)
+        a.finalize_verifier(1, log, None)
     # the acknowledgement of a 4-round session is round 5, sent by Alice
     with pytest.raises(ProtocolError,
                        match="^party B is not the tag sender of round 5 of a 4-round session$"):
-        b.finalize_sender(5)
+        b.finalize_sender(5, log)
     with pytest.raises(ProtocolError,
                        match="^party A is not the tag verifier of round 5 of a 4-round session$"):
-        a.finalize_verifier(5, None)
+        a.finalize_verifier(5, log, None)
     del a.pool.otp[1]
     with pytest.raises(ProtocolError, match="no OTP key designated for round 1"):
-        a.finalize_sender(1)
+        a.finalize_sender(1, log)
 
 
 def test_tampered_round_discards_both_recent_rounds():
@@ -473,7 +483,7 @@ def test_timeout_discards_and_silences():
     assert external_state(b.pool, 1) == "discarded"
     assert b.terminated
     # Bob is the round-2 sender and must now stay silent
-    assert b.finalize_sender(2) is None
+    assert b.finalize_sender(2, Transcript(PLAN.mu)) is None
 
 
 def test_verifier_gate_skips_check_after_bot():
@@ -481,7 +491,7 @@ def test_verifier_gate_skips_check_after_bot():
     grow(b, 1, BitGen(14))
     run_round(a, b, 1, [b"blocked round"], drop_tag=True)  # a timeout sets Bob's V_1 to bot
     assert b.flags[1] is Flag.BOT
-    outcome = b.finalize_verifier(3, None)
+    outcome = b.finalize_verifier(3, Transcript(PLAN.mu), None)
     assert outcome.flag is Flag.BOT and not outcome.checked
     assert not b.pool.otp.get(3, OtpKey(Bits.zeros(PLAN.l_otp))).consumed
 
@@ -532,9 +542,10 @@ def test_clean_session_with_ack_promotes_everything():
     n_max = 4
     a, b = clean_session(n_max)
     assert external_state(b.pool, n_max) == "unverified"
-    ack = a.finalize_sender(n_max + 1)
+    log = ack_transcript(n_max, PLAN.mu)
+    ack = a.finalize_sender(n_max + 1, log)
     assert isinstance(ack, Tag) and len(ack.bits) == PLAN.tau
-    outcome = b.finalize_verifier(n_max + 1, ack)
+    outcome = b.finalize_verifier(n_max + 1, log, ack)
     assert outcome.flag is Flag.ACC
     assert outcome.promoted_rounds == frozenset({n_max})
     for r in range(1, n_max + 1):
@@ -548,8 +559,9 @@ def test_clean_session_with_ack_promotes_everything():
 def test_blocked_ack_leaves_peer_unverified():
     n_max = 4
     a, b = clean_session(n_max)
-    assert a.finalize_sender(n_max + 1) is not None
-    outcome = b.finalize_verifier(n_max + 1, None)
+    log = ack_transcript(n_max, PLAN.mu)
+    assert a.finalize_sender(n_max + 1, log) is not None
+    outcome = b.finalize_verifier(n_max + 1, log, None)
     assert outcome.flag is Flag.BOT
     assert external_state(a.pool, n_max) == "verified"
     assert external_state(b.pool, n_max) == "unverified"
@@ -558,9 +570,10 @@ def test_blocked_ack_leaves_peer_unverified():
 def test_failed_ack_check_leaves_final_round_unverified():
     n_max = 4
     a, b = clean_session(n_max)
-    ack = a.finalize_sender(n_max + 1)
+    log = ack_transcript(n_max, PLAN.mu)
+    ack = a.finalize_sender(n_max + 1, log)
     forged = Tag(ack.bits.flip(0))
-    outcome = b.finalize_verifier(n_max + 1, forged)
+    outcome = b.finalize_verifier(n_max + 1, log, forged)
     assert outcome.flag is Flag.BOT and outcome.checked
     assert outcome.promoted_rounds == frozenset()
     assert b.pool.otp[n_max + 1].consumed
@@ -573,8 +586,9 @@ def test_round_tag_in_ack_slot_fails_closed():
     # checked against the acknowledgement transcript and mask, and fails.
     n_max, wire = 4, {}
     a, b = clean_session(n_max, wire=wire)
-    a.finalize_sender(n_max + 1)
-    outcome = b.finalize_verifier(n_max + 1, wire[n_max])
+    log = ack_transcript(n_max, PLAN.mu)
+    a.finalize_sender(n_max + 1, log)
+    outcome = b.finalize_verifier(n_max + 1, log, wire[n_max])
     assert outcome == RoundOutcome(n_max + 1, Flag.BOT, frozenset(), checked=True)
     assert b.pool.otp[n_max + 1].consumed
     assert b.pool.state[n_max] is KeyState.UNVERIFIED
@@ -591,10 +605,9 @@ def test_replayed_tag_fails_closed():
             p.pool.absorb_harvest(h)
     for r in (1, 2):
         assert run_round(a, b, r, [b"data-%d" % r], wire=wire)[2].flag is Flag.ACC
-    for p in (a, b):
-        p.transcript(3).append(Direction.A2B, b"data-3")
-    assert a.finalize_sender(3) != wire[1]
-    outcome = b.finalize_verifier(3, wire[1])
+    log = Transcript(PLAN.mu).append(Direction.A2B, b"data-3")
+    assert a.finalize_sender(3, log) != wire[1]
+    outcome = b.finalize_verifier(3, log, wire[1])
     assert outcome == RoundOutcome(3, Flag.BOT, frozenset(), checked=True)
     assert b.pool.state[2] is b.pool.state[3] is KeyState.DISCARDED
     assert b.terminated and b.pool.otp[3].consumed
@@ -605,9 +618,9 @@ def test_tag_of_wrong_length_is_a_failed_check():
     secret = BitGen(16).take(PLAN.l_rec + PLAN.l_otp + 24)
     for p in (a, b):
         p.pool.absorb_harvest(harvest_keys(secret, 1, PLAN))
-        p.transcript(1).append(Direction.A2B, b"data-1")
-    short = Tag(a.finalize_sender(1).bits[:PLAN.tau - 1])
-    outcome = b.finalize_verifier(1, short)
+    log = Transcript(PLAN.mu).append(Direction.A2B, b"data-1")
+    short = Tag(a.finalize_sender(1, log).bits[:PLAN.tau - 1])
+    outcome = b.finalize_verifier(1, log, short)
     assert outcome == RoundOutcome(1, Flag.BOT, frozenset(), checked=True)
     assert b.pool.state[1] is KeyState.DISCARDED and b.pool.otp[1].consumed
 
@@ -616,7 +629,7 @@ def test_ack_uses_quantum_recycled_key_and_correct_otp():
     n_max = 4
     a, b = clean_session(n_max)
     assert not a.pool.otp[n_max + 1].consumed
-    a.finalize_sender(n_max + 1)
+    a.finalize_sender(n_max + 1, ack_transcript(n_max, PLAN.mu))
     assert a.pool.otp[n_max + 1].consumed
     assert not a.pool.otp[n_max + 2].consumed  # surplus stays
 
@@ -624,16 +637,32 @@ def test_ack_uses_quantum_recycled_key_and_correct_otp():
 def test_party_refuses_a_round_past_its_session():
     # After the acknowledgement (round 5) Bob still holds his mask for
     # round 6; a round-6 step must not tag an empty transcript with it.
+    # A step for a round before round 1 is refused as well, before it
+    # records a flag or reaches for a mask.
     n_max = 4
     a, b = clean_session(n_max)
-    assert b.finalize_verifier(n_max + 1, a.finalize_sender(n_max + 1)).flag is Flag.ACC
-    before = {role: (p.pool.otp_surplus(), dict(p.flags)) for role, p in zip("AB", (a, b))}
+    log = ack_transcript(n_max, PLAN.mu)
+    assert b.finalize_verifier(n_max + 1, log, a.finalize_sender(n_max + 1, log)).flag is Flag.ACC
+
+    def state():
+        return {role: (p.pool.otp_surplus(), dict(p.flags), p.terminated,
+                       {r: k.consumed for r, k in p.pool.otp.items()})
+                for role, p in zip("AB", (a, b))}
+
+    before = state()
     assert before["B"][0] == [6]
+    empty = Transcript(PLAN.mu)
     with pytest.raises(ProtocolError, match="party B is not the tag sender of round 6 "):
-        b.finalize_sender(6)
+        b.finalize_sender(6, empty)
     with pytest.raises(ProtocolError, match="party A is not the tag verifier of round 6 "):
-        a.finalize_verifier(6, None)
-    assert {role: (p.pool.otp_surplus(), dict(p.flags)) for role, p in zip("AB", (a, b))} == before
+        a.finalize_verifier(6, empty, None)
+    by_role = {"A": a, "B": b}
+    for round_ in (0, -1):  # each step by the party whose role it is
+        with pytest.raises(ProtocolError, match=f"is not the tag sender of round {round_} "):
+            by_role[tag_sender(round_)].finalize_sender(round_, empty)
+        with pytest.raises(ProtocolError, match=f"is not the tag verifier of round {round_} "):
+            by_role[tag_verifier(round_)].finalize_verifier(round_, empty, None)
+    assert state() == before
 
 
 def test_ack_transcript_is_canonical():
@@ -675,20 +704,22 @@ def scheduled_session(actions, ack_action):
     wire, outcomes = {}, []
     for r, action in enumerate(actions + (ack_action,), start=1):
         sender, verifier = tag_sender(r), tag_verifier(r)
+        logs = slot_logs(n_max, r)
         if r <= n_max and not (parties[sender].terminated or parties[verifier].terminated):
             if action != "quantum":
                 for p in parties.values():
                     p.pool.absorb_harvest(SCHEDULE_HARVESTS[r])
             payload = b"data-%d" % r
             seen = Bits.from_bytes(payload).flip(0).to_bytes() if action == "tamper" else payload
-            parties[sender].transcript(r).append(Direction.A2B, payload)
-            parties[verifier].transcript(r).append(Direction.A2B, seen)
-        sent = parties[sender].finalize_sender(r)
+            logs[sender].append(Direction.A2B, payload)
+            logs[verifier].append(Direction.A2B, seen)
+        sent = parties[sender].finalize_sender(r, logs[sender])
         if sent is not None:
             wire[r] = sent
         delivered = {"block": None, "impersonate": GUESSES.get(r), "replace": wire.get(r - 1),
                      "replay": wire.get(r - 2, wire.get(r - 1))}.get(action, sent)
-        outcomes.append((verifier, parties[verifier].finalize_verifier(r, delivered)))
+        outcomes.append((verifier, parties[verifier].finalize_verifier(r, logs[verifier],
+                                                                       delivered)))
     return parties, outcomes
 
 
@@ -820,11 +851,11 @@ def test_a_pool_file_holds_a_key_pool_that_a_party_can_run_on(tmp_path):
                                                           PLAN.tau)
         assert sorted(pool.otp) == [1, 2]
     assert parse_pool(dump_pool(pools["A"])) == pools["A"] == pools["B"]
-    a, b = (PartyState(role=role, fp=FP, pool=pools[role], n_max=2) for role in "AB")
+    a, b = (PartyState(role=role, pool=pools[role], n_max=2) for role in "AB")
+    log = Transcript(PLAN.mu).append(Direction.A2B, b"sifting")
     for party in (a, b):
-        party.transcript(1).append(Direction.A2B, b"sifting")
         party.pool.absorb_harvest(harvest_keys(BitGen(6).take(PLAN.l_rec + 64), 1, PLAN))
-    outcome = b.finalize_verifier(1, a.finalize_sender(1))
+    outcome = b.finalize_verifier(1, log, a.finalize_sender(1, log))
     assert outcome.flag is Flag.ACC and outcome.promoted_rounds == {1}
     assert a.pool.otp[1].consumed and b.pool.otp[1].consumed
 

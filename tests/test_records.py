@@ -61,10 +61,17 @@ def test_plain_classes_take_their_fields_by_keyword():
     assert rk == RecycledKey.from_bits(RAW, PLAN.lam, PLAN.w, PLAN.tau)
     otp = OtpKey(bits=b, consumed=True)
     assert (otp.bits, otp.consumed) == (b, True)
-    pool = KeyPool(plan=PLAN, recycled=RAW, otp={}, recycled_qkd=None, state={}, external={})
+    pool = KeyPool(plan=PLAN, recycled=RAW, otp={})
     assert (pool.otp, pool.state, pool.external, pool.recycled_qkd) == ({}, {}, {}, None)
-    party = PartyState(role="A", fp=FP, pool=pool, n_max=2, flags={}, transcripts={})
-    assert (party.flags, party.transcripts, party.terminated) == ({}, {}, False)
+    party = PartyState(role="A", pool=pool, n_max=2)
+    assert (party.flags, party.terminated, party.fp) == ({}, False, FP)
+    # the removed keywords: session state starts empty and the field is derived
+    for kw in ("recycled_qkd", "state", "external"):
+        with pytest.raises(TypeError):
+            KeyPool(plan=PLAN, recycled=RAW, **{kw: None})
+    for kw in ("fp", "flags", "transcripts"):
+        with pytest.raises(TypeError):
+            PartyState(role="A", pool=pool, n_max=2, **{kw: None})
 
 
 @pytest.mark.parametrize("record", frozen_records(), ids=lambda r: type(r).__name__)
@@ -113,9 +120,9 @@ def test_otp_key_and_key_pool_compare_as_mutable_records():
     assert a != b and a.state == {1: KeyState.UNVERIFIED}
     b.absorb_harvest(harvest)
     assert a == b
-    parties = [PartyState("A", FP, KeyPool(PLAN, RAW), 2) for _ in range(2)]
+    parties = [PartyState("A", KeyPool(PLAN, RAW), 2) for _ in range(2)]
     assert parties[0] == parties[1]
-    assert repr(parties[0]).endswith("n_max=2, flags={}, transcripts={}, terminated=False)")
+    assert repr(parties[0]).endswith("n_max=2, flags={}, terminated=False)")
     parties[1].terminated = True
     assert parties[0] != parties[1]
     for unhashable in (otp, a, parties[0]):

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from qkdauth import simulator
 from qkdauth.bits import Bits
 from qkdauth.hashing import Tag, find_field_params
 from qkdauth.planner import make_plan, plan
-from qkdauth.protocol import Flag
+from qkdauth.protocol import Flag, PartyState, Transcript
 from qkdauth.rng import BitGen, StreamWindow
 from qkdauth.simulator import (AdversaryConfig, MockQkdSource, RoundRecord, SessionLedger,
                                collision_census, epsilon_budget, forgery_experiment, parse_adversary,
@@ -158,6 +159,12 @@ def test_session_rejects_short_secret_before_drawing(monkeypatch, spec, secret_b
         run_session(4, PLAN, FP, parse_adversary(spec), seed=1, secret_bits=secret_bits)
 
 
+def test_session_rejects_another_field_before_drawing(monkeypatch):
+    monkeypatch.setattr(BitGen, "_blocks", lambda *a: pytest.fail("a key was drawn"))
+    with pytest.raises(ValueError, match="not the plan's field"):
+        run_session(4, PLAN, SMALL_FP, seed=1)  # a w = 15 field under a w = 63 plan
+
+
 @pytest.mark.parametrize("n_max", [2, 4, 64])
 def test_clean_session_hashing_work_per_round(monkeypatch, n_max):
     # Each round hashes 3 blocks in 1 call: one draw of its three messages.
@@ -200,6 +207,33 @@ def test_clean_session_object_work_per_round(monkeypatch, n_max):
     led = run_session(n_max, PLAN, FP, seed=5, secret_bits=99_532)
     assert not led.terminated
     assert (len(built), len(lens)) == (5 * n_max + 16, 0)
+
+
+@pytest.mark.parametrize("n_max", [2, 4, 64])
+def test_clean_session_transcript_work_per_round(monkeypatch, n_max):
+    # Each round builds one log per party, and the acknowledgement one that
+    # both parties read.  No party keeps a log past its slot, so at each
+    # verifier step at most the slot's two logs and the acknowledgement's
+    # are alive, however long the session.
+    built, alive = [], []
+    live = weakref.WeakSet()
+    init, verify = Transcript.__init__, PartyState.finalize_verifier
+
+    def counting(self, mu):
+        built.append(mu)
+        live.add(self)
+        init(self, mu)
+
+    def watching(self, round_, log, incoming):
+        alive.append(len(live))
+        return verify(self, round_, log, incoming)
+
+    monkeypatch.setattr(Transcript, "__init__", counting)
+    monkeypatch.setattr(PartyState, "finalize_verifier", watching)
+    led = run_session(n_max, PLAN, FP, seed=5, secret_bits=99_532)
+    assert not led.terminated
+    assert len(built) == 2 * n_max + 1
+    assert len(alive) == n_max + 1 and max(alive) <= 3
 
 
 def test_clean_sessions_never_reject():
