@@ -155,9 +155,7 @@ def cmd_attack_stats(args: argparse.Namespace) -> int:
     if 0 < args.trials < 10**4:  # forgery_experiment rejects trials < 1
         print(f"attack-stats: {args.trials} trials resolve rates only down to "
               f"~{10 / args.trials:.1e}; consider at least 10000", file=sys.stderr)
-    fp = find_field_params(p.w)
-    stats = forgery_experiment(p, fp, strategy=args.strategy,
-                               trials=args.trials, seed=args.seed)
+    stats = forgery_experiment(p, strategy=args.strategy, trials=args.trials, seed=args.seed)
     bound = float(p.eps_achieved) if args.strategy != "impersonate" else 2.0 ** -p.tau
     print(f"strategy={args.strategy} trials={stats.trials} successes={stats.successes} "
           f"rate={stats.rate!r} wilson99=({stats.wilson_lo!r},{stats.wilson_hi!r}) "

@@ -194,9 +194,9 @@ class KeyPool:
         return (all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
                 if other.__class__ is self.__class__ else NotImplemented)
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # not a call: session fields are no constructor arguments
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
-        return f"{type(self).__name__}({fields})"
+        return f"<{type(self).__name__} {fields}>"
 
     def active_recycled(self, round_: int) -> RecycledKey:
         if round_ <= 2:

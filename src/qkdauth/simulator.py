@@ -10,9 +10,13 @@ and discard, and the composable failure-probability budget.
 At most one attack is placed per session, which matches the case analysis
 of the final key-ownership states: the attack round determines how many
 completed rounds survive and which side keeps the boundary round's keys.
-Each attack is one row of ``ATTACKS``: what Eve does in the slot she
-attacks, a round or the acknowledgement.  The session runs every slot
-through the same steps, with the clean row in the slots she leaves alone.
+That claim is checked on this module's own loop: the tests run
+``run_session`` under every schedule of one Eve action per slot at
+n_max = 4, and each ends in the key states of the session cut after its
+first attack.  Each attack is one row of ``ATTACKS``: what Eve does in the
+slot she attacks, a round or the acknowledgement.  The session runs every
+slot through the same steps, with the clean row in the slots she leaves
+alone.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ ATTACKS = {
     ("block", "random"): (False, False, "blocked"),
     ("impersonate", "random"): (False, False, "substituted"),
 }
+_CLEAN = ATTACKS["none", "random"]
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -71,7 +76,9 @@ class AdversaryConfig(NamedTuple("AdversaryConfig", [("kind", str), ("round", "i
 
     The (kind, strategy) pair must be a row of ``ATTACKS``, so a strategy
     other than ``random`` applies to substitution only, and every kind but
-    ``none`` needs a round of at least 1.
+    ``none`` needs a round of at least 1.  ``run_session`` asks only ``row``
+    and ``deliver`` what Eve does in each slot; they are the seam a test
+    replaces to play other schedules.
     """
 
     __slots__ = ()
@@ -97,6 +104,25 @@ class AdversaryConfig(NamedTuple("AdversaryConfig", [("kind", str), ("round", "i
         if self.kind == "substitute":
             return f"substitute:{self.round}:{self.strategy}"
         return f"{self.kind}:{self.round}"
+
+    def row(self, slot: int) -> "tuple[bool, bool, str]":
+        """The ``ATTACKS`` row Eve plays in a slot: the attack's in the
+        attacked slot, the clean row elsewhere."""
+        return ATTACKS[self.kind, self.strategy] if slot == self.round else _CLEAN
+
+    def deliver(self, slot: int, tag: "Tag | None", eve: BitGen,
+                tau: int) -> "tuple[Tag | None, str]":
+        """The tag that reaches the verifier, and its status in the ledger.  A
+        silent sender sends nothing, so Eve acts only on a tag that was sent,
+        and draws a guess only when she substitutes one."""
+        if tag is None:
+            return None, "silent"
+        fate = self.row(slot)[2]
+        if fate == "blocked":
+            return None, fate
+        if fate == "substituted":
+            return Tag(eve.take(tau)), fate
+        return tag, fate
 
 
 def parse_adversary(spec: str) -> AdversaryConfig:
@@ -240,20 +266,6 @@ class SessionLedger(NamedTuple):
         return "\n".join(lines)
 
 
-def _deliver(tag: "Tag | None", fate: str, eve: BitGen,
-             tau: int) -> "tuple[Tag | None, str]":
-    """The tag that reaches the verifier, and its status in the ledger.  A
-    silent sender sends nothing, so Eve acts only on a tag that was sent,
-    and draws a guess only when she substitutes one."""
-    if tag is None:
-        return None, "silent"
-    if fate == "blocked":
-        return None, fate
-    if fate == "substituted":
-        return Tag(eve.take(tau)), fate
-    return tag, fate
-
-
 def run_session(n_max: int, plan: Plan, fp: FieldParams,
                 adversary: "AdversaryConfig | None" = None, seed: int = 0,
                 secret_bits: "int | None" = None,
@@ -273,11 +285,11 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     adversary = adversary or AdversaryConfig()
     if n_max < 2 or n_max % 2 != 0:
         raise ValueError("n_max must be an even number of rounds, at least 2")
-    attack, clean = ATTACKS[adversary.kind, adversary.strategy], ATTACKS["none", "random"]
     # the acknowledgement (slot n_max + 1) has no key distillation and no
     # transcript to alter, and Eve can only block it
-    if adversary.round is not None and adversary.round > n_max + (attack[2] == "blocked"):
-        raise ValueError(f"attack round {adversary.round} is outside the session")
+    at = adversary.round
+    if at is not None and at > n_max + (adversary.row(at)[2] == "blocked"):
+        raise ValueError(f"attack round {at} is outside the session")
     if secret_bits is None:
         secret_bits = plan.l_rec + plan.l_otp + 64
     if secret_bits < plan.l_rec + plan.l_otp:
@@ -303,7 +315,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
 
     slots = []
     for i in range(1, n_max + 2):
-        fails, flips, fate = attack if i == adversary.round else clean
+        fails, flips, _ = adversary.row(i)
         sender = parties[tag_sender(i)]
         verifier = parties[tag_verifier(i)]
         h = None
@@ -323,7 +335,7 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
                 party_a.pool.absorb_harvest(h)
                 party_b.pool.absorb_harvest(h)
         sent, seen = (log_a, log_b) if sender is party_a else (log_b, log_a)
-        tag, tag_status = _deliver(sender.finalize_sender(i, sent), fate, eve, plan.tau)
+        tag, tag_status = adversary.deliver(i, sender.finalize_sender(i, sent), eve, plan.tau)
         slots.append(RoundRecord(h, tag_status, verifier.finalize_verifier(i, seen, tag)))
 
     return SessionLedger(seed=seed, adversary=adversary, plan=plan, slots=tuple(slots),
@@ -355,8 +367,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 ATTACK_STRATEGIES = ("random", "best-guess", "replay", "impersonate")
 
 
-def forgery_experiment(plan: Plan, fp: FieldParams, strategy: str,
-                       trials: int, seed: int = 0) -> TrialStats:
+def forgery_experiment(plan: Plan, strategy: str, trials: int, seed: int = 0) -> TrialStats:
     """Measure the acceptance rate of single-round forgeries.
 
     Each trial draws fresh keys and a fresh full-length message.  For the
@@ -369,7 +380,7 @@ def forgery_experiment(plan: Plan, fp: FieldParams, strategy: str,
         raise ValueError(f"unknown attack strategy {strategy!r}")
     if trials < 1:
         raise ValueError("at least one trial is required")
-    base = BitGen(seed)
+    base, fp = BitGen(seed), find_field_params(plan.w)
     successes = 0
     for trial in range(trials):
         g = base.derive(trial)

@@ -18,7 +18,7 @@ from qkdauth.protocol import (Direction, Flag, KeyPool, KeyState, PartyState,
                               TranscriptOverflowError, ack_transcript, harvest_keys,
                               tag_sender, tag_verifier)
 from qkdauth.rng import BitGen
-from qkdauth.simulator import run_session
+from qkdauth.simulator import ATTACKS, AdversaryConfig, run_session
 
 PLAN = make_plan(tau=16, lam=1, w=15, mu=4096)
 FP = find_field_params(15)
@@ -678,49 +678,45 @@ def test_ack_transcript_is_canonical():
 ROUND_ACTIONS = ("deliver", "quantum", "tamper", "block", "impersonate", "replay")
 ACK_ACTIONS = ("deliver", "block", "replace")
 SCHEDULE_N_MAX = 4
-_secrets = BitGen(42)
-SCHEDULE_HARVESTS = {r: harvest_keys(_secrets.take((PLAN.l_rec if r == 1 else 0)
-                                                   + PLAN.l_otp + 24), r, PLAN)
-                     for r in range(1, SCHEDULE_N_MAX + 1)}
-_guesses = BitGen("eve")
-GUESSES = {r: Tag(_guesses.take(PLAN.tau)) for r in range(1, SCHEDULE_N_MAX + 1)}
 
 
-def scheduled_session(actions, ack_action):
-    """One session with one Eve action per round and one on the
-    acknowledgement, slot n_max + 1 of the same loop; returns both parties
-    by role and every outcome with the role that recorded it.
+class Schedule(AdversaryConfig):
+    """Eve with one action per round and one on the acknowledgement, slot
+    n_max + 1, played by ``run_session`` through ``row`` and ``deliver``.
 
     Eve acts on the wire whether or not the honest sender spoke.  She
     delivers what was sent, fails the round's key distillation, flips a bit
-    of the verifier's copy of the round's message, blocks the tag, sends a
-    blind guess, or replays the sender's tag of round r-2 (else reflects the
-    verifier's own tag of round r-1, else sends nothing).  The
-    acknowledgement is delivered, blocked, or replaced by the tag sent in
-    round n_max.
+    of Bob's copy of the round's first message, blocks the tag, sends a
+    blind guess, or replays the tag sent two slots back (else the one sent
+    in the previous slot, else nothing).  The acknowledgement is delivered,
+    blocked, or replaced by the tag sent in round n_max.
     """
-    n_max = len(actions)
-    parties = dict(zip("AB", fresh_pair(41, n_max)))
-    wire, outcomes = {}, []
-    for r, action in enumerate(actions + (ack_action,), start=1):
-        sender, verifier = tag_sender(r), tag_verifier(r)
-        logs = slot_logs(n_max, r)
-        if r <= n_max and not (parties[sender].terminated or parties[verifier].terminated):
-            if action != "quantum":
-                for p in parties.values():
-                    p.pool.absorb_harvest(SCHEDULE_HARVESTS[r])
-            payload = b"data-%d" % r
-            seen = Bits.from_bytes(payload).flip(0).to_bytes() if action == "tamper" else payload
-            logs[sender].append(Direction.A2B, payload)
-            logs[verifier].append(Direction.A2B, seen)
-        sent = parties[sender].finalize_sender(r, logs[sender])
-        if sent is not None:
-            wire[r] = sent
-        delivered = {"block": None, "impersonate": GUESSES.get(r), "replace": wire.get(r - 1),
-                     "replay": wire.get(r - 2, wire.get(r - 1))}.get(action, sent)
-        outcomes.append((verifier, parties[verifier].finalize_verifier(r, logs[verifier],
-                                                                       delivered)))
-    return parties, outcomes
+
+    def __new__(cls, actions, ack_action):
+        self = super().__new__(cls)
+        self.actions, self.sent = actions + (ack_action,), {}
+        return self
+
+    def row(self, slot):  # the other actions act on the tag alone
+        action = self.actions[slot - 1]
+        return ATTACKS[action if action in ("quantum", "tamper") else "none", "random"]
+
+    def deliver(self, slot, tag, eve, tau):
+        if tag is not None:
+            self.sent[slot] = tag
+        action, sent = self.actions[slot - 1], self.sent
+        if action == "impersonate":  # a guess drawn as AdversaryConfig draws one
+            return Tag(eve.take(tau)), action
+        return {"block": None, "replace": sent.get(slot - 1),
+                "replay": sent.get(slot - 2, sent.get(slot - 1))}.get(action, tag), action
+
+
+def schedule_ledger(actions, ack_action):
+    return run_session(SCHEDULE_N_MAX, PLAN, FP, adversary=Schedule(actions, ack_action), seed=41)
+
+
+def final_states(ledger):
+    return {role: pool.state for role, pool in ledger.pools.items()}
 
 
 def first_attack_only(actions, ack_action):
@@ -732,32 +728,50 @@ def first_attack_only(actions, ack_action):
 
 
 def test_every_attack_schedule_fails_closed():
-    # 6**4 round schedules times 3 acknowledgement actions.  A second use
-    # of any mask raises OtpReuseError, so "no exception" covers mask reuse.
-    n_max, final_states = SCHEDULE_N_MAX, {}
+    # 6**4 round schedules times 3 acknowledgement actions, each a session
+    # of ``run_session``.  A second use of any mask raises OtpReuseError, so
+    # "no exception" covers mask reuse.
+    n_max, cut_states = SCHEDULE_N_MAX, {}
 
     def states(schedule):
-        if schedule not in final_states:
-            parties, _ = scheduled_session(*schedule)
-            final_states[schedule] = {role: p.pool.state for role, p in parties.items()}
-        return final_states[schedule]
+        if schedule not in cut_states:
+            cut_states[schedule] = final_states(schedule_ledger(*schedule))
+        return cut_states[schedule]
 
     for actions in itertools.product(ROUND_ACTIONS, repeat=n_max):
         for ack_action in ACK_ACTIONS:
-            parties, outcomes = scheduled_session(actions, ack_action)
-            case = (actions, ack_action)
-            verified = {role: {r for r, st in p.pool.state.items() if st is KeyState.VERIFIED}
-                        for role, p in parties.items()}
+            ledger = schedule_ledger(actions, ack_action)
+            pools, case = ledger.pools, (actions, ack_action)
+            verified = {role: {r for r, st in pool.state.items() if st is KeyState.VERIFIED}
+                        for role, pool in pools.items()}
             assert len(verified["A"] ^ verified["B"]) <= 1, case
             touched = {r for r, act in enumerate(actions, start=1) if act != "deliver"}
             assert not touched & (verified["A"] | verified["B"]), case
             if ack_action != "deliver":  # only a genuine acknowledgement confirms round n_max
                 assert n_max not in verified[tag_sender(n_max)], case
-            for role, o in outcomes:
-                assert not o.checked or parties[role].pool.otp[o.round].consumed, case
+            for o in (slot.outcome for slot in ledger.slots):
+                assert not o.checked or pools[tag_verifier(o.round)].otp[o.round].consumed, case
+            # every harvest is settled, but for round n_max where only the
+            # acknowledgement could confirm it
+            unsettled = {(role, r) for role, pool in pools.items()
+                         for r, st in pool.state.items() if st is KeyState.UNVERIFIED}
+            assert unsettled <= {(tag_verifier(n_max + 1), n_max)}, case
             # once the first attack has struck, later ones change no key's state
-            final = {role: p.pool.state for role, p in parties.items()}
-            assert final == states(first_attack_only(*case)), case
+            assert final_states(ledger) == states(first_attack_only(*case)), case
+
+
+@pytest.mark.parametrize("kind, at", [
+    *itertools.product(("quantum", "tamper", "block", "impersonate"), range(1, SCHEDULE_N_MAX + 1)),
+    ("block", SCHEDULE_N_MAX + 1)])
+def test_one_action_schedule_is_the_shipped_attack(kind, at):
+    # the model check's Eve, given one action, is ``AdversaryConfig``'s
+    *actions, ack_action = (kind if slot == at else "deliver"
+                            for slot in range(1, SCHEDULE_N_MAX + 2))
+    ours = schedule_ledger(tuple(actions), ack_action)
+    shipped = run_session(SCHEDULE_N_MAX, PLAN, FP, adversary=AdversaryConfig(kind, at), seed=41)
+    assert ours.terminated
+    assert [slot.outcome for slot in ours.slots] == [slot.outcome for slot in shipped.slots]
+    assert final_states(ours) == final_states(shipped)
 
 
 # -- pool files -------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_otp_key_and_key_pool_compare_as_mutable_records():
     a, b = (KeyPool(PLAN, RAW, {1: OtpKey(Bits(3, 16))}) for _ in range(2))
     b.recycled_pre = None  # prepared from recycled, so not compared
     assert a == b and "recycled_pre" not in repr(a)
-    assert repr(a).startswith(f"KeyPool(plan={PLAN!r}, recycled={RAW!r}, otp=")
+    assert repr(a).startswith(f"<KeyPool plan={PLAN!r}, recycled={RAW!r}, otp=")
     harvest = harvest_keys(BitGen(6).take(PLAN.l_rec + 64), 1, PLAN)
     a.absorb_harvest(harvest)
     assert a != b and a.state == {1: KeyState.UNVERIFIED}
@@ -122,7 +122,7 @@ def test_otp_key_and_key_pool_compare_as_mutable_records():
     assert a == b
     parties = [PartyState("A", KeyPool(PLAN, RAW), 2) for _ in range(2)]
     assert parties[0] == parties[1]
-    assert repr(parties[0]).endswith("n_max=2, flags={}, terminated=False)")
+    assert repr(parties[0]).endswith("n_max=2, flags={}, terminated=False>")
     parties[1].terminated = True
     assert parties[0] != parties[1]
     for unhashable in (otp, a, parties[0]):

@@ -351,31 +351,31 @@ def test_wilson_interval_basics():
 
 
 def test_forgery_random_substitution_below_bound():
-    stats = forgery_experiment(SMALL_WIDE, SMALL_FP, "random", trials=20000, seed=2)
+    stats = forgery_experiment(SMALL_WIDE, "random", trials=20000, seed=2)
     assert stats.wilson_hi <= float(SMALL_WIDE.eps_achieved)
     assert stats.wilson_lo <= 2**-8 <= stats.wilson_hi
 
 
 def test_forgery_best_guess_below_bound():
-    stats = forgery_experiment(SMALL_WIDE, SMALL_FP, "best-guess", trials=20000, seed=2)
+    stats = forgery_experiment(SMALL_WIDE, "best-guess", trials=20000, seed=2)
     assert stats.wilson_hi <= float(SMALL_WIDE.eps_achieved)
 
 
 def test_forgery_replay_rate_near_otp_uniformity():
-    stats = forgery_experiment(SMALL, SMALL_FP, "replay", trials=20000, seed=2)
+    stats = forgery_experiment(SMALL, "replay", trials=20000, seed=2)
     assert stats.wilson_lo <= 2**-8 <= stats.wilson_hi
 
 
 def test_forgery_impersonation_rate_near_inverse_tagspace():
-    stats = forgery_experiment(SMALL, SMALL_FP, "impersonate", trials=20000, seed=2)
+    stats = forgery_experiment(SMALL, "impersonate", trials=20000, seed=2)
     assert stats.wilson_lo <= 2**-8 <= stats.wilson_hi
 
 
 def test_forgery_experiment_validation():
     with pytest.raises(ValueError):
-        forgery_experiment(SMALL, SMALL_FP, "voodoo", trials=10, seed=0)
+        forgery_experiment(SMALL, "voodoo", trials=10, seed=0)
     with pytest.raises(ValueError):
-        forgery_experiment(SMALL, SMALL_FP, "random", trials=0, seed=0)
+        forgery_experiment(SMALL, "random", trials=0, seed=0)
 
 
 # -- exhaustive censuses ----------------------------------------------------------------
