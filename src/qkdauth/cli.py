@@ -10,6 +10,8 @@ import argparse
 import functools
 import re
 import sys
+from decimal import Context, Decimal
+from fractions import Fraction
 
 from .bits import Bits
 from .hashing import OtpReuseError, Tag, compose_tag, find_field_params, verify_tag
@@ -67,6 +69,16 @@ def _parse_tag(text: str, tau: int) -> Tag:
                          f"for tau={tau}") from None
 
 
+def _sci(x: Fraction) -> str:
+    """``x`` as ``%.6e``: from its float where a normal float holds it, and
+    from x itself, exactly rounded, below that range, where the float would
+    lose digits or round to 0."""
+    f = float(x)
+    if f >= sys.float_info.min or not x:
+        return f"{f:.6e}"
+    return f"{Context(prec=7).divide(Decimal(x.numerator), Decimal(x.denominator)):.6e}"
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
     if args.table:
         rows = table_one(args.eps_auth, [m * 10**6 for m in TABLE_MU_MBITS], TABLE_W)
@@ -79,7 +91,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"{p.mu},{p.w},{p.lam},{p.l_rec},{p.l_otp}")
     else:
         print(f"tau={p.tau} lambda={p.lam} l_rec={p.l_rec} l_otp={p.l_otp} "
-              f"eps_achieved={float(p.eps_achieved):.6e}")
+              f"eps_achieved={_sci(p.eps_achieved)}")
         published = PUBLISHED_LREC_DEVIATIONS.get((p.w, p.mu))
         if published not in (None, p.l_rec):
             print(f"note: published tables list l_rec={published} for this "

@@ -24,7 +24,8 @@ integer (``_poly_sums``): three levels of neighbour folds make each group
 of 8 chunks one lane of 8w bits, then the lane count halves per step, with
 a lane-parallel reduction mod p before a halving that could overflow a
 lane.  No step loops over lanes in Python.  The lane masks are cached per
-chunk width and size class, the reduction schedule per chunk width.
+chunk width and size class; the reduction schedule is worked out once per
+chunk width and cut to a message's halvings once per (w, group count).
 ``pad_and_chunk`` and ``chunk_count`` state the padding rule itself.
 
 The Toeplitz product is a window of the carry-less product of the key and
@@ -137,6 +138,28 @@ def _reductions(w: int, p: int) -> tuple[int, tuple[bool, ...]]:
     return c, tuple(flags)
 
 
+# One entry per message shape: 256 hold every group count of one width up to
+# 256 groups of 8w bits (129 kbit at w = 63); past that the least recently
+# used is evicted.  An entry's only integers that grow with the message are
+# its size class's masks, which it shares with ``_class_masks``.
+@functools.lru_cache(maxsize=256)
+def _schedule(w: int, groups: int, p: int) -> tuple:
+    """What ``_poly_sums`` needs of a message's shape alone: the lane width
+    W = 8w; the size class's masks, as the chunk split's, each later fold's
+    with its shift, and the reduction's (the last fold's); c; and, for each
+    halving down to one lane, whether it reduces first, its shift h*W and h."""
+    W = w << _FOLDS
+    c, flags = _reductions(w, p)
+    steps, g = [], groups
+    for reduce in flags[:(groups - 1).bit_length()]:
+        h = g >> 1
+        steps.append((reduce, h * W, h))
+        g -= h
+    masks = _class_masks(w, 1 << (groups - 1).bit_length())
+    folds = tuple((masks[j], w << j) for j in range(1, _FOLDS))
+    return W, masks[0], folds, masks[-1], c, tuple(steps)
+
+
 def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     """Sum of c_i * k**i (mod p) over the chunks c_0, c_1, ... of the padded
     message, leftmost first, up to the chunk holding the pad bit, per key k.
@@ -163,30 +186,27 @@ def _poly_sums(m: Bits, w: int, keys: Sequence[int], p: int) -> list[int]:
     S = 4w >= 2w + 2 for every w >= 1.  M after i halvings depends on w
     and i alone, so ``_reductions`` fixes the schedule once per width: a
     halving reduces first exactly when it would otherwise overflow.
+    ``_schedule`` cuts it to a message's halvings once per (w, group count).
+    The lanes' r and q are each one mask away, ``acc & red`` and
+    ``(acc >> S) & red``, so the reduction subtracts nothing.
     """
     n = m.length
     groups = ((n // w) >> _FOLDS) + 1  # the n // w + 1 live chunks in groups of 8
-    W = w << _FOLDS
-    v = ((m.value << 1) | 1) << (groups * W - n - 1)
-    masks = _class_masks(w, 1 << (groups - 1).bit_length())
-    lo, hi = v & masks[0], (v >> w) & masks[0]
-    S, red = W >> 1, masks[-1]
-    c, flags = _reductions(w, p)
-    flags = flags[:(groups - 1).bit_length()]  # one per halving down to one lane
+    W, split, folds, red, c, steps = _schedule(w, groups, p)
+    s = groups * W - n - 1
+    v = (m.value << s + 1) | (1 << s)
+    lo, hi = v & split, (v >> w) & split
+    S = W >> 1
     sums = []
     for k in keys:
         acc, kk = lo * k + hi, k * k % p
-        for j in range(1, _FOLDS):
-            acc = (acc & masks[j]) * kk + ((acc >> (w << j)) & masks[j])
+        for mask, shift in folds:
+            acc = (acc & mask) * kk + ((acc >> shift) & mask)
             kk = kk * kk % p
-        g = groups
-        for reduce in flags:
+        for reduce, shift, h in steps:
             if reduce:
-                r = acc & red
-                acc = r + c * ((acc - r) >> S)
-            h = g >> 1
-            acc = (acc >> h * W) + (acc & ((1 << h * W) - 1)) * pow(kk, h, p)
-            g -= h
+                acc = (acc & red) + c * ((acc >> S) & red)
+            acc = (acc >> shift) + (acc & ((1 << shift) - 1)) * pow(kk, h, p)
         sums.append(acc % p)
     return sums
 

@@ -13,8 +13,9 @@ transcript.
 
 A party is its role, its key pool, its session length n_max and its
 flags; it keeps no channel state.  Each step takes the slot's transcript
-from the caller, which builds each party's own log of a round's messages
-and passes ``ack_transcript`` for the acknowledgement.
+from the caller: the log of a round's messages as that party saw them
+(one log serves both parties when nothing was altered in transit), or
+``ack_transcript`` for the acknowledgement.
 
 The wire carries only the tag: its slot in the schedule fixes its round
 and kind (round tag or acknowledgement), so a tag from another slot, a

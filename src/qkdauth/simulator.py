@@ -290,11 +290,11 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
     at = adversary.round
     if at is not None and at > n_max + (adversary.row(at)[2] == "blocked"):
         raise ValueError(f"attack round {at} is outside the session")
+    need = plan.l_rec + plan.l_otp  # round 1's harvest: the recycled key, round 3's mask
     if secret_bits is None:
-        secret_bits = plan.l_rec + plan.l_otp + 64
-    if secret_bits < plan.l_rec + plan.l_otp:
-        raise ValueError(f"round 1 needs at least {plan.l_rec + plan.l_otp} "
-                         f"secret bits, got {secret_bits}")
+        secret_bits = need + 64
+    if secret_bits < need:
+        raise ValueError(f"round 1 needs at least {need} secret bits, got {secret_bits}")
     if fp != (field := find_field_params(plan.w)):
         raise ValueError(f"{fp} is not the plan's field {field}")
     budget = epsilon_budget(n_max, eps_pred=eps_pred, eps_store=eps_store,
@@ -319,17 +319,17 @@ def run_session(n_max: int, plan: Plan, fp: FieldParams,
         sender = parties[tag_sender(i)]
         verifier = parties[tag_verifier(i)]
         h = None
-        # each party's own log of the slot; both read the same acknowledgement
-        log_a, log_b = ((Transcript(plan.mu), Transcript(plan.mu)) if i <= n_max
-                        else (ack_transcript(n_max, plan.mu),) * 2)
+        # both parties read one log of the slot, unless Eve alters Bob's copy
+        log_a = Transcript(plan.mu) if i <= n_max else ack_transcript(n_max, plan.mu)
+        log_b = Transcript(plan.mu) if flips and i <= n_max else log_a
         if i <= n_max and not sender.terminated and not verifier.terminated:
             msgs, secret = source.round(i, success=not fails)
-            for j, (direction, payload) in enumerate(msgs):
-                src, dst = (log_a, log_b) if direction is Direction.A2B else (log_b, log_a)
-                src.append(direction, payload)
-                if flips and j == 0:  # Eve flips its first bit in transit
-                    payload = Bits.from_bytes(payload).flip(0).to_bytes()
-                dst.append(direction, payload)
+            for direction, payload in msgs:
+                log_a.append(direction, payload)
+            if flips:  # Bob's copy of the first message, Alice to Bob, loses its first bit
+                for j, (direction, payload) in enumerate(msgs):
+                    log_b.append(direction, payload if j else
+                                 Bits.from_bytes(payload).flip(0).to_bytes())
             if secret is not None:
                 h = harvest_keys(secret, i, plan)
                 party_a.pool.absorb_harvest(h)

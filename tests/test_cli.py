@@ -53,6 +53,20 @@ def test_plan_notes_the_published_deviation(capsys):
     assert "note:" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("eps, line", [
+    ("1e-12", "tau=40 lambda=1 l_rec=166 l_otp=40 eps_achieved=9.095019e-13"),
+    ("1e-330", "tau=1097 lambda=20 l_rec=3636 l_otp=1097 eps_achieved=5.889721e-331"),
+])
+def test_plan_prints_the_achieved_bound(capsys, eps, line):
+    # 1e-330's bound lies below every float, so it prints from the exact
+    # Fraction, not as 0; a bound a float holds prints as it always has
+    assert main(["plan", "--eps-auth", eps, "--mu", "4096", "--w", "63"]) == 0
+    assert capsys.readouterr().out == line + "\n"
+    mantissa, exponent = line.rpartition("=")[2].split("e")
+    x = plan(eps, 4096, 63).eps_achieved
+    assert round(x * Fraction(10) ** (6 - int(exponent))) == int(mantissa.replace(".", ""))
+
+
 def test_plan_single_machine(capsys):
     assert main(["plan", "--eps-auth", "1e-12", "--mu", "64Mbit", "--w", "63",
                  "--machine"]) == 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qkdauth.bits import Bits
 from qkdauth.hashing import (MAX_CHUNK_WIDTH, MIN_CHUNK_WIDTH, FieldParams, OtpKey,
-                             OtpReuseError, RecycledKey, Tag, _class_masks, _reductions,
+                             OtpReuseError, RecycledKey, Tag, _class_masks, _reductions, _schedule,
                              chunk_count, compose_tag, find_field_params, multi_poly_hash,
                              pad_and_chunk, toeplitz_hash, verify_tag)
 from qkdauth.planner import make_plan
@@ -333,6 +333,7 @@ def test_tags_stay_right_as_messages_grow_past_their_mask_class():
     """A short message first fills the cache with one-group masks; each
     longer one needs a larger size class, and a shorter one after it a cut."""
     _class_masks.cache_clear()
+    _schedule.cache_clear()  # a warm shape would skip _class_masks
     plan = make_plan(tau=40, lam=2, w=31, mu=100_000)
     fp = find_field_params(31)
     gen = BitGen(15)
@@ -347,6 +348,7 @@ def test_tags_stay_right_as_messages_grow_past_their_mask_class():
 
 def test_mask_cache_is_bounded():
     _class_masks.cache_clear()
+    _schedule.cache_clear()
     maxsize = _class_masks.cache_info().maxsize
     assert maxsize is not None
     for w in range(MIN_CHUNK_WIDTH, MAX_CHUNK_WIDTH + 1):
@@ -354,6 +356,25 @@ def test_mask_cache_is_bounded():
             multi_poly_hash(Bits(0, n), [Bits(1, w)], find_field_params(w), n)
         assert _class_masks.cache_info().currsize <= maxsize
     assert _class_masks.cache_info().currsize == maxsize
+
+
+@pytest.mark.parametrize("w", (2, 31, 63))
+def test_tags_stay_right_past_the_schedule_cache_bound(w):
+    """More group counts than the schedule cache holds, a message at each
+    end of its group count, then earlier shapes again: evicted ones are
+    built anew, and every tag matches the oracles."""
+    maxsize = _schedule.cache_info().maxsize
+    assert maxsize is not None
+    _schedule.cache_clear()
+    fp = find_field_params(w)
+    gen = BitGen(w)
+    keys, tk = [gen.take(w), gen.take(w)], gen.take(2 * (w + 1) + 7)
+    for g in [*range(1, maxsize + 3), 1, 2, maxsize, maxsize + 2, 3]:
+        m = gen.take(8 * w * g - 1 if g % 2 else 8 * w * (g - 1))  # full groups; one chunk in g
+        want = naive_toeplitz(reference_multi_poly_hash(m, keys, fp, m.length), tk)
+        assert toeplitz_hash(multi_poly_hash(m, keys, fp, m.length), tk) == want, g
+        assert _schedule.cache_info().currsize <= maxsize
+    assert _schedule.cache_info().currsize == maxsize
 
 
 def test_multi_poly_hash_errors():

@@ -211,10 +211,10 @@ def test_clean_session_object_work_per_round(monkeypatch, n_max):
 
 @pytest.mark.parametrize("n_max", [2, 4, 64])
 def test_clean_session_transcript_work_per_round(monkeypatch, n_max):
-    # Each round builds one log per party, and the acknowledgement one that
-    # both parties read.  No party keeps a log past its slot, so at each
-    # verifier step at most the slot's two logs and the acknowledgement's
-    # are alive, however long the session.
+    # Eve alters nothing, so each slot, a round or the acknowledgement,
+    # builds one log that both parties read.  No party keeps a log past its
+    # slot, so at each verifier step only the slot's log is alive, however
+    # long the session.
     built, alive = [], []
     live = weakref.WeakSet()
     init, verify = Transcript.__init__, PartyState.finalize_verifier
@@ -232,8 +232,36 @@ def test_clean_session_transcript_work_per_round(monkeypatch, n_max):
     monkeypatch.setattr(PartyState, "finalize_verifier", watching)
     led = run_session(n_max, PLAN, FP, seed=5, secret_bits=99_532)
     assert not led.terminated
-    assert len(built) == 2 * n_max + 1
-    assert len(alive) == n_max + 1 and max(alive) <= 3
+    assert len(built) == n_max + 1
+    assert alive == [1] * (n_max + 1)
+
+
+@pytest.mark.parametrize("spec", ["tamper:{}", "substitute:{}:random",
+                                  "substitute:{}:best-guess"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_only_the_altered_slot_has_two_logs(monkeypatch, spec, k):
+    # Eve flips a bit in slot k's traffic, so its verifier reads another
+    # compound than its sender; in every other slot both steps read one log.
+    logs = {}
+    send, verify = PartyState.finalize_sender, PartyState.finalize_verifier
+
+    def sending(self, round_, log):
+        logs[round_] = [log]
+        return send(self, round_, log)
+
+    def verifying(self, round_, log, incoming):
+        logs[round_].append(log)
+        return verify(self, round_, log, incoming)
+
+    monkeypatch.setattr(PartyState, "finalize_sender", sending)
+    monkeypatch.setattr(PartyState, "finalize_verifier", verifying)
+    run_session(4, PLAN, FP, parse_adversary(spec.format(k)), seed=7)
+    assert sorted(logs) == [1, 2, 3, 4, 5]
+    for slot, (sent, seen) in logs.items():
+        if slot == k:
+            assert sent.compound() != seen.compound()
+        else:
+            assert sent is seen, slot
 
 
 def test_clean_sessions_never_reject():
